@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -85,12 +86,10 @@ def _parse_sweep(text: str) -> list[float]:
 
 
 def _parse_edge(text: str) -> dimer.EdgeConstraint:
-    try:
-        idx, occ = text.split(":")
-        return dimer.EdgeConstraint(int(idx), bool(int(occ)))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "edge must be INDEX:0 or INDEX:1") from None
+    match = re.fullmatch(r"([+-]?\d+):([01])", text)
+    if match is None:
+        raise argparse.ArgumentTypeError("edge must be INDEX:0 or INDEX:1")
+    return dimer.EdgeConstraint(int(match[1]), match[2] == "1")
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -157,12 +156,30 @@ def cmd_partition(args) -> int:
     return EXIT_OK
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_constrained(args) -> int:
-    params = _build_params(args)
-    if params.boundary is not model.Boundary.FIXED_GROUND_STATE:
-        print("error: constrained sums need --boundary fixed", file=sys.stderr)
-        return EXIT_USAGE
-    kast = dimer.kasteleyn_orientation(dimer.build_decorated(params))
+    if not args.edge and args.site is None:
+        return _usage_error("give --edge and/or --site")
+    if args.rows < 1 or args.cols < 1:
+        return _usage_error("--rows and --cols must be >= 1")
+    if args.boundary != "fixed":
+        return _usage_error("constrained sums need --boundary fixed")
+    if args.site is not None:
+        r, c = args.site
+        if not (0 < r < args.rows - 1 and 0 < c < args.cols - 1):
+            return _usage_error(
+                f"--site {r} {c} is not an interior site of "
+                f"{args.rows}x{args.cols}")
+    lat = dimer.build_decorated(_build_params(args))
+    for con in args.edge:
+        if not 0 <= con.edge < len(lat.edges):
+            return _usage_error(
+                f"--edge index {con.edge} outside [0, {len(lat.edges)})")
+    kast = dimer.kasteleyn_orientation(lat)
     records = []
     if args.edge:
         ratio = dimer.constrained_ratio(kast, args.edge)
@@ -187,9 +204,6 @@ def cmd_constrained(args) -> int:
             "quantity": "vertex_state_probability_sum", "rows": args.rows,
             "cols": args.cols, "beta_s": args.beta_s,
             "site": [r, c], "value": total})
-    if not records:
-        print("error: give --edge and/or --site", file=sys.stderr)
-        return EXIT_USAGE
     emit(records, args.format, args.quiet)
     return EXIT_OK
 
@@ -278,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--tol", type=float, default=1e-10)
-    common.add_argument("--seed", type=int, default=0,
-                        help="reserved for stochastic extensions")
     common.add_argument("--quiet", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -16,10 +16,11 @@ externals) so edge indices are reproducible across runs.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import (ConstraintConflict, NotFreeFermion, OrientationFailure,
                      SingularMatrix, TooLarge, TooManyConstraints)
@@ -179,53 +180,58 @@ def _planar_faces(lat: DecoratedLattice):
 
 
 class KasteleynMatrix:
-    """Signed anti-symmetric adjacency matrix of a Pfaffian orientation.
+    """Signed anti-symmetric adjacency matrix K of a Pfaffian orientation.
 
     ``signs[e]`` is +1 when edge e is oriented i -> j in edge-list order.
-    The inverse and log-determinant are memoized behind a lock so concurrent
-    queries share one factorization.
+    K is held as a sparse CSC matrix and factored once, by a sparse LU,
+    when the object is built; log det K and any block of K^-1 come from
+    that one factorization.
     """
 
     def __init__(self, lattice: DecoratedLattice, signs: np.ndarray):
         self.lattice = lattice
         self.signs = signs
         n = lattice.n_nodes
-        r = np.zeros((n, n))
-        for e, s in zip(lattice.edges, signs):
-            r[e.i, e.j] = s * e.weight
-            r[e.j, e.i] = -s * e.weight
-        self.matrix = r
-        self._lock = threading.Lock()
-        self._inverse: np.ndarray | None = None
-        self._logdet: float | None = None
-
-    def inverse(self) -> np.ndarray:
-        with self._lock:
-            if self._inverse is None:
-                try:
-                    self._inverse = np.linalg.inv(self.matrix)
-                except np.linalg.LinAlgError as exc:
-                    raise SingularMatrix("no perfect matching") from exc
-            return self._inverse
+        i = np.array([e.i for e in lattice.edges], dtype=np.int64)
+        j = np.array([e.j for e in lattice.edges], dtype=np.int64)
+        k = signs * np.array([e.weight for e in lattice.edges])
+        self.sparse = sp.csc_matrix(
+            (np.concatenate([k, -k]),
+             (np.concatenate([i, j]), np.concatenate([j, i]))), shape=(n, n))
+        try:
+            self._lu = spla.splu(self.sparse)
+        except RuntimeError as exc:
+            raise SingularMatrix("no perfect matching") from exc
 
     def log_det(self) -> float:
-        with self._lock:
-            if self._logdet is None:
-                sign, logabs = np.linalg.slogdet(self.matrix)
-                if sign <= 0:
-                    raise SingularMatrix(
-                        "det R is not positive (no perfect matching)")
-                self._logdet = float(logabs)
-            return self._logdet
+        """log det K from the diagonal of U; det K = Pf(K)^2 must be > 0."""
+        diag = self._lu.U.diagonal()
+        sign = (_parity(self._lu.perm_r) * _parity(self._lu.perm_c)
+                * np.prod(np.sign(diag)))
+        if sign <= 0:
+            raise SingularMatrix("det R is not positive (no perfect matching)")
+        return float(np.sum(np.log(np.abs(diag))))
 
-    def perturbation(self, edge: int) -> np.ndarray:
-        """The two-entry matrix holding only the given edge of R."""
-        e = self.lattice.edges[edge]
-        s = self.signs[edge]
-        out = np.zeros_like(self.matrix)
-        out[e.i, e.j] = s * e.weight
-        out[e.j, e.i] = -s * e.weight
-        return out
+    def inverse_block(self, nodes: list[int]) -> np.ndarray:
+        """K^-1[I, I] for the node list I, from one solve on its unit vectors."""
+        rhs = np.zeros((self.lattice.n_nodes, len(nodes)))
+        rhs[nodes, np.arange(len(nodes))] = 1.0
+        return self._lu.solve(rhs)[nodes, :]
+
+
+def _parity(perm: np.ndarray) -> int:
+    """+1 for an even permutation, -1 for an odd one."""
+    perm = perm.tolist()
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            node = start
+            while not seen[node]:
+                seen[node] = True
+                node = perm[node]
+    return -1 if (len(perm) - cycles) % 2 else 1
 
 
 def kasteleyn_orientation(lat: DecoratedLattice) -> KasteleynMatrix:
@@ -301,7 +307,7 @@ def _cw_count(signs, cycle, ccw: bool) -> int:
 
 def audit_faces(kast: KasteleynMatrix) -> None:
     """Re-check anti-symmetry and odd-clockwise parity on every bounded face."""
-    if not np.allclose(kast.matrix, -kast.matrix.T):
+    if (kast.sparse + kast.sparse.T).count_nonzero() != 0:
         raise OrientationFailure("matrix is not anti-symmetric")
     for cycle, ccw in _planar_faces(kast.lattice):
         if _cw_count(kast.signs, cycle, ccw) % 2 == 0:
@@ -368,67 +374,43 @@ def enumerate_matchings(lat: DecoratedLattice,
 
 # --- constrained partition functions -----------------------------------------
 
-def _multilinear_ratios(kast: KasteleynMatrix, edges: list[int]) -> dict:
-    """Z^cons(S occupied)/Z_0 for every subset S of the given edges.
+def _pfaffian(a: np.ndarray) -> float:
+    """Pfaffian of a small anti-symmetric matrix of even size.
 
-    Works in the algebra of multilinear polynomials in the edge bump
-    variables (monomials are subsets; squares are dropped, which cannot
-    affect square-free coefficients): the coefficient of prod_{k in S} eps_k
-    in exp(tr ln(1 + sum_k eps_k R0^-1 R_(k)) / 2) is exactly the ratio for
-    the all-occupied constraint on S.
+    Skew Gaussian elimination: each step brings the largest entry of the
+    next row into the pivot position, takes the 2x2 block out and updates
+    the rest by a skew rank-2 correction.
     """
-    m = len(edges)
-    inv = kast.inverse()
-    mats = {frozenset([k]): inv @ kast.perturbation(edges[k]) for k in range(m)}
-
-    def mat_mul(pa: dict, pb: dict) -> dict:
-        out: dict = {}
-        for ka, va in pa.items():
-            for kb, vb in pb.items():
-                if ka & kb:
-                    continue
-                key = ka | kb
-                prod = va @ vb
-                if key in out:
-                    out[key] = out[key] + prod
-                else:
-                    out[key] = prod
-        return out
-
-    # P = (1/2) tr ln(1 + M) as a multilinear polynomial
-    p: dict = {}
-    power = mats
-    for n in range(1, m + 1):
-        coef = 0.5 * ((-1) ** (n + 1)) / n
-        for key, mat in power.items():
-            p[key] = p.get(key, 0.0) + coef * float(np.trace(mat))
-        if n < m:
-            power = mat_mul(power, mats)
-
-    # exp(P); P has no constant term
-    result = {frozenset(): 1.0}
-    term = {frozenset(): 1.0}
-    for j in range(1, m + 1):
-        nxt: dict = {}
-        for ka, va in term.items():
-            for kb, vb in p.items():
-                if ka & kb:
-                    continue
-                key = ka | kb
-                nxt[key] = nxt.get(key, 0.0) + va * vb
-        term = {k: v / j for k, v in nxt.items()}
-        for k, v in term.items():
-            result[k] = result.get(k, 0.0) + v
-    return {frozenset(edges[k] for k in key): v for key, v in result.items()}
+    a = np.array(a, dtype=float)
+    n = len(a)
+    pf = 1.0
+    for k in range(0, n - 1, 2):
+        p = k + 1 + int(np.argmax(np.abs(a[k, k + 1:])))
+        if p != k + 1:
+            a[[k + 1, p]] = a[[p, k + 1]]
+            a[:, [k + 1, p]] = a[:, [p, k + 1]]
+            pf = -pf
+        pivot = a[k, k + 1]
+        if pivot == 0.0:
+            return 0.0
+        pf *= pivot
+        if k + 2 < n:
+            tau = a[k, k + 2:] / pivot
+            col = a[k + 2:, k + 1]
+            a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
+    return pf
 
 
-def _validated(constraints) -> tuple[list[int], list[int]]:
+def _validated(lat: DecoratedLattice, constraints) -> tuple[list[int], list[int]]:
     if len(constraints) > CONSTRAINT_BOUND:
         raise TooManyConstraints(
             f"at most {CONSTRAINT_BOUND} simultaneous constraints")
     seen = set()
     occ, emp = [], []
     for c in constraints:
+        if not 0 <= c.edge < len(lat.edges):
+            raise IndexError(
+                f"edge {c.edge} outside [0, {len(lat.edges)})")
         if c.edge in seen:
             raise ConstraintConflict(f"edge {c.edge} constrained twice")
         seen.add(c.edge)
@@ -439,18 +421,30 @@ def _validated(constraints) -> tuple[list[int], list[int]]:
 def constrained_ratio(kast: KasteleynMatrix, constraints) -> float:
     """Z^cons / Z_0 under the given edge occupation constraints.
 
-    All-occupied sets come straight from the trace expansion; mixed sets are
-    reduced to all-occupied ones by inclusion-exclusion over the edges
-    required to be empty.
+    An all-occupied set {(u_1,v_1) ... (u_k,v_k)} has the local Pfaffian
+    probability prod(-K(u_i,v_i)) Pf(K^-1[u_1,v_1,...,u_k,v_k]) (Kenyon,
+    "Local statistics of lattice dimers"), which is 0 when two edges share
+    a node.  Mixed sets are reduced to all-occupied ones by
+    inclusion-exclusion over the edges required to be empty.
     """
-    occ, emp = _validated(constraints)
-    ratios = _multilinear_ratios(kast, occ + emp)
+    lat = kast.lattice
+    occ, emp = _validated(lat, constraints)
+    edges = occ + emp
+    nodes = [v for e in edges for v in (lat.edges[e].i, lat.edges[e].j)]
+    block = kast.inverse_block(nodes)
+    block = 0.5 * (block - block.T)  # the solve is anti-symmetric to rounding
+    weights = [-kast.signs[e] * lat.edges[e].weight for e in edges]
     total = 0.0
     for t in range(1 << len(emp)):
-        subset = frozenset(occ) | frozenset(
-            emp[b] for b in range(len(emp)) if (t >> b) & 1)
-        total += ((-1) ** bin(t).count("1")) * ratios[subset]
-    return total
+        chosen = list(range(len(occ))) + [
+            len(occ) + b for b in range(len(emp)) if (t >> b) & 1]
+        rows = [2 * c + h for c in chosen for h in (0, 1)]
+        if len({nodes[r] for r in rows}) < len(rows):
+            continue  # two edges share a node: no matching holds both
+        term = math.prod(weights[c] for c in chosen)
+        total += ((-1) ** (len(chosen) - len(occ))) * term * _pfaffian(
+            block[np.ix_(rows, rows)])
+    return float(total)
 
 
 def constrained_partition(kast: KasteleynMatrix, constraints) -> float:
@@ -462,8 +456,8 @@ def constrained_partition(kast: KasteleynMatrix, constraints) -> float:
 
 
 def dimer_probability(kast: KasteleynMatrix, edge: int) -> float:
-    """Occupation probability of one edge: tr(R0^-1 R_(edge)) / 2."""
-    return 0.5 * float(np.trace(kast.inverse() @ kast.perturbation(edge)))
+    """Occupation probability of one edge: -K(i,j) K^-1(i,j)."""
+    return constrained_ratio(kast, [EdgeConstraint(edge, True)])
 
 
 # --- vertex-state constraints ------------------------------------------------

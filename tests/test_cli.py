@@ -110,12 +110,42 @@ class TestConstrained:
         code, _, _ = run(capsys, "constrained", "--rows", "3", "--cols", "3")
         assert code == 2
 
-    def test_numerical_failure_exit(self, capsys):
-        # rows=2 has no interior site, a domain error at runtime
+    def test_non_interior_site_is_usage_error(self, capsys):
+        # rows=2 has no interior site
         code, _, err = run(capsys, "constrained", "--rows", "2", "--cols", "3",
                            "--site", "1", "1")
-        assert code == 3
+        assert code == 2
         assert "interior" in err
+
+    @pytest.mark.parametrize("edge", ["--edge=9999:1", "--edge=-1:1",
+                                      "--edge=48:1"])
+    def test_edge_index_out_of_range_is_usage_error(self, capsys, edge):
+        # 3x3 has 48 edges: indices run from 0 to 47
+        code, out, err = run(capsys, "constrained", "--rows", "3",
+                             "--cols", "3", edge)
+        assert code == 2
+        assert out == ""
+        assert "outside [0, 48)" in err
+
+    def test_edge_occupation_not_0_or_1_is_usage_error(self, capsys):
+        code, out, _ = run(capsys, "constrained", "--rows", "3", "--cols", "3",
+                           "--edge", "3:2")
+        assert code == 2
+        assert out == ""
+
+    def test_corner_site_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "constrained", "--rows", "3",
+                             "--cols", "3", "--site", "0", "0")
+        assert code == 2
+        assert out == ""
+        assert "interior" in err
+
+    @pytest.mark.parametrize("size", [["--rows", "0", "--cols", "3"],
+                                      ["--rows", "3", "--cols", "-1"]])
+    def test_empty_lattice_is_usage_error(self, capsys, size):
+        code, out, _ = run(capsys, "constrained", *size, "--edge", "0:1")
+        assert code == 2
+        assert out == ""
 
 
 class TestSeriesAndCoulomb:
@@ -167,6 +197,12 @@ class TestContracts:
 
     def test_no_command(self, capsys):
         assert run(capsys)[0] == 2
+
+    def test_seed_is_not_an_option(self, capsys):
+        code, out, _ = run(capsys, "free-energy", "--beta-s", "0.5",
+                           "--seed", "1")
+        assert code == 2
+        assert out == ""
 
     def test_repeat_runs_byte_identical(self, capsys):
         _, out1, _ = run(capsys, "perturb", "--beta-s", "0.5", "--u", "0.01")

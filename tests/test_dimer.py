@@ -4,8 +4,11 @@ import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vertex_expand.dimer import (
+    MATCHING_NODE_BOUND,
     EdgeConstraint,
     audit_faces,
     build_decorated,
@@ -25,6 +28,7 @@ from vertex_expand.errors import (
     TooLarge,
     TooManyConstraints,
 )
+from vertex_expand.integrals import za_ratio, zb_ratio
 from vertex_expand.model import (
     Boundary,
     ModelParams,
@@ -32,6 +36,9 @@ from vertex_expand.model import (
     enumerate_partition,
     line_representation,
 )
+
+
+MAX_CITIES = MATCHING_NODE_BOUND // 4  # four nodes per city
 
 
 def params_for(rows, cols, beta_s=0.3):
@@ -97,6 +104,16 @@ class TestKasteleyn:
     def test_matching_enumeration_bound(self):
         with pytest.raises(TooLarge):
             enumerate_matchings(build_decorated(params_for(4, 4)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.integers(1, MAX_CITIES).flatmap(lambda rows: st.tuples(
+               st.just(rows), st.integers(1, MAX_CITIES // rows))),
+           beta_s=st.floats(-1.0, 1.0))
+    @example(shape=(1, MAX_CITIES), beta_s=0.3)
+    def test_pfaffian_vs_matchings_random_shapes(self, shape, beta_s):
+        lat = build_decorated(params_for(*shape, beta_s))
+        assert partition_dimer(kasteleyn_orientation(lat)) == pytest.approx(
+            math.log(enumerate_matchings(lat)), abs=1e-12)
 
 
 class TestMappingEquivalence:
@@ -176,6 +193,42 @@ class TestConstrained:
         with pytest.raises(TooManyConstraints):
             constrained_ratio(kast22, cons)
 
+    @pytest.mark.parametrize("edge", [-1, 20, 9999])
+    def test_edge_index_out_of_range(self, kast22, edge):
+        # 2x2 has 20 edges; a negative index must not wrap to the last one
+        with pytest.raises(IndexError):
+            constrained_ratio(kast22, [EdgeConstraint(edge, True)])
+
+    def test_node_sharing_edges_exactly_zero(self, kast22):
+        # internal edges 0 (L-T) and 1 (T-R) of city 0 share node T
+        both = [EdgeConstraint(0, True), EdgeConstraint(1, True)]
+        assert constrained_ratio(kast22, both) == 0.0
+        assert constrained_ratio(
+            kast22, [EdgeConstraint(0, True), EdgeConstraint(1, False)]
+        ) == pytest.approx(constrained_ratio(kast22, [EdgeConstraint(0, True)]),
+                           rel=1e-14)
+        # edges 12 and 17 share node 12; the Pfaffian of this block alone
+        # rounds to about 1e-18, not to 0
+        four = [EdgeConstraint(e, True) for e in (12, 1, 5, 17)]
+        assert constrained_ratio(kast22, four) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.sampled_from([2, 3]), data=st.data(),
+           beta_s=st.floats(-1.0, 1.0))
+    def test_random_patterns_against_enumeration(self, size, data, beta_s):
+        lat = build_decorated(params_for(size, size, beta_s))
+        edges = data.draw(st.lists(st.integers(0, len(lat.edges) - 1),
+                                   min_size=1, max_size=5, unique=True))
+        occupied = data.draw(st.lists(st.booleans(), min_size=len(edges),
+                                      max_size=len(edges)))
+        cons = [EdgeConstraint(e, o) for e, o in zip(edges, occupied)]
+        direct = enumerate_matchings(
+            lat, tuple(e for e, o in zip(edges, occupied) if o),
+            tuple(e for e, o in zip(edges, occupied) if not o))
+        ratio = constrained_ratio(kasteleyn_orientation(lat), cons)
+        assert ratio == pytest.approx(direct / enumerate_matchings(lat),
+                                      abs=1e-12)
+
 
 @pytest.fixture(scope="module")
 def kast33():
@@ -198,3 +251,33 @@ class TestVertexStates:
     def test_boundary_site_rejected(self, kast33):
         with pytest.raises(ValueError):
             vertex_constrained_ratio(kast33, (0, 0), 6)
+
+    @settings(max_examples=25, deadline=None)
+    @given(rows=st.integers(3, 16), cols=st.integers(3, 16), data=st.data(),
+           beta_s=st.floats(-1.0, 1.0))
+    def test_probabilities_sum_to_one_random_sites(self, rows, cols, data,
+                                                   beta_s):
+        site = (data.draw(st.integers(1, rows - 2)),
+                data.draw(st.integers(1, cols - 2)))
+        kast = kasteleyn_orientation(
+            build_decorated(params_for(rows, cols, beta_s)))
+        total = sum(vertex_constrained_ratio(kast, site, s)
+                    for s in range(1, 7))
+        assert total == pytest.approx(1.0, abs=1e-12)
+
+
+class TestInfiniteLatticeLimit:
+    """Centre-site state probabilities converge to the infinite-lattice
+    Za/Z0 (state 6) and Zb/Z0 (state 5); the centre of an even L x L
+    lattice is on sublattice A, where state 6 is the reference."""
+
+    @pytest.mark.parametrize("size,tol", [(32, 1e-9), (64, 1e-12)])
+    def test_centre_site_matches_integrals(self, size, tol):
+        kast = kasteleyn_orientation(
+            build_decorated(params_for(size, size, 0.3)))
+        site = (size // 2, size // 2)
+        probs = {s: vertex_constrained_ratio(kast, site, s)
+                 for s in range(1, 7)}
+        assert sum(probs.values()) == pytest.approx(1.0, abs=1e-14)
+        assert probs[6] == pytest.approx(za_ratio(0.3), abs=tol)
+        assert probs[5] == pytest.approx(zb_ratio(0.3), abs=tol)
