@@ -25,6 +25,17 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
+#: highest order and whether it must be even, per ``series --target`` and for
+#: ``coulomb --expand``; b2 at order K needs the beta_s series at K + 2
+ORDER_CAPS = {
+    "stirling": (16, False),
+    "fst": (8, False),
+    "sng": (8, True),
+    "b2": (6, True),
+    "t-map": (16, True),
+    "coulomb": (4, False),
+}
+
 
 def _float(x: float) -> str:
     return f"{x:.17g}"
@@ -92,9 +103,35 @@ def _parse_edge(text: str) -> dimer.EdgeConstraint:
     return dimer.EdgeConstraint(int(match[1]), match[2] == "1")
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _order_error(name: str, order: int) -> str | None:
+    cap, even = ORDER_CAPS[name]
+    if not 0 <= order <= cap:
+        return f"order {order} outside [0, {cap}] for {name}"
+    if even and order % 2:
+        return f"order {order} for {name} must be even"
+    return None
+
+
+def _lattice_error(args) -> str | None:
+    if args.rows < 1 or args.cols < 1:
+        return "--rows and --cols must be >= 1"
+    if args.boundary == "periodic" and (args.rows % 2 or args.cols % 2):
+        return "--boundary periodic needs even --rows and --cols"
+    return None
+
+
 # --- subcommand handlers -----------------------------------------------------
 
 def cmd_free_energy(args) -> int:
+    if args.method == "finite" and args.size not in range(2, 13, 2):
+        return _usage_error("--size must be even and in [2, 12]")
+    if args.method == "series" and args.terms < 1:
+        return _usage_error("--terms must be >= 1")
     points = args.sweep if args.sweep is not None else [args.beta_s]
     spec = _quad_spec(args.tol)
     records = []
@@ -129,6 +166,9 @@ def _build_params(args) -> model.ModelParams:
 
 
 def cmd_partition(args) -> int:
+    message = _lattice_error(args)
+    if message:
+        return _usage_error(message)
     params = _build_params(args)
     rec = {"quantity": "log_partition", "rows": args.rows, "cols": args.cols,
            "beta_s": args.beta_s, "boundary": args.boundary,
@@ -156,16 +196,12 @@ def cmd_partition(args) -> int:
     return EXIT_OK
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def cmd_constrained(args) -> int:
     if not args.edge and args.site is None:
         return _usage_error("give --edge and/or --site")
-    if args.rows < 1 or args.cols < 1:
-        return _usage_error("--rows and --cols must be >= 1")
+    message = _lattice_error(args)
+    if message:
+        return _usage_error(message)
     if args.boundary != "fixed":
         return _usage_error("constrained sums need --boundary fixed")
     if args.site is not None:
@@ -174,6 +210,12 @@ def cmd_constrained(args) -> int:
             return _usage_error(
                 f"--site {r} {c} is not an interior site of "
                 f"{args.rows}x{args.cols}")
+    if len(args.edge) > dimer.CONSTRAINT_BOUND:
+        return _usage_error(
+            f"at most {dimer.CONSTRAINT_BOUND} --edge constraints")
+    edges = [con.edge for con in args.edge]
+    if len(set(edges)) < len(edges):
+        return _usage_error("an --edge index is given twice")
     lat = dimer.build_decorated(_build_params(args))
     for con in args.edge:
         if not 0 <= con.edge < len(lat.edges):
@@ -223,6 +265,9 @@ def cmd_perturb(args) -> int:
 
 def cmd_series(args) -> int:
     k = args.order
+    message = _order_error(args.target, k)
+    if message:
+        return _usage_error(message)
     if args.target == "stirling":
         s = series.stirling_correction(k)
         rec = {"quantity": "stirling_bracket",
@@ -249,6 +294,10 @@ def cmd_series(args) -> int:
 
 
 def cmd_coulomb(args) -> int:
+    if args.expand is not None:
+        message = _order_error("coulomb", args.expand)
+        if message:
+            return _usage_error(message)
     records = []
     if args.beta_eps is not None:
         records.append({
@@ -266,8 +315,7 @@ def cmd_coulomb(args) -> int:
                 {str(p): q for p, q in sorted(coeff.items())}
                 for coeff in expansion]})
     if not records:
-        print("error: give --beta-eps and/or --expand", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("give --beta-eps and/or --expand")
     emit(records, args.format, args.quiet)
     return EXIT_OK
 

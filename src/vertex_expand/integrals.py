@@ -5,13 +5,25 @@ The reduced free energy per vertex is
     F0(beta_s) = (1/8 pi^2) int int ln[2 cosh(2 beta_s)
                                       + 2 cos(t1) cos(t2)] dt1 dt2
 
-over [0, 2 pi]^2, together with its staggered-field derivative, the
-b-vertex constrained ratio Z_b/Z_0, and the first-order free energy in the
-coupling shift U.  All double integrals use the tensor midpoint rule (which
-never samples the critical points at beta_s = 0) with node doubling until
-the requested tolerance; at beta_s = 0 the integrable log singularity slows
-the midpoint rule to algebraic convergence and a Richardson extrapolation in
-h^2 and h^2 ln h terms recovers full accuracy.
+over [0, 2 pi]^2.  Writing 2 cos t1 cos t2 = cos(t1 + t2) + cos(t1 - t2)
+and using <ln(x + cos b)>_b = arccosh x - ln 2 leaves one angle:
+
+    F0 = (1/2) <arccosh(2 cosh 2 beta_s + cos u)>_u - (1/2) ln 2.
+
+The mean is taken by the midpoint rule over u in [0, pi] (the integrand is
+even about u = 0 and u = pi), doubling nodes until two levels agree.  For
+beta_s != 0 the integrand is periodic and analytic, so the rule converges
+geometrically; at beta_s = 0 it has a kink at u = pi, and the closed form
+F0(0) = 2G/pi - (1/2) ln 2 (G Catalan's constant) is used instead.
+
+The field derivative and the b-vertex ratio need the square-lattice
+Green's function <1/(a + cos t1 cos t2)> = 2 K(1/a) / (pi a), with
+a = cosh 2 beta_s and K the complete elliptic integral of the first kind of
+modulus k = sech 2 beta_s.  Its complementary parameter 1 - k^2 is
+tanh^2 2 beta_s exactly, which scipy's ``ellipkm1`` takes directly, so
+there is no cancellation near the critical point beta_s = 0.  Together
+with the first-order free energy in the coupling shift U these give the
+O(U) coefficient two independent ways.
 """
 
 from __future__ import annotations
@@ -21,22 +33,28 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
+from scipy.special import ellipkm1
 from scipy.special import zeta as hurwitz_zeta
 
-from ._kernels import grid_sum
 from .errors import IdentityMismatch, ToleranceNotMet
 from .series import stirling_correction
 
 _STIRLING_ORDER = 8
 
+#: F0(0) = 2G/pi - ln(2)/2 correctly rounded; evaluating the expression in
+#: floating point gives 0.23654821778166496, one ulp high.
+_F0_CRITICAL = 0.2365482177816649
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tensor midpoint rule on [0, 2 pi]^2 with node doubling."""
+    """1-D midpoint rule on [0, pi] with node doubling from ``nodes`` up to
+    ``max_nodes`` until two levels agree within ``tolerance`` (relative
+    above 1)."""
 
     nodes: int = 64
     tolerance: float = 1e-10
-    max_nodes: int = 4096
+    max_nodes: int = 1 << 20
 
     def __post_init__(self):
         if self.nodes < 16 or self.nodes & (self.nodes - 1):
@@ -45,83 +63,58 @@ class QuadratureSpec:
             raise ValueError("max_nodes below starting nodes")
 
 
-def _refine(values_of_n, spec: QuadratureSpec, richardson_logs: bool):
-    """Double nodes until two levels agree; fall back to extrapolation.
-
-    ``values_of_n(n)`` evaluates the midpoint approximation.  The fallback
-    solves for the limit of an error model sum_j h^{2j} (a_j + b_j ln h),
-    which captures the integrable log singularity at beta_s = 0.
-    """
-    ns, vals = [], []
+def baxter_free_energy(beta_s: float, spec: QuadratureSpec | None = None) -> float:
+    """F0 from the closed form at beta_s = 0, elsewhere by the midpoint rule
+    for (1/2) <arccosh(2 cosh 2 beta_s + cos u)>_u - (1/2) ln 2."""
+    spec = spec or QuadratureSpec()
+    if beta_s == 0.0:
+        return _F0_CRITICAL
+    x = 2.0 * math.cosh(2.0 * beta_s)
     n = spec.nodes
     prev = None
     while n <= spec.max_nodes:
-        v = values_of_n(n)
-        ns.append(n)
-        vals.append(v)
+        u = (np.arange(n) + 0.5) * (math.pi / n)
+        # n ln 2 joins the exact sum; halving by n is exact, so fsum is the
+        # only rounding
+        terms = np.arccosh(x + np.cos(u)).tolist()
+        v = math.fsum(terms + [-n * math.log(2.0)]) / (2 * n)
         if prev is not None and abs(v - prev) <= spec.tolerance * max(1.0, abs(v)):
             return v
         prev = v
         n *= 2
-    if not richardson_logs or len(vals) < 5:
-        raise ToleranceNotMet(
-            f"midpoint rule stalled at {ns[-1]} nodes per axis")
-
-    def extrapolate(ns_, vals_):
-        hs = np.array([2.0 * np.pi / k for k in ns_])
-        cols = [np.ones_like(hs)]
-        for j in (1, 2, 3):
-            cols.append(hs ** (2 * j))
-            cols.append(hs ** (2 * j) * np.log(hs))
-        a = np.column_stack(cols[:min(len(ns_), 7)])
-        sol, *_ = np.linalg.lstsq(a, np.array(vals_), rcond=None)
-        return float(sol[0])
-
-    full = extrapolate(ns, vals)
-    check = extrapolate(ns[1:], vals[1:])
-    if abs(full - check) > 10.0 * spec.tolerance * max(1.0, abs(full)):
-        raise ToleranceNotMet("Richardson levels disagree")
-    return check
+    raise ToleranceNotMet(f"midpoint rule not converged at {n // 2} nodes")
 
 
-def baxter_free_energy(beta_s: float, spec: QuadratureSpec | None = None) -> float:
-    """F0 by midpoint quadrature of the double integral."""
-    spec = spec or QuadratureSpec()
-    a = math.cosh(2.0 * beta_s)
-
-    def value(n):
-        return grid_sum(0, n, a) / (2.0 * n * n)
-
-    return _refine(value, spec, richardson_logs=True)
+def _elliptic_k(beta_s: float) -> float:
+    """K(sech 2 beta_s) for beta_s != 0, from its complementary parameter
+    tanh^2 2 beta_s; where that underflows, K = ln(4 / |tanh 2 beta_s|) to
+    double precision."""
+    t = math.tanh(2.0 * beta_s)
+    if t * t > 0.0:
+        return float(ellipkm1(t * t))
+    return math.log(4.0) - math.log(abs(t))
 
 
 def dF0_dbetas(beta_s: float, spec: QuadratureSpec | None = None) -> float:
-    """dF0/d(beta_s): quadrature of the differentiated integrand (odd in
-    beta_s, exactly 0 at beta_s = 0)."""
-    spec = spec or QuadratureSpec()
+    """dF0/d(beta_s) = (2/pi) tanh(2 beta_s) K(sech 2 beta_s): odd in
+    beta_s and exactly 0 at beta_s = 0.  The closed form needs no nodes;
+    ``spec`` is accepted for a uniform signature."""
     if beta_s == 0.0:
         return 0.0
-    a = math.cosh(2.0 * beta_s)
-    b = math.sinh(2.0 * beta_s)
-
-    def value(n):
-        return grid_sum(1, n, a, b) / (n * n)
-
-    return _refine(value, spec, richardson_logs=True)
+    return 2.0 / math.pi * math.tanh(2.0 * beta_s) * _elliptic_k(beta_s)
 
 
 def zb_ratio(beta_s: float, spec: QuadratureSpec | None = None) -> float:
-    """Z_b/Z_0: squared double integral of
-    (exp(-2 beta_s) + cos cos)/(cosh 2 beta_s + cos cos) / (4 pi^2)."""
-    spec = spec or QuadratureSpec()
+    """Z_b/Z_0 = (1/4) <(e^{-2 beta_s} + cos cos)/(cosh 2 beta_s + cos cos)>^2
+    = (1/4) [1 + (e^{-2 beta_s} - cosh 2 beta_s) 2 G]^2 with the Green's
+    function G = K(sech 2 beta_s) / (pi cosh 2 beta_s); exactly 1/4 at
+    beta_s = 0.  ``spec`` is accepted for a uniform signature."""
+    if beta_s == 0.0:
+        return 0.25
     a = math.cosh(2.0 * beta_s)
-    b = math.exp(-2.0 * beta_s)
-
-    def value(n):
-        inner = grid_sum(2, n, a, b) / (2.0 * n * n)
-        return inner * inner
-
-    return _refine(value, spec, richardson_logs=True)
+    g = _elliptic_k(beta_s) / (math.pi * a)
+    inner = 0.5 * (1.0 + (math.exp(-2.0 * beta_s) - a) * 2.0 * g)
+    return inner * inner
 
 
 def za_ratio(beta_s: float, spec: QuadratureSpec | None = None) -> float:
@@ -135,7 +128,7 @@ def baxter_series(beta_s: float, n_max: int) -> tuple[float, float]:
     F0 = ln(2 cosh 2 beta_s)/2
          - (1/2) sum_n [(2n)!/(4^n n!^2)]^2 / (2n cosh^{2n}(2 beta_s)).
 
-    The head is summed termwise to ``n_max``; the tail uses the
+    The head is summed termwise to ``n_max`` with ``math.fsum``; the tail uses the
     asymptotic bracket of the summand (term ~ n^{-2} e^{-n t} bracket(1/n)
     / 4 pi with t = 2 ln cosh 2 beta_s), each 1/n^q piece reducing to a
     Hurwitz zeta (t = 0) or Lerch transcendent (t > 0) tail.  The reported
@@ -146,13 +139,14 @@ def baxter_series(beta_s: float, n_max: int) -> tuple[float, float]:
         raise ValueError("n_max must be >= 1")
     ch = math.cosh(2.0 * beta_s)
     z = 1.0 / (ch * ch)           # e^{-t}
-    head = 0.5 * math.log(2.0 * ch)
+    terms = [0.5 * math.log(2.0 * ch)]
     c = 0.5                        # (2n)!/(4^n n!^2) at n = 1
     zpow = z
     for n in range(1, n_max + 1):
-        head -= c * c * zpow / (4.0 * n)
+        terms.append(-c * c * zpow / (4.0 * n))
         c *= (2 * n + 1) / (2 * n + 2)
         zpow *= z
+    head = math.fsum(terms)
 
     bracket = [float(q) for q in stirling_correction(_STIRLING_ORDER).coeffs]
     a0 = n_max + 1

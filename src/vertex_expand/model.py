@@ -23,7 +23,6 @@ from enum import Enum
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from . import _kernels
 from .errors import IceRuleViolation, NonConvergence, TooLarge
 
 FREE_FERMION_BETA_EPS = 0.5 * math.log(2.0)
@@ -41,6 +40,13 @@ STATE_BITS = {
 }
 
 VERTEX_STATES = (1, 2, 3, 4, 5, 6)
+
+#: vertex state for each incident-bit pattern w*8 + e*4 + n*2 + s; exactly
+#: the six two-in/two-out patterns map to a state, 0 marks an ice-rule
+#: violation
+_STATE_OF_PATTERN = {w * 8 + e * 4 + n * 2 + s: state
+                     for state, (w, e, n, s) in STATE_BITS.items()}
+PATTERN_TO_STATE = tuple(_STATE_OF_PATTERN.get(p, 0) for p in range(16))
 
 
 class Boundary(Enum):
@@ -178,7 +184,7 @@ def ground_state_config(params: ModelParams) -> ArrowConfig:
 def classify_vertex(config: ArrowConfig, site: tuple[int, int]) -> int:
     """Vertex state 1..6 at ``site``; IceRuleViolation otherwise."""
     w, e, nn, s = config.incident_bits(*site)
-    state = int(_kernels.PATTERN_TO_STATE[w * 8 + e * 4 + nn * 2 + s])
+    state = PATTERN_TO_STATE[w * 8 + e * 4 + nn * 2 + s]
     if state == 0:
         raise IceRuleViolation(f"vertex {site} is not two-in/two-out")
     return state
@@ -223,7 +229,7 @@ def line_representation(config: ArrowConfig, params: ModelParams) -> LineConfig:
 # --- exhaustive enumeration oracle -------------------------------------------
 
 def _edge_layout(params: ModelParams):
-    """Free-edge indexing plus per-vertex slot tables for the scan kernel.
+    """Free-edge indexing plus per-vertex slot tables for the enumeration.
 
     Returns (free_edges, slots, fixed_bits) where free_edges is a
     deterministic list of ('h'|'v', r, c) descriptors, slots[vertex, k] the
@@ -293,19 +299,54 @@ class EnumerationResult:
     free_edges: list = field(repr=False)
 
 
+def _ice_configurations(slots: np.ndarray, fixed: np.ndarray,
+                        energies: np.ndarray) -> list[tuple[int, float]]:
+    """Every ice-rule configuration as a (mask, H) pair, by backtracking.
+
+    Vertices are visited in order; each assigns the free edges it touches
+    first, and only extensions that leave it two-in/two-out survive.  H
+    accumulates -energies[vertex, state] vertex by vertex from 0.
+    """
+    slots, fixed, energies = slots.tolist(), fixed.tolist(), energies.tolist()
+    partial = [(0, 0.0)]
+    assigned = 0
+    for vslots, vfixed, venergy in zip(slots, fixed, energies):
+        new = 0
+        for s in vslots:
+            if s >= 0 and not assigned >> s & 1:
+                new |= 1 << s
+        assigned |= new
+        extensions = [new]          # every subset of the new edges' bits
+        while extensions[-1]:
+            extensions.append((extensions[-1] - 1) & new)
+        grown = []
+        for mask, ham in partial:
+            for ext in extensions:
+                m = mask | ext
+                pattern = 0
+                for s, bit in zip(vslots, vfixed):
+                    pattern = pattern << 1 | (m >> s & 1 if s >= 0 else bit)
+                state = PATTERN_TO_STATE[pattern]
+                if state:
+                    grown.append((m, ham - venergy[state]))
+        partial = grown
+    return partial
+
+
 def enumerate_partition(params: ModelParams) -> EnumerationResult:
     """Exact Z = sum_c exp(H(c)) over all ice-rule configurations.
 
     Configurations are reported in ascending bit-mask order over the free
-    edges (deterministic, independent of the kernel backend).
+    edges.
     """
     free_edges, slots, fixed = _edge_layout(params)
     if len(free_edges) > ENUMERATION_EDGE_BOUND:
         raise TooLarge(
             f"{len(free_edges)} free edges exceeds the enumeration bound "
             f"{ENUMERATION_EDGE_BOUND}")
-    masks, weights = _kernels.ice_scan(
-        len(free_edges), slots, fixed, _energy_table(params))
+    configs = sorted(_ice_configurations(slots, fixed, _energy_table(params)))
+    masks = np.array([m for m, _ in configs], dtype=np.int64)
+    weights = np.exp(np.array([h for _, h in configs], dtype=np.float64))
     return EnumerationResult(float(np.sum(weights)), masks, weights, free_edges)
 
 

@@ -5,6 +5,7 @@ import io
 import json
 
 import pytest
+from references import mp_free_energy
 
 from vertex_expand.cli import main
 
@@ -62,6 +63,23 @@ class TestFreeEnergy:
         assert len(lines) == 4  # header + 3 points
         assert lines[0].split(",")[0] == "beta_s"
 
+    def test_sweep_through_critical_point(self, capsys):
+        code, out, _ = run(capsys, "free-energy", "--sweep", "0:0.01:0.001")
+        assert code == 0
+        recs = json_lines(out)
+        assert len(recs) == 11
+        for rec in recs:
+            assert abs(rec["value"] - mp_free_energy(rec["beta_s"])) <= 1e-10
+
+    @pytest.mark.parametrize("option", [["--method", "finite", "--size", "0"],
+                                        ["--method", "finite", "--size", "7"],
+                                        ["--method", "series", "--terms", "0"]])
+    def test_bad_size_or_terms_is_usage_error(self, capsys, option):
+        code, out, err = run(capsys, "free-energy", "--beta-s", "0.5", *option)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_bad_sweep_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "free-energy", "--sweep", "1:0:-1")
         assert code == 2
@@ -86,6 +104,14 @@ class TestPartition:
                            "--boundary", "periodic", "--oracle", "pfaffian")
         assert code == 2
         assert "fixed" in err
+
+    @pytest.mark.parametrize("size", [["--rows", "0", "--cols", "3"],
+                                      ["--rows", "3", "--cols", "2",
+                                       "--boundary", "periodic"]])
+    def test_bad_lattice_is_usage_error(self, capsys, size):
+        code, out, _ = run(capsys, "partition", *size)
+        assert code == 2
+        assert out == ""
 
     def test_enumerate_periodic_ok(self, capsys):
         code, out, _ = run(capsys, "partition", "--rows", "2", "--cols", "4",
@@ -148,6 +174,22 @@ class TestConstrained:
         assert out == ""
 
 
+    def test_repeated_edge_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "constrained", "--rows", "3", "--cols",
+                             "3", "--edge", "0:1", "--edge", "0:0")
+        assert code == 2
+        assert out == ""
+        assert "twice" in err
+
+    def test_too_many_edges_is_usage_error(self, capsys):
+        edges = [f"--edge={i}:1" for i in range(6)]
+        code, out, err = run(capsys, "constrained", "--rows", "3", "--cols",
+                             "3", *edges)
+        assert code == 2
+        assert out == ""
+        assert "at most 5" in err
+
+
 class TestSeriesAndCoulomb:
     def test_series_exact_fractions(self, capsys):
         code, out, _ = run(capsys, "series", "--target", "sng", "--order", "8")
@@ -155,6 +197,33 @@ class TestSeriesAndCoulomb:
         (rec,) = json_lines(out)
         assert rec["coefficients"]["8"] == "-593/5040"
         assert rec["scale"] == {"rational": "-2", "pi_power": 1}
+
+    @pytest.mark.parametrize("target,order", [("sng", 99), ("sng", 7),
+                                              ("b2", 7), ("b2", 8),
+                                              ("fst", -1), ("stirling", 17),
+                                              ("t-map", 3)])
+    def test_order_outside_cap_is_usage_error(self, capsys, target, order):
+        code, out, err = run(capsys, "series", "--target", target,
+                             "--order", str(order))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: order")
+
+    @pytest.mark.parametrize("target,order", [("stirling", 16), ("fst", 8),
+                                              ("sng", 8), ("b2", 6),
+                                              ("t-map", 16)])
+    def test_order_at_cap_is_accepted(self, capsys, target, order):
+        code, out, _ = run(capsys, "series", "--target", target,
+                           "--order", str(order))
+        assert code == 0
+        assert json_lines(out)[0]["order"] == order
+
+    @pytest.mark.parametrize("order", ["-1", "5"])
+    def test_coulomb_order_outside_cap_is_usage_error(self, capsys, order):
+        code, out, _ = run(capsys, "coulomb", "--beta-eps", "0.3",
+                           "--expand", order)
+        assert code == 2
+        assert out == ""
 
     def test_coulomb_expansion(self, capsys):
         code, out, _ = run(capsys, "coulomb", "--expand", "2")

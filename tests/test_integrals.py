@@ -3,8 +3,9 @@
 import math
 
 import pytest
+from references import mp_derivative, mp_free_energy, mp_zb_ratio
 
-from vertex_expand.errors import IdentityMismatch
+from vertex_expand.errors import IdentityMismatch, ToleranceNotMet
 from vertex_expand.integrals import (
     FirstOrderResult,
     QuadratureSpec,
@@ -18,6 +19,11 @@ from vertex_expand.integrals import (
 
 SPEC = QuadratureSpec()
 
+#: the critical point, the band next to it where node doubling has to go
+#: furthest, and points well away from it
+MPMATH_POINTS = (0.0, 0.001, -0.001, 0.002, -0.002, 0.004, -0.004,
+                 0.01, -0.01, 0.1, 0.5, 1.5)
+
 
 class TestQuadratureSpec:
     def test_node_validation(self):
@@ -27,6 +33,39 @@ class TestQuadratureSpec:
             QuadratureSpec(nodes=8)
         with pytest.raises(ValueError):
             QuadratureSpec(nodes=64, max_nodes=32)
+
+    def test_stalls_past_max_nodes(self):
+        # at beta_s = 1e-7 the rule converges only as h^2 up to ~10^6 nodes
+        with pytest.raises(ToleranceNotMet):
+            baxter_free_energy(1e-7, QuadratureSpec(tolerance=1e-15,
+                                                    max_nodes=1 << 12))
+
+
+class TestAgainstMpmath:
+    def test_critical_value_correctly_rounded(self):
+        # 2G/pi - ln(2)/2 = 0.23654821778166490557...
+        assert baxter_free_energy(0.0, SPEC) == 0.2365482177816649
+
+    @pytest.mark.parametrize("beta_s", MPMATH_POINTS)
+    def test_free_energy(self, beta_s):
+        assert abs(baxter_free_energy(beta_s, SPEC)
+                   - mp_free_energy(beta_s)) <= 1e-15
+
+    @pytest.mark.parametrize("beta_s", MPMATH_POINTS)
+    def test_derivative(self, beta_s):
+        assert abs(dF0_dbetas(beta_s, SPEC) - mp_derivative(beta_s)) <= 1e-15
+
+    @pytest.mark.parametrize("beta_s", MPMATH_POINTS)
+    def test_constrained_ratios(self, beta_s):
+        assert abs(zb_ratio(beta_s, SPEC) - mp_zb_ratio(beta_s)) <= 1e-15
+        assert abs(za_ratio(beta_s, SPEC) - mp_zb_ratio(-beta_s)) <= 1e-15
+
+    def test_derivative_below_underflow_of_parameter(self):
+        # tanh^2(2 beta_s) underflows to 0 here; K = ln(4/t) takes over
+        t = math.tanh(2e-200)
+        assert dF0_dbetas(1e-200, SPEC) == pytest.approx(
+            2.0 / math.pi * t * math.log(4.0 / t), rel=1e-15)
+        assert zb_ratio(-1e-200, SPEC) == 0.25
 
 
 class TestFreeEnergy:
@@ -53,6 +92,12 @@ class TestFreeEnergy:
     def test_even_in_beta_s(self):
         assert baxter_free_energy(0.3, SPEC) == pytest.approx(
             baxter_free_energy(-0.3, SPEC), abs=1e-12)
+
+    def test_series_bound_holds(self):
+        for i in range(1, 61):
+            beta_s = 0.025 * i
+            value, bound = baxter_series(beta_s, 2000)
+            assert abs(value - mp_free_energy(beta_s)) <= bound, beta_s
 
     def test_series_needs_terms(self):
         with pytest.raises(ValueError):

@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vertex_expand import dimer
 from vertex_expand.errors import TooLarge
 from vertex_expand.model import (
+    ENUMERATION_EDGE_BOUND,
     FREE_FERMION_BETA_EPS,
+    PATTERN_TO_STATE,
+    STATE_BITS,
     ArrowConfig,
     Boundary,
     ModelParams,
@@ -144,6 +148,41 @@ class TestEnumeration:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             enumerate_partition(periodic(4, 4))
+
+    def test_pattern_table_matches_state_bits(self):
+        for state, (w, e, n, s) in STATE_BITS.items():
+            assert PATTERN_TO_STATE[w * 8 + e * 4 + n * 2 + s] == state
+        assert sum(1 for state in PATTERN_TO_STATE if state) == 6
+
+    def test_masks_ascending_unique(self):
+        masks = enumerate_partition(periodic(2, 4, 0.5)).masks
+        assert np.all(np.diff(masks) > 0)
+
+    def test_largest_lattices_pinned(self):
+        # 4x4 fixed and the 2x6 torus each have 24 free edges, the bound
+        result = enumerate_partition(fixed(4, 4, 0.41))
+        assert len(result.masks) == 64
+        assert np.all(np.diff(result.masks) > 0)
+        kast = dimer.kasteleyn_orientation(
+            dimer.build_decorated(fixed(4, 4, 0.41)))
+        assert result.z == pytest.approx(
+            math.exp(dimer.partition_dimer(kast)), rel=1e-12)
+
+        result = enumerate_partition(periodic(2, 6, -0.2))
+        assert len(result.masks) == 858
+        assert np.all(np.diff(result.masks) > 0)
+        assert result.z == pytest.approx(
+            transfer_partition(periodic(2, 6, -0.2)), rel=1e-12)
+
+    @given(shape=st.sampled_from([(r, c) for r in (2, 4, 6) for c in (2, 4, 6)
+                                  if 2 * r * c <= ENUMERATION_EDGE_BOUND]),
+           beta_s=st.floats(-1.5, 1.5),
+           u=st.floats(-0.5, 0.5))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_transfer_on_even_tori(self, shape, beta_s, u):
+        params = periodic(*shape, beta_s).with_u_shift(u)
+        assert enumerate_partition(params).z == pytest.approx(
+            transfer_partition(params), rel=1e-12)
 
     @given(st.integers(0, 113))
     @settings(max_examples=30, deadline=None)
