@@ -36,6 +36,9 @@ ORDER_CAPS = {
     "coulomb": (4, False),
 }
 
+#: most points one ``free-energy --sweep`` may ask for
+MAX_SWEEP_POINTS = 10_000
+
 
 def _float(x: float) -> str:
     return f"{x:.17g}"
@@ -84,16 +87,35 @@ def _quad_spec(tol: float) -> integrals.QuadratureSpec:
     return integrals.QuadratureSpec(tolerance=tol)
 
 
-def _parse_sweep(text: str) -> list[float]:
+def _finite_float(text: str) -> float:
     try:
-        start, stop, step = (float(p) for p in text.split(":"))
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            "sweep must be start:stop:step") from None
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not > 0")
+    return value
+
+
+def _parse_sweep(text: str) -> list[float]:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError("sweep must be start:stop:step")
+    start, stop, step = (_finite_float(p) for p in parts)
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError("sweep needs step > 0, stop >= start")
-    count = int(round((stop - start) / step))
-    return [start + i * step for i in range(count + 1)]
+    steps = (stop - start) / step  # inf when stop - start overflows
+    if not steps <= MAX_SWEEP_POINTS - 1:
+        raise argparse.ArgumentTypeError(
+            f"sweep has more than {MAX_SWEEP_POINTS} points")
+    return [start + i * step for i in range(int(round(steps)) + 1)]
 
 
 def _parse_edge(text: str) -> dimer.EdgeConstraint:
@@ -339,14 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--tol", type=float, default=1e-10)
+    common.add_argument("--tol", type=_positive_float, default=1e-10)
     common.add_argument("--quiet", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("free-energy", parents=[common],
                        help="infinite-lattice reduced free energy")
-    p.add_argument("--beta-s", type=float, default=0.0)
+    p.add_argument("--beta-s", type=_finite_float, default=0.0)
     p.add_argument("--sweep", type=_parse_sweep, default=None,
                    metavar="START:STOP:STEP")
     p.add_argument("--method", choices=("quad", "series", "finite"),
@@ -361,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="finite-lattice partition function oracles")
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--beta-s", type=float, default=0.0)
+    p.add_argument("--beta-s", type=_finite_float, default=0.0)
     p.add_argument("--boundary", choices=("periodic", "fixed"),
                    default="fixed")
     p.add_argument("--oracle", choices=("enumerate", "pfaffian", "both"),
@@ -372,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="constrained dimer sums and state probabilities")
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--beta-s", type=float, default=0.0)
+    p.add_argument("--beta-s", type=_finite_float, default=0.0)
     p.add_argument("--boundary", choices=("periodic", "fixed"),
                    default="fixed")
     p.add_argument("--edge", type=_parse_edge, action="append", default=[],
@@ -383,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perturb", parents=[common],
                        help="first-order free energy in the coupling shift")
-    p.add_argument("--beta-s", type=float, default=0.0)
-    p.add_argument("--u", type=float, default=0.0)
+    p.add_argument("--beta-s", type=_finite_float, default=0.0)
+    p.add_argument("--u", type=_finite_float, default=0.0)
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("series", parents=[common],
@@ -397,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coulomb", parents=[common],
                        help="renormalization exponent and its expansion")
-    p.add_argument("--beta-eps", type=float, default=None)
+    p.add_argument("--beta-eps", type=_finite_float, default=None)
     p.add_argument("--expand", type=int, default=None, metavar="ORDER")
     p.set_defaults(func=cmd_coulomb)
 

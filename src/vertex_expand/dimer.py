@@ -5,7 +5,10 @@ top, right, bottom) joined by a diamond of internal edges of weight u;
 adjacent cities are joined by external edges of weight C.  At the solvable
 point the close-packed dimer model on this lattice reproduces the six-vertex
 partition function, and the signed adjacency matrix R of a face-parity
-(Pfaffian) orientation gives Z^2 = det R.
+(Pfaffian) orientation gives Z^2 = det R.  The lattice has two kinds of
+bounded face, the diamond inside each city and the octagon between four
+cities, so one fixed sign rule orients every lattice, as Kasteleyn's rule
+does the square lattice (see ``kasteleyn_orientation``).
 
 Node indexing is city-major: node = 4*(row*cols + col) + k with
 k = 0 left, 1 top, 2 right, 3 bottom.  The edge list order is fixed
@@ -30,15 +33,12 @@ from .model import (FREE_FERMION_BETA_EPS, Boundary, LineConfig, ModelParams,
 MATCHING_NODE_BOUND = 36
 CONSTRAINT_BOUND = 5
 
-_NODE_OFFSET = {0: (-1.0, 0.0), 1: (0.0, 1.0), 2: (1.0, 0.0), 3: (0.0, -1.0)}
-
 
 @dataclass(frozen=True)
 class Edge:
     i: int
     j: int
     weight: float
-    kind: str  # "internal" | "external-h" | "external-v"
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,6 @@ class DecoratedLattice:
     weight_c: float
     weight_u: float
     edges: tuple[Edge, ...] = field(repr=False)
-    coords: np.ndarray = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -99,13 +98,6 @@ def build_decorated(params: ModelParams) -> DecoratedLattice:
     c_w = math.exp(-0.5 * params.beta_s)
     u_w = 0.5 * math.sqrt(2.0) * math.exp(0.5 * params.beta_s)
 
-    coords = np.zeros((4 * n * m, 2))
-    for r in range(n):
-        for c in range(m):
-            cx, cy = 4.0 * c, -4.0 * r
-            for k, (dx, dy) in _NODE_OFFSET.items():
-                coords[4 * (r * m + c) + k] = (cx + dx, cy + dy)
-
     def node(r, c, k):
         return 4 * (r * m + c) + k
 
@@ -113,71 +105,17 @@ def build_decorated(params: ModelParams) -> DecoratedLattice:
     for r in range(n):
         for c in range(m):
             for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
-                edges.append(Edge(node(r, c, a), node(r, c, b), u_w, "internal"))
+                edges.append(Edge(node(r, c, a), node(r, c, b), u_w))
     for r in range(n):
         for c in range(m - 1):
-            edges.append(Edge(node(r, c, 2), node(r, c + 1, 0), c_w, "external-h"))
+            edges.append(Edge(node(r, c, 2), node(r, c + 1, 0), c_w))
     for r in range(n - 1):
         for c in range(m):
-            edges.append(Edge(node(r, c, 3), node(r + 1, c, 1), c_w, "external-v"))
-    return DecoratedLattice(n, m, params.beta_s, c_w, u_w, tuple(edges), coords)
+            edges.append(Edge(node(r, c, 3), node(r + 1, c, 1), c_w))
+    return DecoratedLattice(n, m, params.beta_s, c_w, u_w, tuple(edges))
 
 
-# --- planar faces and the parity orientation ---------------------------------
-
-def _planar_faces(lat: DecoratedLattice):
-    """Bounded faces as cyclic lists of edge indices with traversal signs.
-
-    Uses the rotation system induced by node coordinates.  Each face is a
-    pair (cycle, ccw) where cycle is a list of (edge_index, along) pairs
-    (``along`` True when the traversal runs i -> j in edge-list order) and
-    ``ccw`` records the rotational sense of the traversal.  The outer face
-    (largest enclosed area) is dropped.
-    """
-    nbrs: dict[int, list[tuple[float, int, int]]] = {i: [] for i in range(lat.n_nodes)}
-    for e_idx, e in enumerate(lat.edges):
-        for a, b in ((e.i, e.j), (e.j, e.i)):
-            dx, dy = lat.coords[b] - lat.coords[a]
-            nbrs[a].append((math.atan2(dy, dx), b, e_idx))
-    for a in nbrs:
-        nbrs[a].sort()
-
-    def next_half_edge(a, b):
-        # face to the left of a->b: rotate the reversed edge ccw around b
-        ring = nbrs[b]
-        pos = next(p for p, (_, tgt, _) in enumerate(ring) if tgt == a)
-        _, nxt, e_idx = ring[(pos + 1) % len(ring)]
-        return b, nxt, e_idx
-
-    edge_of = {}
-    for e_idx, e in enumerate(lat.edges):
-        edge_of[(e.i, e.j)] = e_idx
-        edge_of[(e.j, e.i)] = e_idx
-
-    seen = set()
-    faces = []
-    for e_idx, e in enumerate(lat.edges):
-        for start in ((e.i, e.j), (e.j, e.i)):
-            if start in seen:
-                continue
-            cycle = []
-            area = 0.0
-            a, b = start
-            while (a, b) not in seen:
-                seen.add((a, b))
-                idx = edge_of[(a, b)]
-                cycle.append((idx, (lat.edges[idx].i, lat.edges[idx].j) == (a, b)))
-                xa, ya = lat.coords[a]
-                xb, yb = lat.coords[b]
-                area += xa * yb - xb * ya
-                a, b, _ = next_half_edge(a, b)
-            faces.append((cycle, area))
-    if len(faces) <= 1:
-        return []
-    outer = max(range(len(faces)), key=lambda f: abs(faces[f][1]))
-    return [(cycle, area > 0) for f, (cycle, area) in enumerate(faces)
-            if f != outer]
-
+# --- the Kasteleyn matrix ----------------------------------------------------
 
 class KasteleynMatrix:
     """Signed anti-symmetric adjacency matrix K of a Pfaffian orientation.
@@ -237,93 +175,46 @@ def _parity(perm: np.ndarray) -> int:
 def kasteleyn_orientation(lat: DecoratedLattice) -> KasteleynMatrix:
     """Orient edges so every bounded face is odd-clockwise.
 
-    Orientations are fixed greedily: faces with a single undecided edge pin
-    that edge; a spanning tree seeds the process.  The resulting det R is
-    independent of which valid orientation is produced.
+    Every edge runs i -> j in edge-list order except each city's internal
+    edge 3, which runs L -> B.  Each diamond then has three clockwise
+    edges (L-T, T-R, R-B); each octagon has three (its top and right
+    externals and internal edge 3 of its top-right city).  Local statistics
+    and det K do not depend on which valid orientation is used.
     """
-    n_edges = len(lat.edges)
-    signs = np.zeros(n_edges, dtype=np.int8)
-
-    # spanning tree (BFS over the deterministic edge list), oriented i -> j
-    parent_seen = {0}
-    frontier = [0]
-    adj: dict[int, list[int]] = {i: [] for i in range(lat.n_nodes)}
-    for e_idx, e in enumerate(lat.edges):
-        adj[e.i].append(e_idx)
-        adj[e.j].append(e_idx)
-    while frontier:
-        node = frontier.pop(0)
-        for e_idx in adj[node]:
-            e = lat.edges[e_idx]
-            other = e.j if e.i == node else e.i
-            if other not in parent_seen:
-                parent_seen.add(other)
-                signs[e_idx] = 1
-                frontier.append(other)
-    if len(parent_seen) != lat.n_nodes:
-        raise OrientationFailure("lattice graph is disconnected")
-
-    pending = list(_planar_faces(lat))
-    while pending:
-        progress = False
-        rest = []
-        for face in pending:
-            cycle, ccw = face
-            undecided = [(idx, along) for idx, along in cycle if signs[idx] == 0]
-            if len(undecided) == 0:
-                if _cw_count(signs, cycle, ccw) % 2 == 0:
-                    raise OrientationFailure("face parity violated")
-                progress = True
-            elif len(undecided) == 1:
-                idx, along = undecided[0]
-                # either direction is legal a priori; pick the one that makes
-                # the clockwise count odd
-                signs[idx] = -1 if along else 1
-                if _cw_count(signs, cycle, ccw) % 2 == 0:
-                    signs[idx] = -signs[idx]
-                progress = True
-            else:
-                rest.append(face)
-        if not progress and rest:
-            raise OrientationFailure("cannot complete face-parity orientation")
-        pending = rest
-    signs[signs == 0] = 1  # bridges, if any, are parity-free
-
+    signs = np.ones(len(lat.edges), dtype=np.int8)
+    signs[3:4 * lat.rows * lat.cols:4] = -1
     kast = KasteleynMatrix(lat, signs)
     audit_faces(kast)
     return kast
 
 
-def _cw_count(signs, cycle, ccw: bool) -> int:
-    """Edges of a face oriented clockwise around it.
-
-    For a counterclockwise listing these are the edges oriented against the
-    traversal; for a clockwise listing, the ones oriented along it.
-    """
-    against = sum(1 for idx, along in cycle
-                  if signs[idx] == (-1 if along else 1))
-    return against if ccw else len(cycle) - against
-
-
 def audit_faces(kast: KasteleynMatrix) -> None:
-    """Re-check anti-symmetry and odd-clockwise parity on every bounded face."""
+    """Re-check anti-symmetry and odd-clockwise parity on every bounded face.
+
+    An edge oriented i -> j runs clockwise around its diamond, and around
+    the octagon between cities (r, c), (r, c+1), (r+1, c) and (r+1, c+1)
+    exactly when it is that octagon's top or right external edge; the
+    octagon's other six edges then run counterclockwise.
+    """
     if (kast.sparse + kast.sparse.T).count_nonzero() != 0:
         raise OrientationFailure("matrix is not anti-symmetric")
-    for cycle, ccw in _planar_faces(kast.lattice):
-        if _cw_count(kast.signs, cycle, ccw) % 2 == 0:
-            raise OrientationFailure("face parity audit failed")
+    n, m = kast.lattice.rows, kast.lattice.cols
+    along = (kast.signs > 0).astype(np.int64)
+    internal = along[:4 * n * m].reshape(n, m, 4)
+    horizontal = along[4 * n * m:4 * n * m + n * (m - 1)].reshape(n, m - 1)
+    vertical = along[4 * n * m + n * (m - 1):].reshape(n - 1, m)
+    diamonds = internal.sum(axis=2)
+    octagons = (horizontal[:-1, :] + vertical[:, 1:] + 6
+                - horizontal[1:, :] - vertical[:, :-1]
+                - internal[:-1, :-1, 2] - internal[:-1, 1:, 3]
+                - internal[1:, 1:, 0] - internal[1:, :-1, 1])
+    if np.any(diamonds % 2 == 0) or np.any(octagons % 2 == 0):
+        raise OrientationFailure("face parity audit failed")
 
 
 def partition_dimer(kast: KasteleynMatrix) -> float:
     """log Z of the close-packed dimer model, from Z^2 = det R."""
     return 0.5 * kast.log_det()
-
-
-def lattice_dump(kast: KasteleynMatrix) -> str:
-    """One line per edge: 'i j weight sign', in edge-list order."""
-    lines = [f"{e.i} {e.j} {e.weight:.17g} {int(s):+d}"
-             for e, s in zip(kast.lattice.edges, kast.signs)]
-    return "\n".join(lines)
 
 
 # --- exhaustive matching oracle ----------------------------------------------

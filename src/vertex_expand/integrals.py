@@ -14,16 +14,19 @@ The mean is taken by the midpoint rule over u in [0, pi] (the integrand is
 even about u = 0 and u = pi), doubling nodes until two levels agree.  For
 beta_s != 0 the integrand is periodic and analytic, so the rule converges
 geometrically; at beta_s = 0 it has a kink at u = pi, and the closed form
-F0(0) = 2G/pi - (1/2) ln 2 (G Catalan's constant) is used instead.
+F0(0) = 2G/pi - (1/2) ln 2 (G Catalan's constant) is used instead.  For
+|beta_s| >= 10, F0 is |beta_s| to double precision.
 
 The field derivative and the b-vertex ratio need the square-lattice
 Green's function <1/(a + cos t1 cos t2)> = 2 K(1/a) / (pi a), with
 a = cosh 2 beta_s and K the complete elliptic integral of the first kind of
 modulus k = sech 2 beta_s.  Its complementary parameter 1 - k^2 is
 tanh^2 2 beta_s exactly, which scipy's ``ellipkm1`` takes directly, so
-there is no cancellation near the critical point beta_s = 0.  Together
-with the first-order free energy in the coupling shift U these give the
-O(U) coefficient two independent ways.
+there is no cancellation near the critical point beta_s = 0.  In terms of
+K, dF0/d beta_s = (2/pi) tanh(2 beta_s) K and Z_b/Z_0 =
+(1/4)(1 - dF0/d beta_s)^2, so the O(U) coefficient of the free energy in
+the coupling shift U, -(1 - Z_a/Z_0 - Z_b/Z_0), equals
+((dF0/d beta_s)^2 - 1)/2 up to rounding.
 """
 
 from __future__ import annotations
@@ -45,6 +48,11 @@ _STIRLING_ORDER = 8
 #: floating point gives 0.23654821778166496, one ulp high.
 _F0_CRITICAL = 0.2365482177816649
 
+#: F0 = |beta_s| + e^{-4 |beta_s|}/4 + ..., and from here on the correction
+#: is below half an ulp of |beta_s|, so F0 is |beta_s| correctly rounded;
+#: cosh 2 beta_s, which overflows from |beta_s| ~ 355, is never formed there.
+_FROZEN_BETAS = 10.0
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -64,11 +72,14 @@ class QuadratureSpec:
 
 
 def baxter_free_energy(beta_s: float, spec: QuadratureSpec | None = None) -> float:
-    """F0 from the closed form at beta_s = 0, elsewhere by the midpoint rule
-    for (1/2) <arccosh(2 cosh 2 beta_s + cos u)>_u - (1/2) ln 2."""
+    """F0 from the closed form at beta_s = 0, |beta_s| for |beta_s| >= 10,
+    elsewhere by the midpoint rule for
+    (1/2) <arccosh(2 cosh 2 beta_s + cos u)>_u - (1/2) ln 2."""
     spec = spec or QuadratureSpec()
     if beta_s == 0.0:
         return _F0_CRITICAL
+    if abs(beta_s) >= _FROZEN_BETAS:
+        return abs(float(beta_s))
     x = 2.0 * math.cosh(2.0 * beta_s)
     n = spec.nodes
     prev = None
@@ -107,13 +118,12 @@ def dF0_dbetas(beta_s: float, spec: QuadratureSpec | None = None) -> float:
 def zb_ratio(beta_s: float, spec: QuadratureSpec | None = None) -> float:
     """Z_b/Z_0 = (1/4) <(e^{-2 beta_s} + cos cos)/(cosh 2 beta_s + cos cos)>^2
     = (1/4) [1 + (e^{-2 beta_s} - cosh 2 beta_s) 2 G]^2 with the Green's
-    function G = K(sech 2 beta_s) / (pi cosh 2 beta_s); exactly 1/4 at
-    beta_s = 0.  ``spec`` is accepted for a uniform signature."""
-    if beta_s == 0.0:
-        return 0.25
-    a = math.cosh(2.0 * beta_s)
-    g = _elliptic_k(beta_s) / (math.pi * a)
-    inner = 0.5 * (1.0 + (math.exp(-2.0 * beta_s) - a) * 2.0 * g)
+    function G = K(sech 2 beta_s) / (pi cosh 2 beta_s).  Since
+    (e^{-2 beta_s} - cosh 2 beta_s) / cosh 2 beta_s = -tanh 2 beta_s this is
+    (1/4) (1 - dF0/d beta_s)^2, which forms no cosh and so cannot overflow;
+    exactly 1/4 at beta_s = 0.  ``spec`` is accepted for a uniform
+    signature."""
+    inner = 0.5 * (1.0 - dF0_dbetas(beta_s))
     return inner * inner
 
 
@@ -137,6 +147,10 @@ def baxter_series(beta_s: float, n_max: int) -> tuple[float, float]:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if abs(beta_s) >= _FROZEN_BETAS:
+        # the sum is |beta_s| + e^{-4 |beta_s|}/4 + ..., the correction far
+        # below the rounding allowance
+        return abs(float(beta_s)), 1e-15 * abs(beta_s)
     ch = math.cosh(2.0 * beta_s)
     z = 1.0 / (ch * ch)           # e^{-t}
     terms = [0.5 * math.log(2.0 * ch)]

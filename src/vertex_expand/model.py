@@ -152,29 +152,6 @@ class ArrowConfig:
                            (1 - self.h).astype(np.uint8),
                            (1 - self.v).astype(np.uint8))
 
-    def to_string(self) -> str:
-        hs = "".join(str(b) for b in self.h.ravel())
-        vs = "".join(str(b) for b in self.v.ravel())
-        return f"H:{hs};V:{vs}"
-
-    @classmethod
-    def from_string(cls, text: str, params: ModelParams) -> "ArrowConfig":
-        hpart, vpart = text.split(";")
-        hbits = np.array([int(b) for b in hpart.removeprefix("H:")],
-                         dtype=np.uint8)
-        vbits = np.array([int(b) for b in vpart.removeprefix("V:")],
-                         dtype=np.uint8)
-        h_shape, v_shape = _config_shapes(params)
-        return cls(params.rows, params.cols, params.boundary,
-                   hbits.reshape(h_shape), vbits.reshape(v_shape))
-
-
-def _config_shapes(params: ModelParams):
-    n, m = params.rows, params.cols
-    if params.boundary is Boundary.PERIODIC:
-        return (n, m), (n, m)
-    return (n, m + 1), (n + 1, m)
-
 
 def ground_state_config(params: ModelParams) -> ArrowConfig:
     h, v = _reference_bits(params)
@@ -210,10 +187,6 @@ class LineConfig:
     boundary: Boundary
     h: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
-
-    def lines_at(self, row: int, col: int) -> tuple[int, int, int, int]:
-        cfg = ArrowConfig(self.rows, self.cols, self.boundary, self.h, self.v)
-        return cfg.incident_bits(row, col)
 
 
 def line_representation(config: ArrowConfig, params: ModelParams) -> LineConfig:

@@ -166,12 +166,6 @@ class RationalSeries:
                          for j in range(1, n + 1)) / n
         return RationalSeries(out, k)
 
-    def eval_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
-
     def as_json(self) -> list:
         return [str(c) for c in self.coeffs]
 
@@ -201,21 +195,6 @@ class LogSeries:
         return {"scale": self.scale.as_json(),
                 "bracket": self.singular.as_json(),
                 "log_factor": self.log_label}
-
-
-def series_arith(a: RationalSeries, b: RationalSeries | None, op: str) -> RationalSeries:
-    """Uniform entry point over the series operations (CLI plumbing)."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "compose":
-        return a.compose(b)
-    if op == "differentiate":
-        return a.differentiate()
-    if op == "reciprocal":
-        return a.reciprocal()
-    raise ValueError(f"unknown op {op!r}")
 
 
 def bernoulli_numbers(k_max: int) -> list[Fraction]:

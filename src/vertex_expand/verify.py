@@ -3,7 +3,8 @@
 Each check returns (name, passed, detail); suites aggregate them.  The
 checks mirror the package's cross-validation contracts: Pfaffian counting
 against brute-force matching sums, the six-vertex/dimer mapping, agreement
-of the free-energy representations, the first-order identity, exact series
+of the free-energy representations (quadrature, series, transfer matrix and
+finite-lattice Pfaffians), the first-order identity, exact series
 reproduction, and the amplitude cross-check.
 """
 
@@ -103,6 +104,22 @@ def _extrapolated_transfer(beta_s: float, u: float = 0.0) -> float:
     return vals[2] - d2 * d2 / (d2 - d1)
 
 
+def _extrapolated_pfaffian(beta_s: float) -> float:
+    """Infinite-lattice free energy from fixed-boundary L x L Pfaffians.
+
+    log Z / L^2 = a + b/L + c/L^2 (bulk, edge and corner terms) up to
+    corrections that decay exponentially in L off the critical point; the
+    quadratic in 1/L through L = 24, 28, 32 is
+    a = 18 y_24 - 49 y_28 + 32 y_32 at 1/L = 0.
+    """
+    y24, y28, y32 = (
+        dimer.partition_dimer(dimer.kasteleyn_orientation(
+            dimer.build_decorated(model.ModelParams(
+                beta_s=beta_s, rows=size, cols=size)))) / size ** 2
+        for size in (24, 28, 32))
+    return math.fsum((18.0 * y24, -49.0 * y28, 32.0 * y32))
+
+
 def suite_identity() -> list[Check]:
     checks: list[Check] = []
     spec = integrals.QuadratureSpec()
@@ -118,6 +135,11 @@ def suite_identity() -> list[Check]:
     diff = abs(quad - finite)
     checks.append(("free-energy quad-vs-transfer beta_s=0.5",
                    diff < 1e-3, f"diff={diff:.3e}"))
+
+    quad = integrals.baxter_free_energy(0.3, spec)
+    diff = abs(quad - _extrapolated_pfaffian(0.3))
+    checks.append(("free-energy quad-vs-pfaffian beta_s=0.3",
+                   diff < 1e-10, f"diff={diff:.3e}"))
 
     for beta_s in (0.0, 0.25, 0.5, 1.0):
         za = integrals.za_ratio(beta_s, spec)

@@ -1,15 +1,88 @@
-"""Shared mpmath references for the infinite-lattice quantities.
+"""Independent references shared by the tests.
 
-Each is an mpmath quadrature of a 1-D reduction of the defining double
+The planar-face tracer finds the bounded faces of a decorated lattice from
+a drawing of it, with no knowledge of the lattice's face structure; the
+Kasteleyn tests check the package's closed-form orientation and its face
+audit against it.
+
+The infinite-lattice quantities are each an mpmath quadrature of a 1-D reduction of the defining double
 integral (cos t1 cos t2 = [cos(t1 + t2) + cos(t1 - t2)]/2 and
 <ln(x + cos b)>_b = arccosh x - ln 2), at 30 digits, with breakpoints where
 the integrand peaks for small beta_s; none uses the elliptic-integral forms
 of the package.
 """
 
+import math
+
 import mpmath
 
 DPS = 30
+
+#: node offsets from the city centre: left, top, right, bottom
+_NODE_OFFSET = ((-1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, -1.0))
+
+
+def planar_faces(lat):
+    """Bounded faces of a decorated lattice as (cycle, ccw) pairs.
+
+    Cities are drawn 4 apart on a square grid, and each face is traced by
+    the rotation system of that drawing.  ``cycle`` lists (edge_index,
+    along) pairs, ``along`` True when the traversal runs i -> j in
+    edge-list order; ``ccw`` records the rotational sense of the traversal.
+    The outer face (largest enclosed area) is dropped.
+    """
+    coords = [(4.0 * c + dx, -4.0 * r + dy)
+              for r in range(lat.rows) for c in range(lat.cols)
+              for dx, dy in _NODE_OFFSET]
+    nbrs = {i: [] for i in range(lat.n_nodes)}
+    edge_of = {}
+    for e_idx, e in enumerate(lat.edges):
+        for a, b in ((e.i, e.j), (e.j, e.i)):
+            dx = coords[b][0] - coords[a][0]
+            dy = coords[b][1] - coords[a][1]
+            nbrs[a].append((math.atan2(dy, dx), b))
+            edge_of[(a, b)] = e_idx
+    for ring in nbrs.values():
+        ring.sort()
+
+    def next_half_edge(a, b):
+        # face to the left of a -> b: rotate the reversed edge ccw around b
+        ring = nbrs[b]
+        pos = next(p for p, (_, tgt) in enumerate(ring) if tgt == a)
+        return b, ring[(pos + 1) % len(ring)][1]
+
+    seen = set()
+    faces = []
+    for start in edge_of:
+        if start in seen:
+            continue
+        cycle = []
+        area = 0.0
+        a, b = start
+        while (a, b) not in seen:
+            seen.add((a, b))
+            idx = edge_of[(a, b)]
+            cycle.append((idx, (lat.edges[idx].i, lat.edges[idx].j) == (a, b)))
+            area += coords[a][0] * coords[b][1] - coords[b][0] * coords[a][1]
+            a, b = next_half_edge(a, b)
+        faces.append((cycle, area))
+    if len(faces) <= 1:
+        return []
+    outer = max(range(len(faces)), key=lambda f: abs(faces[f][1]))
+    return [(cycle, area > 0) for f, (cycle, area) in enumerate(faces)
+            if f != outer]
+
+
+def odd_clockwise(signs, faces) -> bool:
+    """Whether every face has an odd number of edges oriented clockwise
+    around it (``signs[e]`` +1 for i -> j).  For a counterclockwise listing
+    these are the edges oriented against the traversal."""
+    for cycle, ccw in faces:
+        against = sum(1 for idx, along in cycle
+                      if signs[idx] == (-1 if along else 1))
+        if (against if ccw else len(cycle) - against) % 2 == 0:
+            return False
+    return True
 
 
 def _mean_near_pi(f, width):

@@ -156,3 +156,10 @@ def test_criterion_8_cli_verification(capsys):
           and runs[0].stdout == runs[1].stdout
           and runs[0].stdout.strip().endswith("OK"))
     report(capsys, 8, "CLI verification suite deterministic", ok)
+
+
+def test_criterion_9_finite_lattice_free_energy(capsys):
+    quad = integrals.baxter_free_energy(0.3, SPEC)
+    finite = verify._extrapolated_pfaffian(0.3)
+    report(capsys, 9, "finite-lattice pfaffian free energy",
+           abs(quad - finite) < 1e-10)

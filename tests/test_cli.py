@@ -84,6 +84,39 @@ class TestFreeEnergy:
         code, _, _ = run(capsys, "free-energy", "--sweep", "1:0:-1")
         assert code == 2
 
+    @pytest.mark.parametrize("sweep", ["0:1e9:1e-9", "0:10000:1", "0:inf:1",
+                                       "nan:1:0.1", "0:1:nan", "0:1"])
+    def test_unbounded_or_non_finite_sweep_is_usage_error(self, capsys, sweep):
+        code, out, err = run(capsys, "free-energy", "--sweep", sweep)
+        assert code == 2
+        assert out == ""
+        assert "--sweep" in err
+
+    def test_sweep_at_point_bound_is_accepted(self, capsys):
+        code, _, _ = run(capsys, "free-energy", "--sweep", "0:9999:1",
+                         "--quiet")
+        assert code == 0
+
+    @pytest.mark.parametrize("option", [["--beta-s", "nan"],
+                                        ["--beta-s", "inf"],
+                                        ["--beta-s", "-inf"],
+                                        ["--tol", "-1"], ["--tol", "0"],
+                                        ["--tol", "nan"]])
+    def test_non_finite_or_non_positive_input_is_usage_error(self, capsys,
+                                                             option):
+        code, out, err = run(capsys, "free-energy", *option)
+        assert code == 2
+        assert out == ""
+        assert option[0] in err
+
+    @pytest.mark.parametrize("beta_s", ["355", "-400", "1e300"])
+    def test_large_field_is_frozen(self, capsys, beta_s):
+        for method in ("quad", "series"):
+            code, out, _ = run(capsys, "free-energy", "--beta-s", beta_s,
+                               "--method", method)
+            assert code == 0
+            assert json_lines(out)[0]["value"] == abs(float(beta_s))
+
     def test_quiet_suppresses_output(self, capsys):
         code, out, _ = run(capsys, "free-energy", "--beta-s", "0.1", "--quiet")
         assert code == 0
@@ -190,6 +223,20 @@ class TestConstrained:
         assert "at most 5" in err
 
 
+class TestPerturb:
+    def test_non_finite_coupling_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "perturb", "--u", "nan")
+        assert code == 2
+        assert out == ""
+        assert "--u" in err
+
+    def test_large_field(self, capsys):
+        code, out, _ = run(capsys, "perturb", "--beta-s", "-400", "--u", "0.1")
+        assert code == 0
+        (rec,) = json_lines(out)
+        assert rec["f0"] == rec["free_energy"] == 400.0
+
+
 class TestSeriesAndCoulomb:
     def test_series_exact_fractions(self, capsys):
         code, out, _ = run(capsys, "series", "--target", "sng", "--order", "8")
@@ -230,6 +277,12 @@ class TestSeriesAndCoulomb:
         assert code == 0
         (rec,) = json_lines(out)
         assert rec["coefficients"][1] == {"1": "-8"}
+
+    def test_coulomb_non_finite_beta_eps_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "coulomb", "--beta-eps", "nan")
+        assert code == 2
+        assert out == ""
+        assert "--beta-eps" in err
 
     def test_coulomb_requires_a_request(self, capsys):
         code, _, _ = run(capsys, "coulomb")

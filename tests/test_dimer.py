@@ -2,14 +2,17 @@
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from references import odd_clockwise, planar_faces
 from vertex_expand.dimer import (
     MATCHING_NODE_BOUND,
     EdgeConstraint,
+    KasteleynMatrix,
     audit_faces,
     build_decorated,
     constrained_partition,
@@ -17,7 +20,6 @@ from vertex_expand.dimer import (
     dimer_probability,
     enumerate_matchings,
     kasteleyn_orientation,
-    lattice_dump,
     line_completion_weight,
     partition_dimer,
     vertex_constrained_ratio,
@@ -25,6 +27,7 @@ from vertex_expand.dimer import (
 from vertex_expand.errors import (
     ConstraintConflict,
     NotFreeFermion,
+    OrientationFailure,
     TooLarge,
     TooManyConstraints,
 )
@@ -43,6 +46,14 @@ MAX_CITIES = MATCHING_NODE_BOUND // 4  # four nodes per city
 
 def params_for(rows, cols, beta_s=0.3):
     return ModelParams(beta_s=beta_s, rows=rows, cols=cols)
+
+
+def reoriented(kast, signs):
+    """``kast`` with other edge signs, for the face-parity audit alone: a
+    mis-oriented K can be singular, so none is built or factored, and the
+    anti-symmetry check sees the valid matrix."""
+    return SimpleNamespace(lattice=kast.lattice, signs=signs,
+                           sparse=kast.sparse)
 
 
 @pytest.fixture(scope="module")
@@ -93,13 +104,74 @@ class TestKasteleyn:
         assert partition_dimer(kast22) == pytest.approx(
             1.27259834672205, rel=1e-13)
 
-    def test_dump_deterministic(self):
-        lat = build_decorated(params_for(2, 2))
-        d1 = lattice_dump(kasteleyn_orientation(lat))
-        d2 = lattice_dump(kasteleyn_orientation(
-            build_decorated(params_for(2, 2))))
-        assert d1 == d2
-        assert len(d1.splitlines()) == len(lat.edges)
+    def test_sign_rule_pinned(self):
+        # every edge runs i -> j except each city's internal edge 3 (L -> B)
+        lat = build_decorated(params_for(3, 4))
+        signs = kasteleyn_orientation(lat).signs
+        assert signs.tolist() == [
+            -1 if e in {lat.internal(r, c, 3)
+                        for r in range(3) for c in range(4)} else 1
+            for e in range(len(lat.edges))]
+
+    def test_closed_form_odd_on_traced_faces(self):
+        for rows in range(1, 9):
+            for cols in range(1, 9):
+                lat = build_decorated(params_for(rows, cols))
+                faces = planar_faces(lat)
+                # rows*cols diamonds and (rows-1)(cols-1) octagons
+                assert len(faces) == rows * cols + (rows - 1) * (cols - 1)
+                assert odd_clockwise(kasteleyn_orientation(lat).signs, faces)
+
+    @pytest.mark.parametrize("rows,cols", [(2, 2), (3, 4), (5, 3)])
+    def test_audit_rejects_any_single_flip(self, rows, cols):
+        kast = kasteleyn_orientation(build_decorated(params_for(rows, cols)))
+        for edge in range(len(kast.signs)):
+            signs = kast.signs.copy()
+            signs[edge] = -signs[edge]
+            with pytest.raises(OrientationFailure):
+                audit_faces(reoriented(kast, signs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 6), cols=st.integers(1, 6), data=st.data())
+    def test_audit_accepts_gauge_flips(self, rows, cols, data):
+        # reversing every edge at a node keeps each face's parity and
+        # leaves log Z unchanged
+        lat = build_decorated(params_for(rows, cols))
+        kast = kasteleyn_orientation(lat)
+        nodes = data.draw(st.lists(st.integers(0, lat.n_nodes - 1),
+                                   min_size=1, max_size=8))
+        signs = kast.signs.copy()
+        for node in nodes:
+            for e, edge in enumerate(lat.edges):
+                if node in (edge.i, edge.j):
+                    signs[e] = -signs[e]
+        gauged = KasteleynMatrix(lat, signs)
+        audit_faces(gauged)
+        assert partition_dimer(gauged) == pytest.approx(
+            partition_dimer(kast), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 5), cols=st.integers(1, 5), data=st.data())
+    def test_audit_agrees_with_traced_faces(self, rows, cols, data):
+        kast = kasteleyn_orientation(build_decorated(params_for(rows, cols)))
+        flips = data.draw(st.lists(st.integers(0, len(kast.signs) - 1),
+                                   min_size=1, max_size=4))
+        signs = kast.signs.copy()
+        for e in flips:
+            signs[e] = -signs[e]
+        if odd_clockwise(signs, planar_faces(kast.lattice)):
+            audit_faces(reoriented(kast, signs))
+        else:
+            with pytest.raises(OrientationFailure):
+                audit_faces(reoriented(kast, signs))
+
+    def test_audit_rejects_asymmetric_matrix(self, kast22):
+        sparse = kast22.sparse.tolil()
+        sparse[0, 1] = 2.0 * sparse[0, 1]
+        broken = SimpleNamespace(lattice=kast22.lattice, signs=kast22.signs,
+                                 sparse=sparse.tocsc())
+        with pytest.raises(OrientationFailure, match="anti-symmetric"):
+            audit_faces(broken)
 
     def test_matching_enumeration_bound(self):
         with pytest.raises(TooLarge):
@@ -271,7 +343,8 @@ class TestInfiniteLatticeLimit:
     Za/Z0 (state 6) and Zb/Z0 (state 5); the centre of an even L x L
     lattice is on sublattice A, where state 6 is the reference."""
 
-    @pytest.mark.parametrize("size,tol", [(32, 1e-9), (64, 1e-12)])
+    @pytest.mark.parametrize("size,tol",
+                             [(32, 1e-9), (64, 1e-12), (128, 1e-12)])
     def test_centre_site_matches_integrals(self, size, tol):
         kast = kasteleyn_orientation(
             build_decorated(params_for(size, size, 0.3)))

@@ -109,6 +109,34 @@ class TestFreeEnergy:
             4.0, abs=1e-3)
 
 
+class TestFrozenField:
+    """Past |beta_s| ~ 355, cosh 2 beta_s overflows a double; F0 tends to
+    |beta_s|, dF0/d beta_s to sign(beta_s), Z_a/Z_0 and Z_b/Z_0 to 0 or 1."""
+
+    @pytest.mark.parametrize("beta_s", [355.0, -355.0, 400.0, -400.0,
+                                        1e300, -1e300])
+    def test_no_overflow(self, beta_s):
+        sign = math.copysign(1.0, beta_s)
+        assert baxter_free_energy(beta_s, SPEC) == abs(beta_s)
+        value, bound = baxter_series(beta_s, 2000)
+        assert value == abs(beta_s) and math.isfinite(bound)
+        assert dF0_dbetas(beta_s, SPEC) == sign
+        assert zb_ratio(beta_s, SPEC) == (1.0 - sign) ** 2 / 4.0
+        assert za_ratio(beta_s, SPEC) == (1.0 + sign) ** 2 / 4.0
+        res = first_order_free_energy(beta_s, 0.1, SPEC)
+        assert res.f0 == res.free_energy == abs(beta_s)
+
+    @pytest.mark.parametrize("beta_s", [8.0, 9.99, 10.0, -10.0, 12.0])
+    def test_both_sides_of_frozen_cutoff(self, beta_s):
+        # F0 - |beta_s| = e^{-4 |beta_s|}/4 + ... is 3.2e-15 at 8 and
+        # below half an ulp from about 9.5 on
+        assert abs(baxter_free_energy(beta_s, SPEC)
+                   - mp_free_energy(beta_s)) <= 1e-15
+        assert abs(baxter_series(beta_s, 2000)[0]
+                   - mp_free_energy(beta_s)) <= 1e-15
+        assert abs(zb_ratio(beta_s, SPEC) - mp_zb_ratio(beta_s)) <= 1e-15
+
+
 class TestDerivative:
     def test_odd_and_zero_at_origin(self):
         assert dF0_dbetas(0.0, SPEC) == 0.0

@@ -112,9 +112,7 @@ class TestGroundState:
     def test_no_lines(self):
         params = fixed(3, 3)
         lines = line_representation(ground_state_config(params), params)
-        for r in range(3):
-            for c in range(3):
-                assert lines.lines_at(r, c) == (0, 0, 0, 0)
+        assert not lines.h.any() and not lines.v.any()
 
 
 class TestEnumeration:
@@ -193,18 +191,11 @@ class TestEnumeration:
 
 
 class TestArrowConfig:
-    def test_string_roundtrip(self):
-        params = fixed(2, 3, 0.2)
-        for mask in (0, 3, 17):
-            cfg = config_from_mask(params, 0)
-            text = cfg.to_string()
-            back = ArrowConfig.from_string(text, params)
-            assert back.to_string() == text
-
     def test_double_reversal_is_identity(self):
         params = periodic(2, 2)
         gs = ground_state_config(params)
-        assert gs.reversed().reversed().to_string() == gs.to_string()
+        back = gs.reversed().reversed()
+        assert np.array_equal(back.h, gs.h) and np.array_equal(back.v, gs.v)
 
     def test_line_parity_even(self):
         # ice rule means the line representation enters and leaves each
@@ -214,9 +205,11 @@ class TestArrowConfig:
         for mask in result.masks[:40]:
             lines = line_representation(
                 config_from_mask(params, int(mask)), params)
+            lines_cfg = ArrowConfig(lines.rows, lines.cols, lines.boundary,
+                                    lines.h, lines.v)
             for r in range(2):
                 for c in range(4):
-                    assert sum(lines.lines_at(r, c)) % 2 == 0
+                    assert sum(lines_cfg.incident_bits(r, c)) % 2 == 0
 
 
 class TestTransferMatrix:

@@ -14,7 +14,6 @@ from vertex_expand.series import (
     RationalSeries,
     b2_series,
     bernoulli_numbers,
-    series_arith,
     singular_betas_series,
     singular_t_series,
     stirling_correction,
@@ -23,6 +22,14 @@ from vertex_expand.series import (
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+def horner(series, x):
+    """The truncated series summed at a float x."""
+    acc = 0.0
+    for c in reversed(series.coeffs):
+        acc = acc * x + float(c)
+    return acc
 
 
 def series_st(max_order=5):
@@ -88,13 +95,6 @@ class TestRationalSeries:
         inner = RationalSeries.monomial(2, 1, 8)
         assert outer.compose(inner).order == 5
 
-    def test_series_arith_dispatch(self):
-        a = RationalSeries([1, 2], 1)
-        assert series_arith(a, a, "add") == a.scaled(2)
-        assert series_arith(a, None, "differentiate") == RationalSeries([2], 0)
-        with pytest.raises(ValueError):
-            series_arith(a, a, "pow")
-
     @given(series_st(), series_st(), series_st())
     @settings(max_examples=60, deadline=None)
     def test_ring_axioms(self, a, b, c):
@@ -155,7 +155,7 @@ class TestStirlingBracket:
         n = 400
         c = math.comb(2 * n, n) / 4.0 ** n
         exact = c * c * math.pi * n
-        approx = stirling_correction(5).eval_float(1.0 / n)
+        approx = horner(stirling_correction(5), 1.0 / n)
         assert abs(exact - approx) < 1e-13
 
 
@@ -172,7 +172,7 @@ class TestSingularSeries:
         assert ts[2] == 4 and ts[4] == Q(-8, 3) and ts[6] == Q(128, 45)
         # numeric agreement with 2 ln cosh 2x
         x = 0.05
-        assert ts.eval_float(x) == pytest.approx(
+        assert horner(ts, x) == pytest.approx(
             2.0 * math.log(math.cosh(2.0 * x)), rel=1e-12)
         with pytest.raises(ValueError):
             t_of_betas(7)
