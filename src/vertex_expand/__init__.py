@@ -4,108 +4,9 @@ Exact enumeration and transfer-matrix oracles for finite lattices, the
 dimer/Pfaffian representation at the solvable point, infinite-lattice
 thermodynamic integrals, exact singular series in the staggered field, and
 the renormalization-exponent cross-check.
+
+The package re-exports nothing: import the module that holds a name, e.g.
+``from vertex_expand import dimer``, so a caller loads only what it uses.
 """
 
-from .coulomb import (
-    KT_BETA_EPS,
-    VerificationReport,
-    exponent_u_expansion,
-    exponent_u_slope,
-    j_of_betaeps,
-    singular_exponent,
-    verify_first_order,
-)
-from .dimer import (
-    DecoratedLattice,
-    EdgeConstraint,
-    KasteleynMatrix,
-    build_decorated,
-    constrained_partition,
-    constrained_ratio,
-    dimer_probability,
-    enumerate_matchings,
-    kasteleyn_orientation,
-    partition_dimer,
-    vertex_constrained_ratio,
-)
-from .errors import VertexExpandError
-from .integrals import (
-    FirstOrderResult,
-    QuadratureSpec,
-    baxter_free_energy,
-    baxter_series,
-    dF0_dbetas,
-    first_order_free_energy,
-    za_ratio,
-    zb_ratio,
-)
-from .model import (
-    FREE_FERMION_BETA_EPS,
-    ArrowConfig,
-    Boundary,
-    ModelParams,
-    enumerate_partition,
-    ground_state_config,
-    reduced_hamiltonian,
-    transfer_matrix_free_energy,
-    transfer_partition,
-)
-from .series import (
-    LogSeries,
-    PiRational,
-    RationalSeries,
-    b2_series,
-    singular_betas_series,
-    singular_t_series,
-    stirling_correction,
-    t_of_betas,
-)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "ArrowConfig",
-    "Boundary",
-    "DecoratedLattice",
-    "EdgeConstraint",
-    "FREE_FERMION_BETA_EPS",
-    "FirstOrderResult",
-    "KT_BETA_EPS",
-    "KasteleynMatrix",
-    "LogSeries",
-    "ModelParams",
-    "PiRational",
-    "QuadratureSpec",
-    "RationalSeries",
-    "VerificationReport",
-    "VertexExpandError",
-    "b2_series",
-    "baxter_free_energy",
-    "baxter_series",
-    "build_decorated",
-    "constrained_partition",
-    "constrained_ratio",
-    "dF0_dbetas",
-    "dimer_probability",
-    "enumerate_matchings",
-    "enumerate_partition",
-    "exponent_u_expansion",
-    "exponent_u_slope",
-    "first_order_free_energy",
-    "ground_state_config",
-    "j_of_betaeps",
-    "kasteleyn_orientation",
-    "partition_dimer",
-    "reduced_hamiltonian",
-    "singular_betas_series",
-    "singular_exponent",
-    "singular_t_series",
-    "stirling_correction",
-    "t_of_betas",
-    "transfer_matrix_free_energy",
-    "transfer_partition",
-    "verify_first_order",
-    "vertex_constrained_ratio",
-    "za_ratio",
-    "zb_ratio",
-]

@@ -17,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import __version__, coulomb, dimer, integrals, model, series, verify
+from . import __version__, coulomb, series, verify
 from .errors import VertexExpandError, VerificationFailed
 
 EXIT_OK = 0
@@ -38,6 +38,9 @@ ORDER_CAPS = {
 
 #: most points one ``free-energy --sweep`` may ask for
 MAX_SWEEP_POINTS = 10_000
+
+#: ln of the largest double: e^x overflows for any x above it
+MAX_LOG = math.log(sys.float_info.max)
 
 
 def _float(x: float) -> str:
@@ -83,10 +86,6 @@ def emit(records: list[dict], fmt: str, quiet: bool) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def _quad_spec(tol: float) -> integrals.QuadratureSpec:
-    return integrals.QuadratureSpec(tolerance=tol)
-
-
 def _finite_float(text: str) -> float:
     try:
         value = float(text)
@@ -118,11 +117,11 @@ def _parse_sweep(text: str) -> list[float]:
     return [start + i * step for i in range(int(round(steps)) + 1)]
 
 
-def _parse_edge(text: str) -> dimer.EdgeConstraint:
+def _parse_edge(text: str) -> tuple[int, bool]:
     match = re.fullmatch(r"([+-]?\d+):([01])", text)
     if match is None:
         raise argparse.ArgumentTypeError("edge must be INDEX:0 or INDEX:1")
-    return dimer.EdgeConstraint(int(match[1]), match[2] == "1")
+    return int(match[1]), match[2] == "1"
 
 
 def _usage_error(message: str) -> int:
@@ -137,6 +136,33 @@ def _order_error(name: str, order: int) -> str | None:
     if even and order % 2:
         return f"order {order} for {name} must be even"
     return None
+
+
+def _overflow_error(exponent: float, what: str) -> str | None:
+    """Usage error when the largest number a path forms at this field,
+    e^exponent, would overflow a double."""
+    if exponent > MAX_LOG:
+        return (f"--beta-s overflows {what}: it needs e^{exponent:.6g}, "
+                f"above the largest double e^{MAX_LOG:.6g}")
+    return None
+
+
+def _kasteleyn_error(args, log_z: bool, edges=(),
+                     site: bool = False) -> str | None:
+    """K's weights are (1/sqrt 2) e^(beta_s/2) on internal edges and
+    e^(-beta_s/2) on external ones.  log det K sums two of them into an LU
+    pivot; a constrained sum multiplies the weights of the edges it
+    constrains, an empty one only where that weight exceeds 1."""
+    exponent = 0.5 * abs(args.beta_s) + (0.5 * math.log(2.0) if log_z else 0.0)
+    internal = 0.5 * args.beta_s - 0.5 * math.log(2.0)
+    external = -0.5 * args.beta_s
+    product = 0.0
+    for edge, occupied in edges:
+        log_w = internal if edge < 4 * args.rows * args.cols else external
+        product += log_w if occupied else max(log_w, 0.0)
+    if site:   # four external edges, each empty or not
+        product = max(product, 4.0 * max(external, 0.0))
+    return _overflow_error(max(exponent, product), "the Kasteleyn weights")
 
 
 def _lattice_error(args) -> str | None:
@@ -155,7 +181,14 @@ def cmd_free_energy(args) -> int:
     if args.method == "series" and args.terms < 1:
         return _usage_error("--terms must be >= 1")
     points = args.sweep if args.sweep is not None else [args.beta_s]
-    spec = _quad_spec(args.tol)
+    if args.method == "finite":
+        # the two-column operator multiplies 2 * size vertex weights e^(+-beta_s)
+        message = _overflow_error(
+            2 * args.size * max(abs(bs) for bs in points), "the transfer matrix")
+        if message:
+            return _usage_error(message)
+    from . import integrals, model
+    spec = integrals.QuadratureSpec(tolerance=args.tol)
     records = []
     for bs in points:
         if args.method == "quad":
@@ -180,7 +213,8 @@ def cmd_free_energy(args) -> int:
     return EXIT_OK
 
 
-def _build_params(args) -> model.ModelParams:
+def _build_params(args):
+    from . import model
     boundary = (model.Boundary.PERIODIC if args.boundary == "periodic"
                 else model.Boundary.FIXED_GROUND_STATE)
     return model.ModelParams(beta_s=args.beta_s, rows=args.rows,
@@ -189,8 +223,17 @@ def _build_params(args) -> model.ModelParams:
 
 def cmd_partition(args) -> int:
     message = _lattice_error(args)
+    if message is None and args.oracle != "enumerate":
+        message = _kasteleyn_error(args, log_z=True)
+    if (message is None and args.oracle != "pfaffian"
+            and (args.boundary == "periodic" or args.beta_s >= 0.0)):
+        # the largest weight is the favoured ground state's, e^(rows cols
+        # |beta_s|); the fixed boundary forbids it for beta_s < 0
+        message = _overflow_error(args.rows * args.cols * abs(args.beta_s),
+                                  "the enumerated weights")
     if message:
         return _usage_error(message)
+    from . import model
     params = _build_params(args)
     rec = {"quantity": "log_partition", "rows": args.rows, "cols": args.cols,
            "beta_s": args.beta_s, "boundary": args.boundary,
@@ -204,6 +247,7 @@ def cmd_partition(args) -> int:
             print("error: pfaffian oracle needs --boundary fixed",
                   file=sys.stderr)
             return EXIT_USAGE
+        from . import dimer
         kast = dimer.kasteleyn_orientation(dimer.build_decorated(params))
         log_pf = dimer.partition_dimer(kast)
         rec["log_z_pfaffian"] = log_pf
@@ -226,6 +270,11 @@ def cmd_constrained(args) -> int:
         return _usage_error(message)
     if args.boundary != "fixed":
         return _usage_error("constrained sums need --boundary fixed")
+    message = _kasteleyn_error(args, bool(args.edge), args.edge,
+                               args.site is not None)
+    if message:
+        return _usage_error(message)
+    from . import dimer
     if args.site is not None:
         r, c = args.site
         if not (0 < r < args.rows - 1 and 0 < c < args.cols - 1):
@@ -235,24 +284,25 @@ def cmd_constrained(args) -> int:
     if len(args.edge) > dimer.CONSTRAINT_BOUND:
         return _usage_error(
             f"at most {dimer.CONSTRAINT_BOUND} --edge constraints")
-    edges = [con.edge for con in args.edge]
+    edges = [edge for edge, _ in args.edge]
     if len(set(edges)) < len(edges):
         return _usage_error("an --edge index is given twice")
     lat = dimer.build_decorated(_build_params(args))
-    for con in args.edge:
-        if not 0 <= con.edge < len(lat.edges):
+    for edge in edges:
+        if not 0 <= edge < len(lat.edges):
             return _usage_error(
-                f"--edge index {con.edge} outside [0, {len(lat.edges)})")
+                f"--edge index {edge} outside [0, {len(lat.edges)})")
     kast = dimer.kasteleyn_orientation(lat)
     records = []
     if args.edge:
-        ratio = dimer.constrained_ratio(kast, args.edge)
+        cons = [dimer.EdgeConstraint(*edge) for edge in args.edge]
+        ratio = dimer.constrained_ratio(kast, cons)
         records.append({
             "quantity": "constrained_ratio", "rows": args.rows,
             "cols": args.cols, "beta_s": args.beta_s,
-            "constraints": [f"{c.edge}:{int(c.occupied)}" for c in args.edge],
+            "constraints": [f"{e}:{int(o)}" for e, o in args.edge],
             "provenance": "pfaffian", "ratio": ratio,
-            "log_z": dimer.constrained_partition(kast, args.edge)})
+            "log_z": dimer.constrained_partition(kast, cons)})
     if args.site is not None:
         r, c = args.site
         total = 0.0
@@ -273,8 +323,9 @@ def cmd_constrained(args) -> int:
 
 
 def cmd_perturb(args) -> int:
+    from . import integrals
     result = integrals.first_order_free_energy(
-        args.beta_s, args.u, _quad_spec(args.tol))
+        args.beta_s, args.u, integrals.QuadratureSpec(tolerance=args.tol))
     emit([{
         "quantity": "first_order_free_energy", "beta_s": args.beta_s,
         "u": args.u, "provenance": "quadrature", "f0": result.f0,

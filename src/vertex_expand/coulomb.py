@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import comb
 
 from .errors import OutOfDomain, VerificationFailed
-from .model import FREE_FERMION_BETA_EPS
 from .series import PiRational, Q, RationalSeries, b2_series
 
 #: coupling below which the exponent formula diverges (KT regime)

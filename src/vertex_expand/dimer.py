@@ -123,7 +123,8 @@ class KasteleynMatrix:
     ``signs[e]`` is +1 when edge e is oriented i -> j in edge-list order.
     K is held as a sparse CSC matrix and factored once, by a sparse LU,
     when the object is built; log det K and any block of K^-1 come from
-    that one factorization.
+    that one factorization.  The last K^-1 block is kept, so the six
+    states of one site, which constrain the same four edges, share a solve.
     """
 
     def __init__(self, lattice: DecoratedLattice, signs: np.ndarray):
@@ -140,6 +141,7 @@ class KasteleynMatrix:
             self._lu = spla.splu(self.sparse)
         except RuntimeError as exc:
             raise SingularMatrix("no perfect matching") from exc
+        self._last_block: tuple[tuple[int, ...], np.ndarray] | None = None
 
     def log_det(self) -> float:
         """log det K from the diagonal of U; det K = Pf(K)^2 must be > 0."""
@@ -151,10 +153,14 @@ class KasteleynMatrix:
         return float(np.sum(np.log(np.abs(diag))))
 
     def inverse_block(self, nodes: list[int]) -> np.ndarray:
-        """K^-1[I, I] for the node list I, from one solve on its unit vectors."""
-        rhs = np.zeros((self.lattice.n_nodes, len(nodes)))
-        rhs[nodes, np.arange(len(nodes))] = 1.0
-        return self._lu.solve(rhs)[nodes, :]
+        """K^-1[I, I] for the node list I, from one solve on its unit vectors
+        (none when I is the last list asked for); the caller owns the copy."""
+        key = tuple(nodes)
+        if self._last_block is None or self._last_block[0] != key:
+            rhs = np.zeros((self.lattice.n_nodes, len(key)))
+            rhs[list(key), np.arange(len(key))] = 1.0
+            self._last_block = key, self._lu.solve(rhs)[list(key), :]
+        return self._last_block[1].copy()
 
 
 def _parity(perm: np.ndarray) -> int:
@@ -321,7 +327,10 @@ def constrained_ratio(kast: KasteleynMatrix, constraints) -> float:
     lat = kast.lattice
     occ, emp = _validated(lat, constraints)
     edges = occ + emp
-    nodes = [v for e in edges for v in (lat.edges[e].i, lat.edges[e].j)]
+    ends = [(lat.edges[e].i, lat.edges[e].j) for e in edges]
+    # sorted, so every occupation pattern on the same edges shares one block
+    nodes = sorted({v for pair in ends for v in pair})
+    position = {v: k for k, v in enumerate(nodes)}
     block = kast.inverse_block(nodes)
     block = 0.5 * (block - block.T)  # the solve is anti-symmetric to rounding
     weights = [-kast.signs[e] * lat.edges[e].weight for e in edges]
@@ -329,9 +338,10 @@ def constrained_ratio(kast: KasteleynMatrix, constraints) -> float:
     for t in range(1 << len(emp)):
         chosen = list(range(len(occ))) + [
             len(occ) + b for b in range(len(emp)) if (t >> b) & 1]
-        rows = [2 * c + h for c in chosen for h in (0, 1)]
-        if len({nodes[r] for r in rows}) < len(rows):
+        covered = [v for c in chosen for v in ends[c]]
+        if len(set(covered)) < len(covered):
             continue  # two edges share a node: no matching holds both
+        rows = [position[v] for v in covered]
         term = math.prod(weights[c] for c in chosen)
         total += ((-1) ** (len(chosen) - len(occ))) * term * _pfaffian(
             block[np.ix_(rows, rows)])

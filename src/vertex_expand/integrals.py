@@ -34,10 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
-from scipy.special import ellipkm1
-from scipy.special import zeta as hurwitz_zeta
 
 from .errors import IdentityMismatch, ToleranceNotMet
 from .series import stirling_correction
@@ -102,6 +99,7 @@ def _elliptic_k(beta_s: float) -> float:
     double precision."""
     t = math.tanh(2.0 * beta_s)
     if t * t > 0.0:
+        from scipy.special import ellipkm1
         return float(ellipkm1(t * t))
     return math.log(4.0) - math.log(abs(t))
 
@@ -164,13 +162,16 @@ def baxter_series(beta_s: float, n_max: int) -> tuple[float, float]:
 
     bracket = [float(q) for q in stirling_correction(_STIRLING_ORDER).coeffs]
     a0 = n_max + 1
+    orders = range(2, 2 + len(bracket))
+    if z >= 1.0:
+        from scipy.special import zeta as hurwitz_zeta
+        tails = [float(hurwitz_zeta(s, a0)) for s in orders]
+    else:
+        import mpmath
+        tails = [float(mpmath.lerchphi(z, s, a0)) * z ** a0 for s in orders]
     tail = 0.0
     last = 0.0
-    for q, coef in enumerate(bracket):
-        if z >= 1.0:
-            t_q = float(hurwitz_zeta(2 + q, a0))
-        else:
-            t_q = float(mpmath.lerchphi(z, 2 + q, a0)) * z ** a0
+    for coef, t_q in zip(bracket, tails):
         last = -coef * t_q / (4.0 * math.pi)
         tail += last
     return head + tail, abs(last) + 1e-15 * abs(head)

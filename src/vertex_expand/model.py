@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import IceRuleViolation, NonConvergence, TooLarge
 
@@ -407,6 +406,7 @@ def transfer_matrix_free_energy(params: ModelParams,
             dense[:, j] = matvec(eye[:, j])
         evals = np.sort(np.abs(np.linalg.eigvals(dense)))[::-1]
     else:
+        import scipy.sparse.linalg as spla
         op = spla.LinearOperator((dim, dim), matvec=matvec)
         v0 = np.full(dim, 1.0 / math.sqrt(dim))
         try:

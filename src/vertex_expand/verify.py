@@ -14,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from . import coulomb, dimer, integrals, model, series
+from . import coulomb, series
 
 Check = tuple[str, bool, str]
 
@@ -26,6 +26,7 @@ def _fmt(x: float) -> str:
 # --- kasteleyn suite ---------------------------------------------------------
 
 def suite_kasteleyn() -> list[Check]:
+    from . import dimer, model
     checks: list[Check] = []
     for rows, cols in [(1, 1), (2, 2), (2, 3), (3, 3)]:
         for beta_s in (-0.5, 0.0, 0.3):
@@ -91,6 +92,7 @@ def suite_kasteleyn() -> list[Check]:
 
 def _extrapolated_transfer(beta_s: float, u: float = 0.0) -> float:
     """Aitken-accelerated infinite-size transfer-matrix free energy."""
+    from . import model
     vals = []
     for n in (6, 8, 10):
         params = model.ModelParams(
@@ -112,6 +114,7 @@ def _extrapolated_pfaffian(beta_s: float) -> float:
     quadratic in 1/L through L = 24, 28, 32 is
     a = 18 y_24 - 49 y_28 + 32 y_32 at 1/L = 0.
     """
+    from . import dimer, model
     y24, y28, y32 = (
         dimer.partition_dimer(dimer.kasteleyn_orientation(
             dimer.build_decorated(model.ModelParams(
@@ -121,6 +124,7 @@ def _extrapolated_pfaffian(beta_s: float) -> float:
 
 
 def suite_identity() -> list[Check]:
+    from . import integrals
     checks: list[Check] = []
     spec = integrals.QuadratureSpec()
     for beta_s in (0.0, 0.1, 0.5, 1.0):
@@ -202,6 +206,7 @@ def suite_series() -> list[Check]:
 # --- coulomb suite -----------------------------------------------------------
 
 def suite_coulomb() -> list[Check]:
+    from . import model
     checks: list[Check] = []
     e_ff = coulomb.singular_exponent(model.FREE_FERMION_BETA_EPS)
     checks.append(("exponent-at-free-fermion", e_ff == 2.0, _fmt(e_ff)))

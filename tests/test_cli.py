@@ -3,10 +3,16 @@
 import csv
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from references import mp_free_energy
 
+import vertex_expand
 from vertex_expand.cli import main
 
 # F0(0.5) correctly rounded to a double.  Reference: mpmath at 40 digits of
@@ -122,6 +128,23 @@ class TestFreeEnergy:
         assert code == 0
         assert out == ""
 
+    @pytest.mark.parametrize("option", [["--beta-s", "50"],
+                                        ["--beta-s", "-50"],
+                                        ["--sweep", "0:50:25"]])
+    def test_finite_field_overflowing_transfer_matrix_is_usage_error(
+            self, capsys, option):
+        # the two-column operator of an 8-row torus multiplies 16 vertex
+        # weights e^(+-beta_s): finite up to |beta_s| = ln(DBL_MAX) / 16
+        code, out, err = run(capsys, "free-energy", "--method", "finite",
+                             "--size", "8", *option)
+        assert code == 2
+        assert out == ""
+        assert "transfer matrix" in err
+        code, out, _ = run(capsys, "free-energy", "--method", "finite",
+                           "--size", "8", "--beta-s", "44")
+        assert code == 0
+        assert json_lines(out)[0]["value"] == pytest.approx(44.0, abs=1e-12)
+
 
 class TestPartition:
     def test_both_oracles_agree(self, capsys):
@@ -145,6 +168,34 @@ class TestPartition:
         code, out, _ = run(capsys, "partition", *size)
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("option", [
+        ["--beta-s", "400"],                         # enumerated weights
+        ["--beta-s", "-200", "--boundary", "periodic", "--oracle",
+         "enumerate"],
+        ["--beta-s", "1500", "--oracle", "pfaffian"],  # Kasteleyn weights
+        ["--beta-s", "-1419", "--oracle", "pfaffian"]])
+    def test_field_overflowing_the_weights_is_usage_error(self, capsys,
+                                                          option):
+        code, out, err = run(capsys, "partition", "--rows", "2", "--cols",
+                             "2", *option)
+        assert code == 2
+        assert out == ""
+        assert "overflows" in err
+
+    @pytest.mark.parametrize("option", [
+        ["--beta-s", "177.4"],       # 4 |beta_s| just below ln(DBL_MAX)
+        ["--beta-s", "-400", "--oracle", "enumerate"],
+        ["--beta-s", "1418", "--oracle", "pfaffian"]])
+    def test_field_below_the_overflow_is_accepted(self, capsys, option):
+        # on the fixed boundary at beta_s < 0 the favoured reversed ground
+        # state is forbidden, so the enumerated weights stay small
+        code, out, _ = run(capsys, "partition", "--rows", "2", "--cols", "2",
+                           *option)
+        assert code == 0
+        (rec,) = json_lines(out)
+        assert all(math.isfinite(rec[key]) for key in
+                   ("log_z_enumerate", "log_z_pfaffian") if key in rec)
 
     def test_enumerate_periodic_ok(self, capsys):
         code, out, _ = run(capsys, "partition", "--rows", "2", "--cols", "4",
@@ -213,6 +264,26 @@ class TestConstrained:
         assert code == 2
         assert out == ""
         assert "twice" in err
+
+    @pytest.mark.parametrize("option", [
+        ["--site", "2", "2", "--beta-s", "1500"],    # weights e^(|beta_s|/2)
+        ["--site", "2", "2", "--beta-s", "-400"],    # four external e^200
+        ["--edge", "3:1", "--edge", "7:1", "--beta-s", "720"],  # two internal
+        ["--edge", "40:0", "--beta-s", "1419"]])     # log det K's pivots
+    def test_field_overflowing_the_weights_is_usage_error(self, capsys,
+                                                          option):
+        code, out, err = run(capsys, "constrained", "--rows", "5", "--cols",
+                             "5", *option)
+        assert code == 2
+        assert out == ""
+        assert "overflows" in err
+
+    def test_site_field_below_the_overflow_is_accepted(self, capsys):
+        # at beta_s > 0 the site sums multiply only external weights below 1
+        code, out, _ = run(capsys, "constrained", "--rows", "5", "--cols", "5",
+                           "--site", "2", "2", "--beta-s", "1419")
+        assert code == 0
+        assert json_lines(out)[-1]["value"] == 1.0
 
     def test_too_many_edges_is_usage_error(self, capsys):
         edges = [f"--edge={i}:1" for i in range(6)]
@@ -311,6 +382,56 @@ class TestVerify:
         assert code == 1
         assert "FAIL [kasteleyn]" in out
         assert out.strip().splitlines()[-1] == "FAILED"
+
+
+#: the packages the exact-arithmetic commands must not load
+HEAVY = ("numpy", "scipy", "mpmath")
+
+
+def modules_loaded(argv):
+    """Names of numpy, scipy and mpmath modules in ``sys.modules`` after
+    ``import vertex_expand.cli`` and, unless ``argv`` is None,
+    ``main(argv)`` in a fresh interpreter."""
+    script = ("import contextlib, io, json, sys\n"
+              "from vertex_expand.cli import main\n"
+              "argv = json.loads(sys.argv[1])\n"
+              "if argv is not None:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert main(argv) == 0\n"
+              "print(json.dumps(sorted(sys.modules)))\n")
+    src = str(Path(vertex_expand.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, check=True)
+    return {name for name in json.loads(done.stdout)
+            if name.split(".")[0] in HEAVY}
+
+
+class TestImports:
+    """Each command loads only the modules on the path it runs."""
+
+    @pytest.mark.parametrize("argv", [
+        None,
+        ["series", "--target", "sng"],
+        ["coulomb", "--expand", "2"],
+        ["verify", "--suite", "series"]])
+    def test_exact_arithmetic_loads_no_numerics(self, argv):
+        assert modules_loaded(argv) == set()
+
+    @pytest.mark.parametrize("argv", [
+        ["free-energy", "--beta-s", "0.5"],
+        ["free-energy", "--method", "finite", "--size", "8"]])
+    def test_free_energy_loads_no_scipy(self, argv):
+        assert not {m for m in modules_loaded(argv)
+                    if m.split(".")[0] == "scipy"}
+
+    @pytest.mark.parametrize("argv", [
+        ["partition", "--rows", "3", "--cols", "3"],
+        ["constrained", "--rows", "5", "--cols", "5", "--site", "2", "2"]])
+    def test_lattice_commands_load_no_special_functions(self, argv):
+        assert not {m for m in modules_loaded(argv)
+                    if m.startswith(("scipy.special", "mpmath"))}
 
 
 class TestContracts:

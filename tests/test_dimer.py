@@ -324,6 +324,33 @@ class TestVertexStates:
         with pytest.raises(ValueError):
             vertex_constrained_ratio(kast33, (0, 0), 6)
 
+    def test_six_states_share_one_solve(self, monkeypatch):
+        kast = kasteleyn_orientation(build_decorated(params_for(4, 4)))
+        lu, solves = kast._lu, []
+
+        class CountingLU:
+            def solve(self, rhs):
+                solves.append(rhs.shape[1])
+                return lu.solve(rhs)
+
+        monkeypatch.setattr(kast, "_lu", CountingLU())
+        probs = [vertex_constrained_ratio(kast, (1, 2), s) for s in range(1, 7)]
+        assert solves == [8]
+        fresh = kasteleyn_orientation(build_decorated(params_for(4, 4)))
+        assert probs == [vertex_constrained_ratio(fresh, (1, 2), s)
+                         for s in range(1, 7)]
+
+    def test_kept_block_is_never_handed_out(self, kast33):
+        nodes = [5, 9, 20]
+        first = kast33.inverse_block(nodes)
+        expected = first.copy()
+        first[:] = 0.0
+        again = kast33.inverse_block(nodes)
+        assert (again == expected).all()
+        other = kast33.inverse_block([9, 5])
+        assert other == pytest.approx(expected[[1, 0]][:, [1, 0]],
+                                      rel=1e-14, abs=1e-15)
+
     @settings(max_examples=25, deadline=None)
     @given(rows=st.integers(3, 16), cols=st.integers(3, 16), data=st.data(),
            beta_s=st.floats(-1.0, 1.0))
