@@ -187,12 +187,14 @@ def cmd_free_energy(args) -> int:
             2 * args.size * max(abs(bs) for bs in points), "the transfer matrix")
         if message:
             return _usage_error(message)
-    from . import integrals, model
-    spec = integrals.QuadratureSpec(tolerance=args.tol)
+    if args.method == "finite":
+        from . import model
+    else:
+        from . import integrals
     records = []
     for bs in points:
         if args.method == "quad":
-            value = integrals.baxter_free_energy(bs, spec)
+            value = integrals.baxter_free_energy(bs)
             extra = {}
         elif args.method == "series":
             value, bound = integrals.baxter_series(bs, args.terms)
@@ -221,16 +223,34 @@ def _build_params(args):
                              cols=args.cols, boundary=boundary)
 
 
+def _enumeration_error(args) -> str | None:
+    """The enumeration oracle scans every arrow state of the free edges:
+    all 2 rows cols of them on a torus, the interior ones under the fixed
+    boundary."""
+    from . import model
+    rows, cols = args.rows, args.cols
+    free = (2 * rows * cols if args.boundary == "periodic"
+            else rows * (cols - 1) + (rows - 1) * cols)
+    if free > model.ENUMERATION_EDGE_BOUND:
+        return (f"{rows}x{cols} has {free} free edges, above the enumeration "
+                f"bound {model.ENUMERATION_EDGE_BOUND}")
+    if args.boundary == "periodic" or args.beta_s >= 0.0:
+        # the largest weight is the favoured ground state's, e^(rows cols
+        # |beta_s|); the fixed boundary forbids it for beta_s < 0
+        return _overflow_error(rows * cols * abs(args.beta_s),
+                               "the enumerated weights")
+    return None
+
+
 def cmd_partition(args) -> int:
     message = _lattice_error(args)
     if message is None and args.oracle != "enumerate":
-        message = _kasteleyn_error(args, log_z=True)
-    if (message is None and args.oracle != "pfaffian"
-            and (args.boundary == "periodic" or args.beta_s >= 0.0)):
-        # the largest weight is the favoured ground state's, e^(rows cols
-        # |beta_s|); the fixed boundary forbids it for beta_s < 0
-        message = _overflow_error(args.rows * args.cols * abs(args.beta_s),
-                                  "the enumerated weights")
+        if args.boundary != "fixed":
+            message = "pfaffian oracle needs --boundary fixed"
+        else:
+            message = _kasteleyn_error(args, log_z=True)
+    if message is None and args.oracle != "pfaffian":
+        message = _enumeration_error(args)
     if message:
         return _usage_error(message)
     from . import model
@@ -243,10 +263,6 @@ def cmd_partition(args) -> int:
         log_enum = math.log(model.enumerate_partition(params).z)
         rec["log_z_enumerate"] = log_enum
     if args.oracle in ("pfaffian", "both"):
-        if params.boundary is not model.Boundary.FIXED_GROUND_STATE:
-            print("error: pfaffian oracle needs --boundary fixed",
-                  file=sys.stderr)
-            return EXIT_USAGE
         from . import dimer
         kast = dimer.kasteleyn_orientation(dimer.build_decorated(params))
         log_pf = dimer.partition_dimer(kast)
@@ -324,8 +340,7 @@ def cmd_constrained(args) -> int:
 
 def cmd_perturb(args) -> int:
     from . import integrals
-    result = integrals.first_order_free_energy(
-        args.beta_s, args.u, integrals.QuadratureSpec(tolerance=args.tol))
+    result = integrals.first_order_free_energy(args.beta_s, args.u)
     emit([{
         "quantity": "first_order_free_energy", "beta_s": args.beta_s,
         "u": args.u, "provenance": "quadrature", "f0": result.f0,
@@ -412,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--tol", type=_positive_float, default=1e-10)
     common.add_argument("--quiet", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -439,6 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="fixed")
     p.add_argument("--oracle", choices=("enumerate", "pfaffian", "both"),
                    default="both")
+    p.add_argument("--tol", type=_positive_float, default=1e-10,
+                   help="largest accepted |log Z| difference of the two "
+                        "oracles (at least 1e-9)")
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("constrained", parents=[common],

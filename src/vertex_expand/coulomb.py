@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .errors import OutOfDomain, VerificationFailed
@@ -51,48 +50,6 @@ def singular_exponent(beta_eps: float) -> float:
 # Coefficients live in the ring Q[1/pi]: each series coefficient is a map
 # {pi_power: rational} meaning sum_k q_k pi^{-k}.
 
-def _pi_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Q(0)) + v
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _pi_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = ka + kb
-            out[k] = out.get(k, Q(0)) + va * vb
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _poly_mul(a: list, b: list, order: int) -> list:
-    out = [dict() for _ in range(order + 1)]
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for jdx in range(order + 1 - i):
-            if b[jdx]:
-                out[i + jdx] = _pi_add(out[i + jdx], _pi_mul(ca, b[jdx]))
-    return out
-
-
-def _poly_reciprocal(a: list, order: int) -> list:
-    c0 = a[0]
-    if set(c0) != {0}:
-        raise ValueError("reciprocal needs a pure rational constant term")
-    inv0 = {0: 1 / c0[0]}
-    out = [inv0] + [dict() for _ in range(order)]
-    for d in range(1, order + 1):
-        acc: dict = {}
-        for jdx in range(1, d + 1):
-            if a[jdx]:
-                acc = _pi_add(acc, _pi_mul(a[jdx], out[d - jdx]))
-        out[d] = _pi_mul({0: Q(-1)}, _pi_mul(inv0, acc))
-    return out
-
-
 def _j_shift_series(order: int) -> RationalSeries:
     """j(ln2/2 + U) - pi/4 as an exact rational series in U.
 
@@ -114,21 +71,21 @@ def exponent_u_expansion(order: int = 2) -> list[dict]:
     """Exact U-series of the exponent at beta_eps = ln(2)/2 + U.
 
     Returns one {pi_power: Fraction} coefficient map per U-degree:
-    2 - (8/pi) U + ...; the linear coefficient is exactly -8/pi.
+    2 - (8/pi) U + ...; the linear coefficient is exactly -8/pi.  With
+    r = j - pi/4 and x = 4 r / pi the exponent is
+    2/(2 - 1/(1 + x)) = 1 + 1/(1 + 2x) = 2 + sum_{k >= 1} (-8/pi)^k r^k, so
+    the U^d coefficient is {k: (-8)^k [U^d] r^k}, with k <= d since r
+    vanishes at U = 0.
     """
     if order > 4:
         raise ValueError("order capped at 4")
     r = _j_shift_series(order)
-    # x = 4 r / pi as a Q[1/pi]-coefficient polynomial in U
-    x = [({1: 4 * r[d]} if r[d] else {}) for d in range(order + 1)]
-    one_plus_x = [dict(c) for c in x]
-    one_plus_x[0] = _pi_add(one_plus_x[0], {0: Q(1)})
-    # denominator 2 - (1 + x)^{-1}
-    denom = [_pi_mul({0: Q(-1)}, c) for c in _poly_reciprocal(one_plus_x, order)]
-    denom[0] = _pi_add(denom[0], {0: Q(2)})
-    result = _poly_mul([{0: Q(2)}] + [dict() for _ in range(order)],
-                       _poly_reciprocal(denom, order), order)
-    return result
+    powers = [RationalSeries.monomial(0, 1, order)]
+    for _ in range(order):
+        powers.append(powers[-1] * r)
+    return [{0: Q(2)}] + [
+        {k: (-8) ** k * powers[k][d] for k in range(1, d + 1) if powers[k][d]}
+        for d in range(1, order + 1)]
 
 
 def exponent_u_slope() -> PiRational:

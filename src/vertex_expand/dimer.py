@@ -60,9 +60,6 @@ class DecoratedLattice:
     def n_nodes(self) -> int:
         return 4 * self.rows * self.cols
 
-    def node(self, row: int, col: int, k: int) -> int:
-        return 4 * (row * self.cols + col) + k
-
     def external_h(self, row: int, col: int) -> int:
         """Edge index of the horizontal external edge east of city (row, col)."""
         if not (0 <= col < self.cols - 1):

@@ -37,10 +37,6 @@ class ConstraintConflict(VertexExpandError):
     """The same edge appears twice in one constraint set."""
 
 
-class ToleranceNotMet(VertexExpandError):
-    """Quadrature refinement stalled before reaching the requested tolerance."""
-
-
 class IdentityMismatch(VertexExpandError):
     """Two representations that must agree differ beyond tolerance."""
 

@@ -5,38 +5,44 @@ The reduced free energy per vertex is
     F0(beta_s) = (1/8 pi^2) int int ln[2 cosh(2 beta_s)
                                       + 2 cos(t1) cos(t2)] dt1 dt2
 
-over [0, 2 pi]^2.  Writing 2 cos t1 cos t2 = cos(t1 + t2) + cos(t1 - t2)
-and using <ln(x + cos b)>_b = arccosh x - ln 2 leaves one angle:
+over [0, 2 pi]^2, and dF0/d beta_s = (2/pi) tau K with tau = tanh 2 beta_s
+and K the complete elliptic integral of the first kind of modulus
+k = sech 2 beta_s (k^2 + tau^2 = 1).  Both are sums over the free-fermion
+coefficients a_n = C(2n, n)/4^n, on one side or the other of
+tau^2 = k^2 = 1/2 (|beta_s| = ln(1 + sqrt 2)/2):
 
-    F0 = (1/2) <arccosh(2 cosh 2 beta_s + cos u)>_u - (1/2) ln 2.
+* for tau^2 <= 1/2, the expansion of K about k = 1 (DLMF 19.12.1),
+  K = sum_n a_n^2 tau^2n [ln(4/tau) - 2 h_n] with
+  h_n = sum_{j <= n} 1/((2j - 1) 2j), and its integral over
+  d beta_s = d tau / (2 (1 - tau^2)),
 
-The mean is taken by the midpoint rule over u in [0, pi] (the integrand is
-even about u = 0 and u = pi), doubling nodes until two levels agree.  For
-beta_s != 0 the integrand is periodic and analytic, so the rule converges
-geometrically; at beta_s = 0 it has a kink at u = pi, and the closed form
-F0(0) = 2G/pi - (1/2) ln 2 (G Catalan's constant) is used instead.  For
-|beta_s| >= 10, F0 is |beta_s| to double precision.
+      F0 = F0(0) + (1/pi) sum_p tau^q [S2_p/q - S1_p ln(tau)/q + S1_p/q^2],
 
-The field derivative and the b-vertex ratio need the square-lattice
-Green's function <1/(a + cos t1 cos t2)> = 2 K(1/a) / (pi a), with
-a = cosh 2 beta_s and K the complete elliptic integral of the first kind of
-modulus k = sech 2 beta_s.  Its complementary parameter 1 - k^2 is
-tanh^2 2 beta_s exactly, which scipy's ``ellipkm1`` takes directly, so
-there is no cancellation near the critical point beta_s = 0.  In terms of
-K, dF0/d beta_s = (2/pi) tanh(2 beta_s) K and Z_b/Z_0 =
-(1/4)(1 - dF0/d beta_s)^2, so the O(U) coefficient of the free energy in
-the coupling shift U, -(1 - Z_a/Z_0 - Z_b/Z_0), equals
+  q = 2p + 2, S1_p = sum_{n <= p} a_n^2, S2_p = sum_{n <= p} a_n^2
+  (ln 4 - 2 h_n), F0(0) = 2G/pi - (1/2) ln 2 (G Catalan's constant).  The
+  logarithm is explicit, so nothing cancels as beta_s -> 0;
+* for k^2 < 1/2, K = (pi/2) sum_n a_n^2 k^2n and, as in ``baxter_series``,
+  F0 = |beta_s| + (1/2) ln(1 + e^{-4|beta_s|})
+  - (1/4) sum_{n >= 1} a_n^2 k^2n / n, with k^2 formed from e^{-4|beta_s|}
+  and never from cosh, which overflows.
+
+Either ratio is at most 1/2, so 64 terms truncate below 2^-64; each sum is
+taken by ``math.fsum``.  The b-vertex ratio needs the square-lattice Green's
+function <1/(a + cos t1 cos t2)> = 2 K / (pi a), a = cosh 2 beta_s, which
+makes Z_b/Z_0 = (1/4)(1 - dF0/d beta_s)^2.  So the O(U) coefficient of the
+free energy in the coupling shift U, -(1 - Z_a/Z_0 - Z_b/Z_0), equals
 ((dF0/d beta_s)^2 - 1)/2 up to rounding.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate, chain, count, islice
 
-import numpy as np
-
-from .errors import IdentityMismatch, ToleranceNotMet
+from .errors import IdentityMismatch
 from .series import stirling_correction
 
 _STIRLING_ORDER = 8
@@ -46,88 +52,115 @@ _STIRLING_ORDER = 8
 _F0_CRITICAL = 0.2365482177816649
 
 #: F0 = |beta_s| + e^{-4 |beta_s|}/4 + ..., and from here on the correction
-#: is below half an ulp of |beta_s|, so F0 is |beta_s| correctly rounded;
-#: cosh 2 beta_s, which overflows from |beta_s| ~ 355, is never formed there.
+#: is below half an ulp of |beta_s|, so ``baxter_series`` returns |beta_s|
+#: and never forms cosh 2 beta_s, which overflows from |beta_s| ~ 355.
 _FROZEN_BETAS = 10.0
 
+#: terms of either series: its ratio, tau^2 or k^2, is at most 1/2
+_TERMS = 64
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """1-D midpoint rule on [0, pi] with node doubling from ``nodes`` up to
-    ``max_nodes`` until two levels agree within ``tolerance`` (relative
-    above 1)."""
-
-    nodes: int = 64
-    tolerance: float = 1e-10
-    max_nodes: int = 1 << 20
-
-    def __post_init__(self):
-        if self.nodes < 16 or self.nodes & (self.nodes - 1):
-            raise ValueError("nodes must be a power of two >= 16")
-        if self.max_nodes < self.nodes:
-            raise ValueError("max_nodes below starting nodes")
+#: tolerance of the two O(U) coefficient forms in first_order_free_energy
+_IDENTITY_TOL = 1e-9
 
 
-def baxter_free_energy(beta_s: float, spec: QuadratureSpec | None = None) -> float:
-    """F0 from the closed form at beta_s = 0, |beta_s| for |beta_s| >= 10,
-    elsewhere by the midpoint rule for
-    (1/2) <arccosh(2 cosh 2 beta_s + cos u)>_u - (1/2) ln 2."""
-    spec = spec or QuadratureSpec()
+def _central_squares() -> Iterator[float]:
+    """a_n^2 for n = 0, 1, ..., a_n = C(2n, n)/4^n = a_{n-1} (2n - 1)/(2n)."""
+    a = 1.0
+    for n in count():
+        yield a * a
+        a *= (2 * n + 1) / (2 * n + 2)
+
+
+def _powers(x: float) -> Iterator[float]:
+    """1, x, x^2, ..."""
+    p = 1.0
+    while True:
+        yield p
+        p *= x
+
+
+def _sech_terms(z: float, n_max: int) -> Iterator[float]:
+    """-a_n^2 z^n / (4n) for n = 1 .. n_max."""
+    return (-a2 * p / (4.0 * n) for n, a2, p in zip(
+        range(1, n_max + 1), islice(_central_squares(), 1, None),
+        islice(_powers(z), 1, None)))
+
+
+_A2 = list(islice(_central_squares(), _TERMS))
+#: ln 4 - 2 h_n
+_D = list(accumulate((2.0 / ((2 * n - 1) * (2 * n)) for n in range(1, _TERMS)),
+                     operator.sub, initial=math.log(4.0)))
+_S1 = [math.fsum(_A2[:p + 1]) for p in range(_TERMS)]
+_S2 = [math.fsum(a2 * d for a2, d in zip(_A2[:p + 1], _D))
+       for p in range(_TERMS)]
+#: F0 - F0(0) = sum_p tau^q (_F0_A[p] - _F0_B[p] ln tau) with q = 2p + 2
+_F0_A = [(s2 / q + s1 / (q * q)) / math.pi
+         for q, s1, s2 in zip(range(2, 2 * _TERMS + 1, 2), _S1, _S2)]
+_F0_B = [s1 / (q * math.pi) for q, s1 in zip(range(2, 2 * _TERMS + 1, 2), _S1)]
+
+
+def _sech_squared(beta_s: float) -> tuple[float, float]:
+    """(k^2, e) with e = e^{-4|beta_s|} and k^2 = sech^2 2 beta_s
+    = 4e/(1 + e)^2."""
+    e = math.exp(-4.0 * abs(beta_s))
+    return 4.0 * e / ((1.0 + e) * (1.0 + e)), e
+
+
+def baxter_free_energy(beta_s: float) -> float:
+    """F0 from the log-series in tau = tanh 2 beta_s for tau^2 <= 1/2 and
+    from the series in k^2 = sech^2 2 beta_s above; exactly F0(0) at
+    beta_s = 0 and |beta_s| from about |beta_s| = 9.5 on."""
     if beta_s == 0.0:
         return _F0_CRITICAL
-    if abs(beta_s) >= _FROZEN_BETAS:
-        return abs(float(beta_s))
-    x = 2.0 * math.cosh(2.0 * beta_s)
-    n = spec.nodes
-    prev = None
-    while n <= spec.max_nodes:
-        u = (np.arange(n) + 0.5) * (math.pi / n)
-        # n ln 2 joins the exact sum; halving by n is exact, so fsum is the
-        # only rounding
-        terms = np.arccosh(x + np.cos(u)).tolist()
-        v = math.fsum(terms + [-n * math.log(2.0)]) / (2 * n)
-        if prev is not None and abs(v - prev) <= spec.tolerance * max(1.0, abs(v)):
-            return v
-        prev = v
-        n *= 2
-    raise ToleranceNotMet(f"midpoint rule not converged at {n // 2} nodes")
+    beta_s = abs(float(beta_s))
+    tau = math.tanh(2.0 * beta_s)
+    t2 = tau * tau
+    if t2 <= 0.5:
+        log_tau = math.log(tau)
+        return math.fsum([_F0_CRITICAL] + [
+            t2 * p * (a - b * log_tau)
+            for a, b, p in zip(_F0_A, _F0_B, _powers(t2))])
+    k2, e = _sech_squared(beta_s)
+    return math.fsum(chain([beta_s, 0.5 * math.log1p(e)],
+                           _sech_terms(k2, _TERMS - 1)))
 
 
 def _elliptic_k(beta_s: float) -> float:
-    """K(sech 2 beta_s) for beta_s != 0, from its complementary parameter
-    tanh^2 2 beta_s; where that underflows, K = ln(4 / |tanh 2 beta_s|) to
-    double precision."""
-    t = math.tanh(2.0 * beta_s)
-    if t * t > 0.0:
-        from scipy.special import ellipkm1
-        return float(ellipkm1(t * t))
-    return math.log(4.0) - math.log(abs(t))
+    """K(sech 2 beta_s) for beta_s != 0: the log-series in tau for
+    tau^2 <= 1/2, (pi/2) sum a_n^2 k^2n above."""
+    tau = math.tanh(2.0 * abs(beta_s))
+    t2 = tau * tau
+    if t2 <= 0.5:
+        log_tau = math.log(tau)
+        return math.fsum(a2 * p * (d - log_tau)
+                         for a2, d, p in zip(_A2, _D, _powers(t2)))
+    k2, _ = _sech_squared(beta_s)
+    return 0.5 * math.pi * math.fsum(
+        a2 * p for a2, p in zip(_A2, _powers(k2)))
 
 
-def dF0_dbetas(beta_s: float, spec: QuadratureSpec | None = None) -> float:
+def dF0_dbetas(beta_s: float) -> float:
     """dF0/d(beta_s) = (2/pi) tanh(2 beta_s) K(sech 2 beta_s): odd in
-    beta_s and exactly 0 at beta_s = 0.  The closed form needs no nodes;
-    ``spec`` is accepted for a uniform signature."""
+    beta_s and exactly 0 at beta_s = 0."""
     if beta_s == 0.0:
         return 0.0
     return 2.0 / math.pi * math.tanh(2.0 * beta_s) * _elliptic_k(beta_s)
 
 
-def zb_ratio(beta_s: float, spec: QuadratureSpec | None = None) -> float:
+def zb_ratio(beta_s: float) -> float:
     """Z_b/Z_0 = (1/4) <(e^{-2 beta_s} + cos cos)/(cosh 2 beta_s + cos cos)>^2
     = (1/4) [1 + (e^{-2 beta_s} - cosh 2 beta_s) 2 G]^2 with the Green's
     function G = K(sech 2 beta_s) / (pi cosh 2 beta_s).  Since
     (e^{-2 beta_s} - cosh 2 beta_s) / cosh 2 beta_s = -tanh 2 beta_s this is
     (1/4) (1 - dF0/d beta_s)^2, which forms no cosh and so cannot overflow;
-    exactly 1/4 at beta_s = 0.  ``spec`` is accepted for a uniform
-    signature."""
+    exactly 1/4 at beta_s = 0."""
     inner = 0.5 * (1.0 - dF0_dbetas(beta_s))
     return inner * inner
 
 
-def za_ratio(beta_s: float, spec: QuadratureSpec | None = None) -> float:
+def za_ratio(beta_s: float) -> float:
     """Z_a/Z_0 via the field-reversal symmetry Z_a(beta_s) = Z_b(-beta_s)."""
-    return zb_ratio(-beta_s, spec)
+    return zb_ratio(-beta_s)
 
 
 def baxter_series(beta_s: float, n_max: int) -> tuple[float, float]:
@@ -151,14 +184,7 @@ def baxter_series(beta_s: float, n_max: int) -> tuple[float, float]:
         return abs(float(beta_s)), 1e-15 * abs(beta_s)
     ch = math.cosh(2.0 * beta_s)
     z = 1.0 / (ch * ch)           # e^{-t}
-    terms = [0.5 * math.log(2.0 * ch)]
-    c = 0.5                        # (2n)!/(4^n n!^2) at n = 1
-    zpow = z
-    for n in range(1, n_max + 1):
-        terms.append(-c * c * zpow / (4.0 * n))
-        c *= (2 * n + 1) / (2 * n + 2)
-        zpow *= z
-    head = math.fsum(terms)
+    head = math.fsum(chain([0.5 * math.log(2.0 * ch)], _sech_terms(z, n_max)))
 
     bracket = [float(q) for q in stirling_correction(_STIRLING_ORDER).coeffs]
     a0 = n_max + 1
@@ -185,20 +211,18 @@ class FirstOrderResult:
     free_energy: float
 
 
-def first_order_free_energy(beta_s: float, u: float,
-                            spec: QuadratureSpec | None = None) -> FirstOrderResult:
+def first_order_free_energy(beta_s: float, u: float) -> FirstOrderResult:
     """F = F0 + c1 * U to first order, with the O(U) coefficient computed
     both from the constrained ratios and from the field derivative.
 
     The two forms must agree; IdentityMismatch flags disagreement beyond
-    ten times the quadrature tolerance.
+    1e-9.
     """
-    spec = spec or QuadratureSpec()
-    f0 = baxter_free_energy(beta_s, spec)
-    c_cons = -(1.0 - za_ratio(beta_s, spec) - zb_ratio(beta_s, spec))
-    d = dF0_dbetas(beta_s, spec)
+    f0 = baxter_free_energy(beta_s)
+    c_cons = -(1.0 - za_ratio(beta_s) - zb_ratio(beta_s))
+    d = dF0_dbetas(beta_s)
     c_der = 0.5 * (d * d - 1.0)
-    if abs(c_cons - c_der) > 10.0 * spec.tolerance:
+    if abs(c_cons - c_der) > _IDENTITY_TOL:
         raise IdentityMismatch(
             f"O(U) coefficient mismatch: {c_cons} vs {c_der}")
     return FirstOrderResult(f0, c_cons, c_der, f0 + c_der * u)

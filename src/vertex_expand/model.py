@@ -28,6 +28,9 @@ FREE_FERMION_BETA_EPS = 0.5 * math.log(2.0)
 
 ENUMERATION_EDGE_BOUND = 24
 
+#: relative tolerance of the ARPACK eigensolve in transfer_matrix_free_energy
+ARPACK_TOL = 1e-13
+
 #: arrow bits (W, E, N, S) for each vertex state
 STATE_BITS = {
     1: (1, 1, 1, 1),
@@ -379,8 +382,7 @@ class TransferResult:
     gap: float
 
 
-def transfer_matrix_free_energy(params: ModelParams,
-                                tol: float = 1e-13) -> TransferResult:
+def transfer_matrix_free_energy(params: ModelParams) -> TransferResult:
     """Reduced free energy per vertex in the infinite-column limit.
 
     Diagonalizes the two-column operator (two columns absorb the A/B
@@ -410,7 +412,7 @@ def transfer_matrix_free_energy(params: ModelParams,
         op = spla.LinearOperator((dim, dim), matvec=matvec)
         v0 = np.full(dim, 1.0 / math.sqrt(dim))
         try:
-            evals = spla.eigs(op, k=2, which="LM", v0=v0, tol=tol,
+            evals = spla.eigs(op, k=2, which="LM", v0=v0, tol=ARPACK_TOL,
                               return_eigenvectors=False)
         except spla.ArpackNoConvergence as exc:
             raise NonConvergence("transfer-matrix eigensolve stalled") from exc

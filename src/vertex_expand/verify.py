@@ -126,43 +126,42 @@ def _extrapolated_pfaffian(beta_s: float) -> float:
 def suite_identity() -> list[Check]:
     from . import integrals
     checks: list[Check] = []
-    spec = integrals.QuadratureSpec()
     for beta_s in (0.0, 0.1, 0.5, 1.0):
-        quad = integrals.baxter_free_energy(beta_s, spec)
+        quad = integrals.baxter_free_energy(beta_s)
         ser, _ = integrals.baxter_series(beta_s, 2000)
         diff = abs(quad - ser)
         checks.append((f"free-energy quad-vs-series beta_s={beta_s}",
                        diff < 1e-10, f"diff={diff:.3e}"))
 
-    quad = integrals.baxter_free_energy(0.5, spec)
+    quad = integrals.baxter_free_energy(0.5)
     finite = _extrapolated_transfer(0.5)
     diff = abs(quad - finite)
     checks.append(("free-energy quad-vs-transfer beta_s=0.5",
                    diff < 1e-3, f"diff={diff:.3e}"))
 
-    quad = integrals.baxter_free_energy(0.3, spec)
+    quad = integrals.baxter_free_energy(0.3)
     diff = abs(quad - _extrapolated_pfaffian(0.3))
     checks.append(("free-energy quad-vs-pfaffian beta_s=0.3",
                    diff < 1e-10, f"diff={diff:.3e}"))
 
     for beta_s in (0.0, 0.25, 0.5, 1.0):
-        za = integrals.za_ratio(beta_s, spec)
-        zb = integrals.zb_ratio(beta_s, spec)
-        d = integrals.dF0_dbetas(beta_s, spec)
+        za = integrals.za_ratio(beta_s)
+        zb = integrals.zb_ratio(beta_s)
+        d = integrals.dF0_dbetas(beta_s)
         lhs = -(1.0 - za - zb)
         rhs = 0.5 * (d * d - 1.0)
         diff = abs(lhs - rhs)
         checks.append((f"first-order-identity beta_s={beta_s}",
                        diff < 1e-8, f"diff={diff:.3e}"))
 
-    zb0 = integrals.zb_ratio(0.0, spec)
+    zb0 = integrals.zb_ratio(0.0)
     checks.append(("zb-ratio-at-zero", abs(zb0 - 0.25) < 1e-10,
                    f"zb(0)={_fmt(zb0)}"))
 
     du = 0.01
     slope = (_extrapolated_transfer(0.5, du)
              - _extrapolated_transfer(0.5, -du)) / (2.0 * du)
-    analytic = integrals.first_order_free_energy(0.5, 0.0, spec)
+    analytic = integrals.first_order_free_energy(0.5, 0.0)
     diff = abs(slope - analytic.coefficient_derivative)
     checks.append(("dF/dU transfer-vs-analytic beta_s=0.5",
                    diff < 1e-2, f"diff={diff:.3e}"))

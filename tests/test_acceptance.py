@@ -23,9 +23,6 @@ from vertex_expand.series import (
     stirling_correction,
 )
 
-SPEC = integrals.QuadratureSpec()
-
-
 def report(capsys, number, label, passed):
     with capsys.disabled():
         print(f"\ncriterion {number} ({label}): "
@@ -66,10 +63,10 @@ def test_criterion_2_mapping_equivalence(capsys):
 def test_criterion_3_free_energy_representations(capsys):
     ok = True
     for beta_s in (0.0, 0.1, 0.5, 1.0):
-        quad = integrals.baxter_free_energy(beta_s, SPEC)
+        quad = integrals.baxter_free_energy(beta_s)
         ser, _ = integrals.baxter_series(beta_s, 2000)
         ok &= abs(quad - ser) < 1e-10
-    quad = integrals.baxter_free_energy(0.5, SPEC)
+    quad = integrals.baxter_free_energy(0.5)
     finite = verify._extrapolated_transfer(0.5)
     ok &= abs(quad - finite) < 1e-3
     report(capsys, 3, "quadrature, series, and transfer free energies", ok)
@@ -78,15 +75,15 @@ def test_criterion_3_free_energy_representations(capsys):
 def test_criterion_4_first_order_identity(capsys):
     ok = True
     for beta_s in (0.0, 0.25, 0.5, 1.0):
-        za = integrals.za_ratio(beta_s, SPEC)
-        zb = integrals.zb_ratio(beta_s, SPEC)
-        d = integrals.dF0_dbetas(beta_s, SPEC)
+        za = integrals.za_ratio(beta_s)
+        zb = integrals.zb_ratio(beta_s)
+        d = integrals.dF0_dbetas(beta_s)
         ok &= abs(-(1.0 - za - zb) - 0.5 * (d * d - 1.0)) < 1e-8
-    ok &= abs(integrals.zb_ratio(0.0, SPEC) - 0.25) < 1e-10
+    ok &= abs(integrals.zb_ratio(0.0) - 0.25) < 1e-10
     du = 0.01
     slope = (verify._extrapolated_transfer(0.5, du)
              - verify._extrapolated_transfer(0.5, -du)) / (2.0 * du)
-    analytic = integrals.first_order_free_energy(0.5, 0.0, SPEC)
+    analytic = integrals.first_order_free_energy(0.5, 0.0)
     ok &= abs(slope - analytic.coefficient_derivative) < 1e-2
     report(capsys, 4, "first-order coefficient identity", ok)
 
@@ -159,7 +156,7 @@ def test_criterion_8_cli_verification(capsys):
 
 
 def test_criterion_9_finite_lattice_free_energy(capsys):
-    quad = integrals.baxter_free_energy(0.3, SPEC)
+    quad = integrals.baxter_free_energy(0.3)
     finite = verify._extrapolated_pfaffian(0.3)
     report(capsys, 9, "finite-lattice pfaffian free energy",
            abs(quad - finite) < 1e-10)

@@ -105,15 +105,18 @@ class TestFreeEnergy:
 
     @pytest.mark.parametrize("option", [["--beta-s", "nan"],
                                         ["--beta-s", "inf"],
-                                        ["--beta-s", "-inf"],
-                                        ["--tol", "-1"], ["--tol", "0"],
-                                        ["--tol", "nan"]])
+                                        ["--beta-s", "-inf"]])
     def test_non_finite_or_non_positive_input_is_usage_error(self, capsys,
                                                              option):
         code, out, err = run(capsys, "free-energy", *option)
         assert code == 2
         assert out == ""
         assert option[0] in err
+
+    def test_tiny_field_matches_mpmath(self, capsys):
+        code, out, _ = run(capsys, "free-energy", "--beta-s", "1e-7")
+        assert code == 0
+        assert abs(json_lines(out)[0]["value"] - mp_free_energy(1e-7)) <= 1e-16
 
     @pytest.mark.parametrize("beta_s", ["355", "-400", "1e300"])
     def test_large_field_is_frozen(self, capsys, beta_s):
@@ -196,6 +199,41 @@ class TestPartition:
         (rec,) = json_lines(out)
         assert all(math.isfinite(rec[key]) for key in
                    ("log_z_enumerate", "log_z_pfaffian") if key in rec)
+
+    @pytest.mark.parametrize("option", [["--tol", "-1"], ["--tol", "0"],
+                                        ["--tol", "nan"]])
+    def test_non_finite_or_non_positive_tol_is_usage_error(self, capsys,
+                                                           option):
+        code, out, err = run(capsys, "partition", "--rows", "2", "--cols",
+                             "2", *option)
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
+
+    @pytest.mark.parametrize("size", [
+        ["--rows", "4", "--cols", "4"],            # 24 free edges
+        ["--rows", "2", "--cols", "6", "--boundary", "periodic",
+         "--oracle", "enumerate"]])
+    def test_enumeration_at_edge_bound_is_accepted(self, capsys, size):
+        code, out, _ = run(capsys, "partition", *size)
+        assert code == 0
+        assert math.isfinite(json_lines(out)[0]["log_z_enumerate"])
+
+    @pytest.mark.parametrize("size", [
+        ["--rows", "5", "--cols", "5"],            # 40 free edges
+        ["--rows", "4", "--cols", "4", "--boundary", "periodic",
+         "--oracle", "enumerate"],                 # 32
+        ["--rows", "2", "--cols", "9", "--oracle", "enumerate"]])  # 25
+    def test_enumeration_past_edge_bound_is_usage_error(self, capsys, size):
+        code, out, err = run(capsys, "partition", *size)
+        assert code == 2
+        assert out == ""
+        assert "enumeration bound" in err
+
+    def test_pfaffian_alone_is_not_bounded_by_enumeration(self, capsys):
+        code, _, _ = run(capsys, "partition", "--rows", "5", "--cols", "5",
+                         "--oracle", "pfaffian")
+        assert code == 0
 
     def test_enumerate_periodic_ok(self, capsys):
         code, out, _ = run(capsys, "partition", "--rows", "2", "--cols", "4",
@@ -421,6 +459,13 @@ class TestImports:
 
     @pytest.mark.parametrize("argv", [
         ["free-energy", "--beta-s", "0.5"],
+        ["free-energy", "--sweep", "0:1:0.1"],
+        ["perturb", "--beta-s", "0.5", "--u", "0.01"]])
+    def test_thermodynamics_loads_no_numerics(self, argv):
+        assert modules_loaded(argv) == set()
+
+    @pytest.mark.parametrize("argv", [
+        ["free-energy", "--beta-s", "0.5"],
         ["free-energy", "--method", "finite", "--size", "8"]])
     def test_free_energy_loads_no_scipy(self, argv):
         assert not {m for m in modules_loaded(argv)
@@ -440,6 +485,15 @@ class TestContracts:
 
     def test_no_command(self, capsys):
         assert run(capsys)[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["free-energy", "--beta-s", "0.5", "--tol", "1e-14"],
+        ["series", "--tol", "1"],
+        ["perturb", "--tol", "1e-3"]])
+    def test_tol_is_only_a_partition_option(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
 
     def test_seed_is_not_an_option(self, capsys):
         code, out, _ = run(capsys, "free-energy", "--beta-s", "0.5",

@@ -1,14 +1,14 @@
-"""Infinite-lattice quadrature, series summation, and the first-order law."""
+"""Infinite-lattice free energy, its field derivative, the constrained
+ratios, series summation, and the first-order law."""
 
 import math
 
 import pytest
 from references import mp_derivative, mp_free_energy, mp_zb_ratio
 
-from vertex_expand.errors import IdentityMismatch, ToleranceNotMet
+from vertex_expand.errors import IdentityMismatch
 from vertex_expand.integrals import (
     FirstOrderResult,
-    QuadratureSpec,
     baxter_free_energy,
     baxter_series,
     dF0_dbetas,
@@ -17,55 +17,61 @@ from vertex_expand.integrals import (
     zb_ratio,
 )
 
-SPEC = QuadratureSpec()
-
-#: the critical point, the band next to it where node doubling has to go
-#: furthest, and points well away from it
+#: the critical point, the band next to it, and points well away from it
 MPMATH_POINTS = (0.0, 0.001, -0.001, 0.002, -0.002, 0.004, -0.004,
                  0.01, -0.01, 0.1, 0.5, 1.5)
 
+#: fields below 1e-3, where the log-series in tanh 2 beta_s carries F0
+TINY_FIELDS = (1e-300, 1e-7, 1e-6, 1e-4, 3e-4)
 
-class TestQuadratureSpec:
-    def test_node_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(nodes=48)
-        with pytest.raises(ValueError):
-            QuadratureSpec(nodes=8)
-        with pytest.raises(ValueError):
-            QuadratureSpec(nodes=64, max_nodes=32)
-
-    def test_stalls_past_max_nodes(self):
-        # at beta_s = 1e-7 the rule converges only as h^2 up to ~10^6 nodes
-        with pytest.raises(ToleranceNotMet):
-            baxter_free_energy(1e-7, QuadratureSpec(tolerance=1e-15,
-                                                    max_nodes=1 << 12))
+#: |beta_s| on 0.15 .. 0.30 and on both sides of the switch between the two
+#: series, tanh^2 2 beta_s = 1/2 at |beta_s| = ln(1 + sqrt 2)/2 = 0.4407
+SWITCH_GRID = tuple(round(0.01 * i, 2)
+                    for i in list(range(15, 31)) + list(range(40, 49)))
 
 
 class TestAgainstMpmath:
     def test_critical_value_correctly_rounded(self):
         # 2G/pi - ln(2)/2 = 0.23654821778166490557...
-        assert baxter_free_energy(0.0, SPEC) == 0.2365482177816649
+        assert baxter_free_energy(0.0) == 0.2365482177816649
 
     @pytest.mark.parametrize("beta_s", MPMATH_POINTS)
     def test_free_energy(self, beta_s):
-        assert abs(baxter_free_energy(beta_s, SPEC)
+        assert abs(baxter_free_energy(beta_s)
                    - mp_free_energy(beta_s)) <= 1e-15
 
     @pytest.mark.parametrize("beta_s", MPMATH_POINTS)
     def test_derivative(self, beta_s):
-        assert abs(dF0_dbetas(beta_s, SPEC) - mp_derivative(beta_s)) <= 1e-15
+        assert abs(dF0_dbetas(beta_s) - mp_derivative(beta_s)) <= 1e-15
 
     @pytest.mark.parametrize("beta_s", MPMATH_POINTS)
     def test_constrained_ratios(self, beta_s):
-        assert abs(zb_ratio(beta_s, SPEC) - mp_zb_ratio(beta_s)) <= 1e-15
-        assert abs(za_ratio(beta_s, SPEC) - mp_zb_ratio(-beta_s)) <= 1e-15
+        assert abs(zb_ratio(beta_s) - mp_zb_ratio(beta_s)) <= 1e-15
+        assert abs(za_ratio(beta_s) - mp_zb_ratio(-beta_s)) <= 1e-15
+
+    @pytest.mark.parametrize("beta_s", TINY_FIELDS)
+    def test_free_energy_at_tiny_field(self, beta_s):
+        assert abs(baxter_free_energy(beta_s)
+                   - mp_free_energy(beta_s)) <= 1e-16
+
+    @pytest.mark.parametrize("beta_s", SWITCH_GRID)
+    def test_across_the_series_switch(self, beta_s):
+        f0, d = baxter_free_energy(beta_s), dF0_dbetas(beta_s)
+        assert baxter_free_energy(-beta_s) == f0
+        assert dF0_dbetas(-beta_s) == -d
+        assert abs(f0 - mp_free_energy(beta_s)) <= 1e-15
+        assert abs(d - mp_derivative(beta_s)) <= 1e-15
+        for bs in (beta_s, -beta_s):
+            assert abs(zb_ratio(bs) - mp_zb_ratio(bs)) <= 1e-15
+            assert abs(za_ratio(bs) - mp_zb_ratio(-bs)) <= 1e-15
 
     def test_derivative_below_underflow_of_parameter(self):
-        # tanh^2(2 beta_s) underflows to 0 here; K = ln(4/t) takes over
+        # tanh^2(2 beta_s) underflows to 0 here, leaving the n = 0 term
+        # ln(4/t) of the log-series
         t = math.tanh(2e-200)
-        assert dF0_dbetas(1e-200, SPEC) == pytest.approx(
+        assert dF0_dbetas(1e-200) == pytest.approx(
             2.0 / math.pi * t * math.log(4.0 / t), rel=1e-15)
-        assert zb_ratio(-1e-200, SPEC) == 0.25
+        assert zb_ratio(-1e-200) == 0.25
 
 
 class TestFreeEnergy:
@@ -79,19 +85,19 @@ class TestFreeEnergy:
         (1.0, 1.0045685535447482),
     ])
     def test_frozen_values(self, beta_s, expected):
-        assert baxter_free_energy(beta_s, SPEC) == pytest.approx(
+        assert baxter_free_energy(beta_s) == pytest.approx(
             expected, abs=1e-12)
 
     @pytest.mark.parametrize("beta_s", [0.0, 0.1, 0.5, 1.0])
     def test_series_matches_quadrature(self, beta_s):
-        quad = baxter_free_energy(beta_s, SPEC)
+        quad = baxter_free_energy(beta_s)
         val, bound = baxter_series(beta_s, 2000)
         assert abs(quad - val) < 1e-12
         assert abs(quad - val) < 100.0 * bound + 1e-13
 
     def test_even_in_beta_s(self):
-        assert baxter_free_energy(0.3, SPEC) == pytest.approx(
-            baxter_free_energy(-0.3, SPEC), abs=1e-12)
+        assert baxter_free_energy(0.3) == pytest.approx(
+            baxter_free_energy(-0.3), abs=1e-12)
 
     def test_series_bound_holds(self):
         for i in range(1, 61):
@@ -105,7 +111,7 @@ class TestFreeEnergy:
 
     def test_large_field_asymptote(self):
         # F0 -> beta_s as the staggered field freezes the lattice
-        assert baxter_free_energy(4.0, SPEC) == pytest.approx(
+        assert baxter_free_energy(4.0) == pytest.approx(
             4.0, abs=1e-3)
 
 
@@ -117,75 +123,75 @@ class TestFrozenField:
                                         1e300, -1e300])
     def test_no_overflow(self, beta_s):
         sign = math.copysign(1.0, beta_s)
-        assert baxter_free_energy(beta_s, SPEC) == abs(beta_s)
+        assert baxter_free_energy(beta_s) == abs(beta_s)
         value, bound = baxter_series(beta_s, 2000)
         assert value == abs(beta_s) and math.isfinite(bound)
-        assert dF0_dbetas(beta_s, SPEC) == sign
-        assert zb_ratio(beta_s, SPEC) == (1.0 - sign) ** 2 / 4.0
-        assert za_ratio(beta_s, SPEC) == (1.0 + sign) ** 2 / 4.0
-        res = first_order_free_energy(beta_s, 0.1, SPEC)
+        assert dF0_dbetas(beta_s) == sign
+        assert zb_ratio(beta_s) == (1.0 - sign) ** 2 / 4.0
+        assert za_ratio(beta_s) == (1.0 + sign) ** 2 / 4.0
+        res = first_order_free_energy(beta_s, 0.1)
         assert res.f0 == res.free_energy == abs(beta_s)
 
     @pytest.mark.parametrize("beta_s", [8.0, 9.99, 10.0, -10.0, 12.0])
     def test_both_sides_of_frozen_cutoff(self, beta_s):
         # F0 - |beta_s| = e^{-4 |beta_s|}/4 + ... is 3.2e-15 at 8 and
         # below half an ulp from about 9.5 on
-        assert abs(baxter_free_energy(beta_s, SPEC)
+        assert abs(baxter_free_energy(beta_s)
                    - mp_free_energy(beta_s)) <= 1e-15
         assert abs(baxter_series(beta_s, 2000)[0]
                    - mp_free_energy(beta_s)) <= 1e-15
-        assert abs(zb_ratio(beta_s, SPEC) - mp_zb_ratio(beta_s)) <= 1e-15
+        assert abs(zb_ratio(beta_s) - mp_zb_ratio(beta_s)) <= 1e-15
 
 
 class TestDerivative:
     def test_odd_and_zero_at_origin(self):
-        assert dF0_dbetas(0.0, SPEC) == 0.0
-        assert dF0_dbetas(0.5, SPEC) == pytest.approx(
-            -dF0_dbetas(-0.5, SPEC), abs=1e-12)
+        assert dF0_dbetas(0.0) == 0.0
+        assert dF0_dbetas(0.5) == pytest.approx(
+            -dF0_dbetas(-0.5), abs=1e-12)
 
     def test_frozen_value(self):
-        assert dF0_dbetas(0.5, SPEC) == pytest.approx(
+        assert dF0_dbetas(0.5) == pytest.approx(
             0.8686652547100346, abs=1e-12)
 
     def test_matches_finite_difference(self):
         h = 1e-5
-        fd = (baxter_free_energy(0.5 + h, SPEC)
-              - baxter_free_energy(0.5 - h, SPEC)) / (2.0 * h)
-        assert dF0_dbetas(0.5, SPEC) == pytest.approx(fd, abs=1e-8)
+        fd = (baxter_free_energy(0.5 + h)
+              - baxter_free_energy(0.5 - h)) / (2.0 * h)
+        assert dF0_dbetas(0.5) == pytest.approx(fd, abs=1e-8)
 
     def test_saturates_at_one(self):
-        assert dF0_dbetas(4.0, SPEC) == pytest.approx(1.0, abs=1e-3)
+        assert dF0_dbetas(4.0) == pytest.approx(1.0, abs=1e-3)
 
 
 class TestConstrainedRatios:
     def test_zb_at_origin_exact(self):
-        assert zb_ratio(0.0, SPEC) == pytest.approx(0.25, abs=1e-12)
+        assert zb_ratio(0.0) == pytest.approx(0.25, abs=1e-12)
 
     def test_frozen_values(self):
-        assert zb_ratio(0.5, SPEC) == pytest.approx(
+        assert zb_ratio(0.5) == pytest.approx(
             0.004312203830095016, abs=1e-12)
-        assert za_ratio(0.5, SPEC) == pytest.approx(
+        assert za_ratio(0.5) == pytest.approx(
             0.8729774585401282, abs=1e-12)
 
     def test_field_reversal_relation(self):
-        assert za_ratio(0.3, SPEC) == pytest.approx(
-            zb_ratio(-0.3, SPEC), abs=1e-14)
+        assert za_ratio(0.3) == pytest.approx(
+            zb_ratio(-0.3), abs=1e-14)
 
     def test_bounded_probabilities(self):
         for bs in (0.0, 0.25, 1.0):
-            for ratio in (za_ratio(bs, SPEC), zb_ratio(bs, SPEC)):
+            for ratio in (za_ratio(bs), zb_ratio(bs)):
                 assert 0.0 < ratio < 1.0
 
 
 class TestFirstOrder:
     @pytest.mark.parametrize("beta_s", [0.0, 0.25, 0.5, 1.0])
     def test_identity(self, beta_s):
-        lhs = -(1.0 - za_ratio(beta_s, SPEC) - zb_ratio(beta_s, SPEC))
-        d = dF0_dbetas(beta_s, SPEC)
+        lhs = -(1.0 - za_ratio(beta_s) - zb_ratio(beta_s))
+        d = dF0_dbetas(beta_s)
         assert lhs == pytest.approx(0.5 * (d * d - 1.0), abs=1e-9)
 
     def test_result_structure(self):
-        res = first_order_free_energy(0.5, 0.01, SPEC)
+        res = first_order_free_energy(0.5, 0.01)
         assert isinstance(res, FirstOrderResult)
         assert res.coefficient_constrained == pytest.approx(
             res.coefficient_derivative, abs=1e-9)
@@ -194,5 +200,17 @@ class TestFirstOrder:
 
     def test_coefficient_at_origin(self):
         # za = zb = 1/4 and dF0 = 0 make the coefficient exactly -1/2
-        res = first_order_free_energy(0.0, 0.0, SPEC)
+        res = first_order_free_energy(0.0, 0.0)
         assert res.coefficient_derivative == pytest.approx(-0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("shift,fails", [(5e-10, False), (2e-9, True)])
+    def test_mismatch_beyond_fixed_tolerance(self, monkeypatch, shift, fails):
+        # the two O(U) coefficient forms may differ by at most 1e-9
+        from vertex_expand import integrals
+        monkeypatch.setattr(integrals, "za_ratio",
+                            lambda beta_s: za_ratio(beta_s) + shift)
+        if fails:
+            with pytest.raises(IdentityMismatch):
+                first_order_free_energy(0.5, 0.0)
+        else:
+            first_order_free_energy(0.5, 0.0)
