@@ -353,11 +353,6 @@ def constrained_partition(kast: KasteleynMatrix, constraints) -> float:
     return partition_dimer(kast) + math.log(ratio)
 
 
-def dimer_probability(kast: KasteleynMatrix, edge: int) -> float:
-    """Occupation probability of one edge: -K(i,j) K^-1(i,j)."""
-    return constrained_ratio(kast, [EdgeConstraint(edge, True)])
-
-
 # --- vertex-state constraints ------------------------------------------------
 
 def _incident_external_edges(lat: DecoratedLattice, site: tuple[int, int]):

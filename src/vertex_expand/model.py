@@ -17,7 +17,7 @@ Conventions (used consistently across the package):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -69,9 +69,9 @@ def sublattice(row: int, col: int) -> Sublattice:
 class ModelParams:
     """Reduced couplings and lattice geometry.
 
-    ``beta_eps`` is the reduced energy of the four non-staggered states;
-    ``beta_s`` the reduced staggered field; ``u_shift`` the offset from the
-    solvable point, beta_eps = ln(2)/2 + u_shift.
+    ``beta_eps`` is the reduced energy of the four non-staggered states,
+    ln(2)/2 + U at a coupling U off the solvable point; ``beta_s`` the
+    reduced staggered field.
     """
 
     beta_s: float
@@ -87,13 +87,6 @@ class ModelParams:
                 self.rows % 2 or self.cols % 2):
             raise ValueError(
                 "periodic staggered lattices need even rows and cols")
-
-    @property
-    def u_shift(self) -> float:
-        return self.beta_eps - FREE_FERMION_BETA_EPS
-
-    def with_u_shift(self, u: float) -> "ModelParams":
-        return replace(self, beta_eps=FREE_FERMION_BETA_EPS + u)
 
 
 def vertex_energy(state: int, sub: Sublattice, params: ModelParams) -> float:

@@ -4,9 +4,15 @@ Everything in this module is exact: coefficients are `fractions.Fraction`,
 truncation orders are tracked through every operation (min-order rule), and
 re-running any pipeline is bit-identical.  The module culminates in the
 singular (logarithm-carrying) part of the staggered-model free energy at the
-solvable point, expanded first in t = 2 ln cosh(2*beta_s) and then in beta_s,
-and in the amplitude series multiplying U * ln^2|beta_s| at first order in
-the coupling shift U.
+solvable point, expanded in t = 2 ln cosh(2*beta_s) and in beta_s, and in
+the amplitude series multiplying U * ln^2|beta_s| at first order in the
+coupling shift U.  All three come, at any order, from the free-fermion
+coefficients a_n^2 = (C(2n, n)/4^n)^2 of the elliptic integral's expansion
+about k = 1 (DLMF 19.12.1), through A(y) = sum a_n^2 y^n and its integral
+G(y) = int_0^y A/(1 - y) evaluated at tau^2 = tanh^2(2*beta_s).  The
+paper's own assembly of the same coefficients (Stirling's series, the
+singular parts of sum_n e^{-n t}/n^p, then t(beta_s)) is kept as an
+independent reference in tests/references.py.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
 
 from .errors import CompositionAtNonzero, DivisionByZeroSeries
@@ -230,39 +237,6 @@ def stirling_correction(K: int) -> RationalSeries:
     return RationalSeries(g, K).exp()
 
 
-def u_p_singular(p: int) -> LogSeries:
-    """Singular part of sum_n exp(-n t)/n^p at t = 0.
-
-    The p = 1 sum is -ln(1 - e^{-t}), whose non-analytic part is -ln t;
-    integrating the recurrence d/dt (order p+1) = -(order p) gives
-    (-1)^p t^{p-1}/(p-1)! * ln t.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    coeff = Q((-1) ** p, factorial(p - 1))
-    return LogSeries(RationalSeries.monomial(p - 1, coeff), PiRational(Q(1)), "ln t")
-
-
-def singular_t_series(K: int) -> LogSeries:
-    """Singular free energy at the solvable point as a t-series.
-
-    Assembled mechanically: the free energy's log-expansion is
-    -(1/4 pi) sum_n n^{-2} e^{-n t} * bracket(1/n) with bracket from
-    :func:`stirling_correction`; each 1/n^{2+q} sum contributes its
-    singular part via :func:`u_p_singular`.  Result:
-    -(1/4 pi) (t + t^2/8 + t^3/192 - t^4/3072 + ...) ln t.
-    """
-    if K > 8:
-        raise ValueError("K capped at 8")
-    bracket = stirling_correction(max(K - 1, 0))
-    acc = RationalSeries.zero(K)
-    for q in range(K):
-        up = u_p_singular(q + 2)
-        term = RationalSeries.monomial(q + 1, bracket[q] * up.singular[q + 1], K)
-        acc = acc + term
-    return LogSeries(acc, PiRational(Q(-1, 4), 1), "ln t")
-
-
 def t_of_betas(K: int) -> RationalSeries:
     """t = 2 ln cosh(2 x) as an exact series in x = beta_s."""
     if K > 16 or K % 2 != 0:
@@ -276,23 +250,54 @@ def t_of_betas(K: int) -> RationalSeries:
     return ln1p.compose(RationalSeries(ch, K)).scaled(2)
 
 
-def singular_betas_series(K: int) -> LogSeries:
-    """Singular free energy expanded in beta_s (ln|beta_s| convention).
+def _central_squares(K: int) -> RationalSeries:
+    """A(y) = sum_n a_n^2 y^n with a_n = C(2n, n)/4^n, so that the elliptic
+    integral is K(m) = (pi/2) A(m)."""
+    return RationalSeries([Q(comb(2 * n, n), 4 ** n) ** 2
+                           for n in range(K + 1)], K)
 
-    Substitutes t(beta_s) into the t-series and replaces ln t by
-    2 ln|beta_s|, dropping the regular remainder ln(t / beta_s^2) exactly as
-    the t-form drops its own regular part.  Result:
+
+def _central_square_integral(K: int) -> RationalSeries:
+    """G(y) = sum_p S1_p y^(p+1)/(p+1) with S1_p = sum_{n<=p} a_n^2, the
+    integral of A(y)/(1 - y) from 0."""
+    sums = accumulate(_central_squares(K).coeffs[:K])
+    return RationalSeries([Q(0)] + [s / (p + 1) for p, s in enumerate(sums)], K)
+
+
+def _tanh2_squared(K: int) -> RationalSeries:
+    """tau^2 = tanh^2(2x) = 1 - sech^2(2x) as a series in x = beta_s."""
+    cosh = RationalSeries([Q(2 ** d, factorial(d)) if d % 2 == 0 else 0
+                           for d in range(K + 1)], K)
+    sech = cosh.reciprocal()
+    return RationalSeries.monomial(0, 1, K) - sech * sech
+
+
+def singular_t_series(K: int) -> LogSeries:
+    """Singular free energy at the solvable point as a series in
+    t = 2 ln cosh(2 beta_s).
+
+    e^{-t} = sech^2(2 beta_s), so 1 - e^{-t} = tau^2 and the bracket is
+    G(1 - e^{-t}) (see :func:`singular_betas_series`).  Result:
+    -(1/4 pi) (t + t^2/8 + t^3/192 - t^4/3072 + ...) ln t.
+    """
+    one_minus_exp = RationalSeries(
+        [Q(0)] + [Q((-1) ** (d + 1), factorial(d)) for d in range(1, K + 1)], K)
+    bracket = _central_square_integral(K).compose(one_minus_exp)
+    return LogSeries(bracket, PiRational(Q(-1, 4), 1), "ln t")
+
+
+def singular_betas_series(K: int) -> LogSeries:
+    """Singular free energy expanded in x = beta_s (ln|beta_s| convention).
+
+    About k' = tau = tanh(2x) the elliptic integral is
+    K = sum_n a_n^2 tau^(2n) [ln(4/tau) - 2 h_n] (DLMF 19.12.1), and
+    dF0/dx = (2/pi) tau K.  Its ln-carrying part -(2/pi) g'(x) ln|x| has
+    g'(x) = tau A(tau^2); since d(tau^2)/dx = 4 tau (1 - tau^2), that makes
+    g = G(tau^2)/4.  Result:
     -(2/pi) (x^2 - x^4/6 + 23 x^6/180 - 593 x^8/5040 + ...) ln|x|.
     """
-    if K > 8:
-        raise ValueError("K capped at 8")
-    ts = singular_t_series(K // 2)
-    composed = ts.singular.compose(t_of_betas(K))
-    # scale picks up the factor 2 from ln t -> 2 ln|x|; bracket normalized
-    # to leading coefficient 1 at x^2, which folds a further 1/4 from t ~ 4x^2.
-    bracket = composed.scaled(Q(1, 4))
-    scale = ts.scale.scaled(2 * 4)
-    return LogSeries(bracket, scale, "ln|beta_s|")
+    bracket = _central_square_integral(K // 2).compose(_tanh2_squared(K))
+    return LogSeries(bracket.scaled(Q(1, 4)), PiRational(Q(-2), 1), "ln|beta_s|")
 
 
 def b2_series(K: int) -> LogSeries:
@@ -300,15 +305,11 @@ def b2_series(K: int) -> LogSeries:
 
     The first-order formula F = F0 + (1/2)[(dF0/d beta_s)^2 - 1] U turns the
     singular slope -(2/pi) g'(x) ln|x| into (2/pi^2) g'(x)^2 ln^2|x| U,
-    with g the bracket of :func:`singular_betas_series`.  Result:
-    (8/pi^2) (x^2 - 2 x^4/3 + 79 x^6/90 + ...).
+    with g the bracket of :func:`singular_betas_series`, so the bracket is
+    g'^2/4 = tau^2 A(tau^2)^2/4.  Result:
+    (8/pi^2) (x^2 - 2 x^4/3 + 79 x^6/90 - 377 x^8/315 + ...).
     """
-    if K > 8:
-        raise ValueError("K capped at 8")
-    g = singular_betas_series(K + 2).singular
-    gp = g.differentiate()
-    sq = gp * gp
-    # leading term is 4 x^2; normalize bracket to x^2 and fold the 4 into
-    # the (2/pi^2) prefactor.
-    bracket = RationalSeries([c / 4 for c in sq.coeffs[:K + 1]], K)
-    return LogSeries(bracket, PiRational(Q(8), 2), "ln^2|beta_s|")
+    tau2 = _tanh2_squared(K)
+    a = _central_squares(K // 2).compose(tau2)
+    return LogSeries((tau2 * a * a).scaled(Q(1, 4)), PiRational(Q(8), 2),
+                     "ln^2|beta_s|")

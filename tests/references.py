@@ -10,11 +10,26 @@ integral (cos t1 cos t2 = [cos(t1 + t2) + cos(t1 - t2)]/2 and
 <ln(x + cos b)>_b = arccosh x - ln 2), at 30 digits, with breakpoints where
 the integrand peaks for small beta_s; none uses the elliptic-integral forms
 of the package.
+
+The singular series are the paper's own assembly: Stirling's series for the
+central binomial ratio (``stirling_correction``), then the singular part of
+each sum_n e^{-n t}/n^p, then the map t = 2 ln cosh(2 beta_s).  The package
+builds the same coefficients from the generating series of a_n^2 instead.
 """
 
 import math
+from fractions import Fraction as Q
+from math import factorial
 
 import mpmath
+
+from vertex_expand.series import (
+    LogSeries,
+    PiRational,
+    RationalSeries,
+    stirling_correction,
+    t_of_betas,
+)
 
 DPS = 30
 
@@ -133,3 +148,47 @@ def mp_zb_ratio(beta_s):
         mean = mpmath.quad(lambda u: 1 / mpmath.sqrt(a * a - mpmath.cos(u) ** 2),
                            pts) * 2 / mpmath.pi
         return (1 - (a - mpmath.exp(-2 * bs)) * mean) ** 2 / 4
+
+
+def u_p_singular(p: int) -> LogSeries:
+    """Singular part of sum_n exp(-n t)/n^p at t = 0.
+
+    The p = 1 sum is -ln(1 - e^{-t}), whose non-analytic part is -ln t;
+    integrating the recurrence d/dt (order p+1) = -(order p) gives
+    (-1)^p t^{p-1}/(p-1)! * ln t.
+    """
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    coeff = Q((-1) ** p, factorial(p - 1))
+    return LogSeries(RationalSeries.monomial(p - 1, coeff), PiRational(Q(1)), "ln t")
+
+
+def paper_singular_t_series(K: int) -> LogSeries:
+    """The singular t-series as the paper assembles it: the free energy's
+    log-expansion is -(1/4 pi) sum_n n^{-2} e^{-n t} * bracket(1/n) with
+    bracket from ``stirling_correction``; each 1/n^{2+q} sum contributes its
+    singular part via :func:`u_p_singular`.  Stirling's series caps K at 17.
+    """
+    bracket = stirling_correction(max(K - 1, 0))
+    acc = RationalSeries.zero(K)
+    for q in range(K):
+        up = u_p_singular(q + 2)
+        term = RationalSeries.monomial(q + 1, bracket[q] * up.singular[q + 1], K)
+        acc = acc + term
+    return LogSeries(acc, PiRational(Q(-1, 4), 1), "ln t")
+
+
+def paper_singular_betas_series(K: int) -> LogSeries:
+    """The paper's t-series at K/2 composed with t(beta_s) (K even, <= 16);
+    ln t -> 2 ln|beta_s| and t ~ 4 beta_s^2 fold 2 * 4 into the scale."""
+    ts = paper_singular_t_series(K // 2)
+    bracket = ts.singular.compose(t_of_betas(K)).scaled(Q(1, 4))
+    return LogSeries(bracket, ts.scale.scaled(2 * 4), "ln|beta_s|")
+
+
+def paper_b2_series(K: int) -> LogSeries:
+    """g'^2/4 with g the bracket of the paper's beta_s-series at K + 2."""
+    gp = paper_singular_betas_series(K + 2).singular.differentiate()
+    sq = gp * gp
+    return LogSeries(RationalSeries([c / 4 for c in sq.coeffs[:K + 1]], K),
+                     PiRational(Q(8), 2), "ln^2|beta_s|")

@@ -13,7 +13,7 @@ import pytest
 from references import mp_free_energy
 
 import vertex_expand
-from vertex_expand.cli import main
+from vertex_expand.cli import MAX_SERIES_TERMS, main
 
 # F0(0.5) correctly rounded to a double.  Reference: mpmath at 40 digits of
 # (1/2)<arccosh(2 cosh 1 + cos u)>_u - (1/2) ln 2 = 0.53331044624567856784...,
@@ -79,12 +79,20 @@ class TestFreeEnergy:
 
     @pytest.mark.parametrize("option", [["--method", "finite", "--size", "0"],
                                         ["--method", "finite", "--size", "7"],
-                                        ["--method", "series", "--terms", "0"]])
+                                        ["--method", "series", "--terms", "0"],
+                                        ["--method", "series",
+                                         "--terms", "100000000"]])
     def test_bad_size_or_terms_is_usage_error(self, capsys, option):
         code, out, err = run(capsys, "free-energy", "--beta-s", "0.5", *option)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_terms_at_cap_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "free-energy", "--method", "series",
+                           "--terms", str(MAX_SERIES_TERMS), "--beta-s", "0.5")
+        assert code == 0
+        assert json_lines(out)[0]["value"] == pytest.approx(F0_HALF, rel=1e-14)
 
     def test_bad_sweep_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "free-energy", "--sweep", "1:0:-1")
@@ -354,9 +362,15 @@ class TestSeriesAndCoulomb:
         assert rec["coefficients"]["8"] == "-593/5040"
         assert rec["scale"] == {"rational": "-2", "pi_power": 1}
 
+    def test_b2_past_the_paper_order(self, capsys):
+        code, out, _ = run(capsys, "series", "--target", "b2", "--order", "8")
+        assert code == 0
+        assert '"8": "-377/315"' in out
+
     @pytest.mark.parametrize("target,order", [("sng", 99), ("sng", 7),
-                                              ("b2", 7), ("b2", 8),
-                                              ("fst", -1), ("stirling", 17),
+                                              ("sng", 66), ("b2", 7),
+                                              ("b2", 66), ("fst", -1),
+                                              ("fst", 33), ("stirling", 17),
                                               ("t-map", 3)])
     def test_order_outside_cap_is_usage_error(self, capsys, target, order):
         code, out, err = run(capsys, "series", "--target", target,
@@ -365,8 +379,11 @@ class TestSeriesAndCoulomb:
         assert out == ""
         assert err.startswith("error: order")
 
+    # the caps, and the paper's orders below them
     @pytest.mark.parametrize("target,order", [("stirling", 16), ("fst", 8),
-                                              ("sng", 8), ("b2", 6),
+                                              ("fst", 32), ("sng", 8),
+                                              ("sng", 64), ("b2", 6),
+                                              ("b2", 8), ("b2", 64),
                                               ("t-map", 16)])
     def test_order_at_cap_is_accepted(self, capsys, target, order):
         code, out, _ = run(capsys, "series", "--target", target,

@@ -4,6 +4,7 @@ import itertools
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,6 @@ from vertex_expand.dimer import (
     build_decorated,
     constrained_partition,
     constrained_ratio,
-    dimer_probability,
     enumerate_matchings,
     kasteleyn_orientation,
     line_completion_weight,
@@ -33,6 +33,7 @@ from vertex_expand.errors import (
 )
 from vertex_expand.integrals import za_ratio, zb_ratio
 from vertex_expand.model import (
+    FREE_FERMION_BETA_EPS,
     Boundary,
     ModelParams,
     config_from_mask,
@@ -63,7 +64,8 @@ def kast22():
 
 class TestDecoration:
     def test_requires_free_fermion_point(self):
-        params = params_for(2, 2).with_u_shift(0.1)
+        params = ModelParams(beta_s=0.3, rows=2, cols=2,
+                             beta_eps=FREE_FERMION_BETA_EPS + 0.1)
         with pytest.raises(NotFreeFermion):
             build_decorated(params)
 
@@ -216,11 +218,14 @@ class TestConstrained:
                 0.535012858879755, rel=1e-13)
 
     def test_occupied_plus_empty_is_total(self, kast22):
+        k_inv = np.linalg.inv(kast22.sparse.toarray())
         for edge in (0, 7, 16):
             occ = constrained_ratio(kast22, [EdgeConstraint(edge, True)])
             emp = constrained_ratio(kast22, [EdgeConstraint(edge, False)])
             assert occ + emp == pytest.approx(1.0, rel=1e-12)
-            assert occ == pytest.approx(dimer_probability(kast22, edge),
+            # one edge's occupation is K(i,j) K^-1(j,i), here from a dense inverse
+            e = kast22.lattice.edges[edge]
+            assert occ == pytest.approx(kast22.sparse[e.i, e.j] * k_inv[e.j, e.i],
                                         rel=1e-12)
 
     def test_against_direct_enumeration(self, kast22):

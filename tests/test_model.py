@@ -35,8 +35,9 @@ def fixed(rows, cols, beta_s=0.3):
     return ModelParams(beta_s=beta_s, rows=rows, cols=cols)
 
 
-def periodic(rows, cols, beta_s=0.3):
+def periodic(rows, cols, beta_s=0.3, u=0.0):
     return ModelParams(beta_s=beta_s, rows=rows, cols=cols,
+                       beta_eps=FREE_FERMION_BETA_EPS + u,
                        boundary=Boundary.PERIODIC)
 
 
@@ -52,9 +53,14 @@ class TestParams:
             periodic(4, 3)
 
     def test_u_shift_roundtrip(self):
-        p = fixed(2, 2).with_u_shift(0.1)
-        assert p.u_shift == pytest.approx(0.1)
-        assert p.beta_eps == pytest.approx(FREE_FERMION_BETA_EPS + 0.1)
+        # a shift U off the solvable point reaches the four symmetric states
+        # only
+        p = ModelParams(beta_s=0.3, rows=2, cols=2,
+                        beta_eps=FREE_FERMION_BETA_EPS + 0.1)
+        for sub in Sublattice:
+            assert vertex_energy(1, sub, p) - FREE_FERMION_BETA_EPS == (
+                pytest.approx(0.1))
+            assert vertex_energy(5, sub, p) == vertex_energy(5, sub, fixed(2, 2))
 
     def test_positive_dims(self):
         with pytest.raises(ValueError):
@@ -178,7 +184,7 @@ class TestEnumeration:
            u=st.floats(-0.5, 0.5))
     @settings(max_examples=25, deadline=None)
     def test_matches_transfer_on_even_tori(self, shape, beta_s, u):
-        params = periodic(*shape, beta_s).with_u_shift(u)
+        params = periodic(*shape, beta_s, u)
         assert enumerate_partition(params).z == pytest.approx(
             transfer_partition(params), rel=1e-12)
 

@@ -3,9 +3,16 @@
 import math
 from fractions import Fraction as Q
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import (
+    paper_b2_series,
+    paper_singular_betas_series,
+    paper_singular_t_series,
+    u_p_singular,
+)
 
 from vertex_expand.errors import CompositionAtNonzero, DivisionByZeroSeries
 from vertex_expand.series import (
@@ -18,7 +25,6 @@ from vertex_expand.series import (
     singular_t_series,
     stirling_correction,
     t_of_betas,
-    u_p_singular,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -212,7 +218,49 @@ class TestSingularSeries:
         assert sng.coefficient(2) == PiRational(Q(-2), 1)
         assert sng.coefficient(4) == PiRational(Q(1, 3), 1)
 
-    def test_order_caps(self):
-        for fn in (singular_t_series, singular_betas_series, b2_series):
-            with pytest.raises(ValueError):
-                fn(20)
+
+class TestAgainstPaperAssembly:
+    """The a_n^2 generating series against the paper's Stirling assembly
+    (``tests/references.py``), exactly, at every order the latter reaches."""
+
+    @pytest.mark.parametrize("order", range(9))
+    def test_t_series(self, order):
+        assert singular_t_series(order) == paper_singular_t_series(order)
+
+    @pytest.mark.parametrize("order", range(0, 9, 2))
+    def test_betas_series(self, order):
+        assert singular_betas_series(order) == paper_singular_betas_series(order)
+
+    @pytest.mark.parametrize("order", range(0, 7, 2))
+    def test_b2_series(self, order):
+        assert b2_series(order) == paper_b2_series(order)
+
+
+class TestAgainstClosedForm:
+    """Past the paper's orders: Taylor coefficients of the closed forms
+    g'(x) = tau (2/pi) K(tau^2) and g'^2/4, tau = tanh 2x, from mpmath's
+    numerical differentiation at 40 digits."""
+
+    @staticmethod
+    def assert_close(exact, approx):
+        for d, (q, c) in enumerate(zip(exact, approx)):
+            ref = mpmath.mpf(q.numerator) / q.denominator
+            assert abs(c - ref) <= 1e-25 * (abs(ref) if q else 1), d
+
+    @staticmethod
+    def slope(x):
+        tau = mpmath.tanh(2 * x)
+        return tau * 2 / mpmath.pi * mpmath.ellipk(tau ** 2)
+
+    def test_betas_series_to_order_12(self):
+        with mpmath.workdps(40):
+            taylor = mpmath.taylor(self.slope, 0, 11)
+            g = singular_betas_series(12).singular
+            assert g[0] == 0
+            self.assert_close(g.coeffs[1:],
+                              [c / (d + 1) for d, c in enumerate(taylor)])
+
+    def test_b2_series_to_order_10(self):
+        with mpmath.workdps(40):
+            taylor = mpmath.taylor(lambda x: self.slope(x) ** 2 / 4, 0, 10)
+            self.assert_close(b2_series(10).singular.coeffs, taylor)
