@@ -263,7 +263,7 @@ def cmd_partition(args) -> int:
            "oracle": args.oracle, "provenance": args.oracle}
     log_enum = log_pf = None
     if args.oracle in ("enumerate", "both"):
-        log_enum = math.log(model.enumerate_partition(params).z)
+        log_enum = model.enumerate_partition(params).log_z
         rec["log_z_enumerate"] = log_enum
     if args.oracle in ("pfaffian", "both"):
         from . import dimer
@@ -499,6 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite",
                    choices=("all",) + tuple(verify.SUITES), default="all")
     p.set_defaults(func=cmd_verify)
+    # read -1e-3 and -0.5:0.5:0.5 as values, not options, as Python 3.13 does
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

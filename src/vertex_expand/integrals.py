@@ -170,11 +170,14 @@ def baxter_series(beta_s: float, n_max: int) -> tuple[float, float]:
          - (1/2) sum_n [(2n)!/(4^n n!^2)]^2 / (2n cosh^{2n}(2 beta_s)).
 
     The head is summed termwise to ``n_max`` with ``math.fsum``; the tail uses the
-    asymptotic bracket of the summand (term ~ n^{-2} e^{-n t} bracket(1/n)
-    / 4 pi with t = 2 ln cosh 2 beta_s), each 1/n^q piece reducing to a
-    Hurwitz zeta (t = 0) or Lerch transcendent (t > 0) tail.  The reported
-    bound is the magnitude of the last bracket correction, the usual
-    smallest-term estimate for an asymptotic series.
+    asymptotic bracket of the summand (term ~ n^{-2} z^n bracket(1/n) / 4 pi
+    with z = sech^2 2 beta_s = e^{-t}), each 1/n^q piece a Lerch
+    transcendent tail z^a Phi(z, q, a) from a = n_max + 1 (the Hurwitz zeta
+    at z = 1).  The bound is twice the last bracket correction (at
+    n_max = 1 the bracket misses a_2^2 by 1.5 times its last term) plus the
+    rounding: an ulp of the head, and the ulps of cosh 2 beta_s and z, which
+    move F0 by K/pi per unit of relative error, K = K(sech 2 beta_s)
+    ~ ln(1/|beta_s|).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -186,21 +189,16 @@ def baxter_series(beta_s: float, n_max: int) -> tuple[float, float]:
     z = 1.0 / (ch * ch)           # e^{-t}
     head = math.fsum(chain([0.5 * math.log(2.0 * ch)], _sech_terms(z, n_max)))
 
-    bracket = [float(q) for q in stirling_correction(_STIRLING_ORDER).coeffs]
+    import mpmath
     a0 = n_max + 1
-    orders = range(2, 2 + len(bracket))
-    if z >= 1.0:
-        from scipy.special import zeta as hurwitz_zeta
-        tails = [float(hurwitz_zeta(s, a0)) for s in orders]
-    else:
-        import mpmath
-        tails = [float(mpmath.lerchphi(z, s, a0)) * z ** a0 for s in orders]
-    tail = 0.0
-    last = 0.0
-    for coef, t_q in zip(bracket, tails):
-        last = -coef * t_q / (4.0 * math.pi)
-        tail += last
-    return head + tail, abs(last) + 1e-15 * abs(head)
+    tail = [-float(c) * (float(mpmath.lerchphi(z, s, a0)) * z ** a0)
+            / (4.0 * math.pi) for s, c in enumerate(
+                stirling_correction(_STIRLING_ORDER).coeffs, 2)]
+    # below |beta_s| ~ 7e-9 cosh rounds to 1 and z is off by under tau^2
+    ulp = math.ulp(1.0)
+    t2 = math.tanh(2.0 * beta_s) ** 2
+    shift = min(ulp, t2) * _elliptic_k(beta_s) / math.pi if t2 else 0.0
+    return head + sum(tail), 2.0 * abs(tail[-1]) + ulp * abs(head) + shift
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Defines the six vertex states, the two-sublattice staggered energies, arrow
 configurations with their line representation, and two independent
-small-lattice oracles: exhaustive ice-rule enumeration and a two-column
-transfer matrix.
+small-lattice oracles: exhaustive ice-rule enumeration and a matrix-free
+two-column transfer matrix whose leading eigenvalues ARPACK finds.
 
 Conventions (used consistently across the package):
 
@@ -262,6 +262,7 @@ def _energy_table(params: ModelParams) -> np.ndarray:
 @dataclass(frozen=True)
 class EnumerationResult:
     z: float
+    log_z: float
     masks: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     free_edges: list = field(repr=False)
@@ -314,8 +315,12 @@ def enumerate_partition(params: ModelParams) -> EnumerationResult:
             f"{ENUMERATION_EDGE_BOUND}")
     configs = sorted(_ice_configurations(slots, fixed, _energy_table(params)))
     masks = np.array([m for m, _ in configs], dtype=np.int64)
-    weights = np.exp(np.array([h for _, h in configs], dtype=np.float64))
-    return EnumerationResult(float(np.sum(weights)), masks, weights, free_edges)
+    hams = np.array([h for _, h in configs])
+    log_z = hams.max() + math.log(math.fsum(np.exp(hams - hams.max())))
+    with np.errstate(over="ignore"):     # log_z stays finite where Z is not
+        weights = np.exp(hams)
+    return EnumerationResult(float(np.sum(weights)), float(log_z), masks,
+                             weights, free_edges)
 
 
 def config_from_mask(params: ModelParams, mask: int) -> ArrowConfig:
@@ -378,7 +383,7 @@ class TransferResult:
 def transfer_matrix_free_energy(params: ModelParams) -> TransferResult:
     """Reduced free energy per vertex in the infinite-column limit.
 
-    Diagonalizes the two-column operator (two columns absorb the A/B
+    ARPACK diagonalizes the two-column operator (two columns absorb the A/B
     staggering); returns f = ln(lambda_max) / (2 N) and the relative gap
     |lambda_2| / |lambda_1| as a convergence diagnostic.
     """
@@ -394,23 +399,15 @@ def transfer_matrix_free_energy(params: ModelParams) -> TransferResult:
         out = _apply_column(psi, 0, wa, wb, n)
         return _apply_column(out, 1, wa, wb, n)
 
-    if dim <= 256:
-        dense = np.empty((dim, dim))
-        eye = np.eye(dim)
-        for j in range(dim):
-            dense[:, j] = matvec(eye[:, j])
-        evals = np.sort(np.abs(np.linalg.eigvals(dense)))[::-1]
-    else:
-        import scipy.sparse.linalg as spla
-        op = spla.LinearOperator((dim, dim), matvec=matvec)
-        v0 = np.full(dim, 1.0 / math.sqrt(dim))
-        try:
-            evals = spla.eigs(op, k=2, which="LM", v0=v0, tol=ARPACK_TOL,
-                              return_eigenvectors=False)
-        except spla.ArpackNoConvergence as exc:
-            raise NonConvergence("transfer-matrix eigensolve stalled") from exc
-        evals = np.sort(np.abs(evals))[::-1]
-    lam1, lam2 = float(evals[0]), float(evals[1])
+    import scipy.sparse.linalg as spla
+    op = spla.LinearOperator((dim, dim), matvec=matvec)
+    v0 = np.full(dim, 1.0 / math.sqrt(dim))
+    try:
+        evals = spla.eigs(op, k=2, which="LM", v0=v0, tol=ARPACK_TOL,
+                          return_eigenvectors=False)
+    except spla.ArpackNoConvergence as exc:
+        raise NonConvergence("transfer-matrix eigensolve stalled") from exc
+    lam2, lam1 = sorted(np.abs(evals).tolist())
     if not np.isfinite(lam1) or lam1 <= 0:
         raise NonConvergence("non-positive leading eigenvalue")
     return TransferResult(math.log(lam1) / (2 * n), lam2 / lam1)

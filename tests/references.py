@@ -11,6 +11,10 @@ integral (cos t1 cos t2 = [cos(t1 + t2) + cos(t1 - t2)]/2 and
 the integrand peaks for small beta_s; none uses the elliptic-integral forms
 of the package.
 
+The transfer-matrix reference builds the two-column operator densely from
+its action on unit vectors and diagonalises it with LAPACK, where the package
+asks ARPACK for two eigenvalues of the matrix-free operator.
+
 The singular series are the paper's own assembly: Stirling's series for the
 central binomial ratio (``stirling_correction``), then the singular part of
 each sum_n e^{-n t}/n^p, then the map t = 2 ln cosh(2 beta_s).  The package
@@ -22,7 +26,9 @@ from fractions import Fraction as Q
 from math import factorial
 
 import mpmath
+import numpy as np
 
+from vertex_expand import model
 from vertex_expand.series import (
     LogSeries,
     PiRational,
@@ -98,6 +104,20 @@ def odd_clockwise(signs, faces) -> bool:
         if (against if ccw else len(cycle) - against) % 2 == 0:
             return False
     return True
+
+
+def dense_transfer(params):
+    """(free energy, gap) of a torus from the dense two-column matrix: every
+    eigenvalue by ``np.linalg.eigvals``, then ln|lambda_1|/(2N) and
+    |lambda_2|/|lambda_1|."""
+    n = params.rows
+    wa, wb = model._column_tensors(params)
+    eye = np.eye(1 << n)
+    dense = np.column_stack([
+        model._apply_column(model._apply_column(col, 0, wa, wb, n),
+                            1, wa, wb, n) for col in eye.T])
+    evals = np.sort(np.abs(np.linalg.eigvals(dense)))[::-1]
+    return math.log(evals[0]) / (2 * n), evals[1] / evals[0]
 
 
 def _mean_near_pi(f, width):

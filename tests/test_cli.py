@@ -208,6 +208,20 @@ class TestPartition:
         assert all(math.isfinite(rec[key]) for key in
                    ("log_z_enumerate", "log_z_pfaffian") if key in rec)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("size,beta_s,log_z", [
+        (["--rows", "4", "--cols", "4"], "-200", 795.8411169166405),
+        (["--rows", "1", "--cols", "1"], "-750", -750.0)])
+    def test_enumeration_past_the_range_of_z(self, capsys, size, beta_s,
+                                             log_z):
+        # Z itself overflows (4x4) or underflows (1x1); log Z does not
+        code, out, err = run(capsys, "partition", *size, "--beta-s", beta_s)
+        assert (code, err) == (0, "")
+        assert "Infinity" not in out and "NaN" not in out
+        (rec,) = json_lines(out)
+        assert rec["log_z_enumerate"] == log_z
+        assert rec["log_z_pfaffian"] == pytest.approx(log_z, abs=1e-12)
+
     @pytest.mark.parametrize("option", [["--tol", "-1"], ["--tol", "0"],
                                         ["--tol", "nan"]])
     def test_non_finite_or_non_positive_tol_is_usage_error(self, capsys,
@@ -482,23 +496,43 @@ class TestImports:
         assert modules_loaded(argv) == set()
 
     @pytest.mark.parametrize("argv", [
-        ["free-energy", "--beta-s", "0.5"],
-        ["free-energy", "--method", "finite", "--size", "8"]])
+        ["free-energy", "--beta-s", "0.5"]])
     def test_free_energy_loads_no_scipy(self, argv):
         assert not {m for m in modules_loaded(argv)
                     if m.split(".")[0] == "scipy"}
 
     @pytest.mark.parametrize("argv", [
         ["partition", "--rows", "3", "--cols", "3"],
-        ["constrained", "--rows", "5", "--cols", "5", "--site", "2", "2"]])
+        ["constrained", "--rows", "5", "--cols", "5", "--site", "2", "2"],
+        ["free-energy", "--method", "finite", "--size", "8"]])
     def test_lattice_commands_load_no_special_functions(self, argv):
         assert not {m for m in modules_loaded(argv)
                     if m.startswith(("scipy.special", "mpmath"))}
+
+    def test_series_at_critical_point_loads_only_mpmath(self):
+        # the Lerch transcendent serves z = 1 too, with no Hurwitz zeta
+        loaded = modules_loaded(["free-energy", "--method", "series",
+                                 "--beta-s", "0"])
+        assert {m.split(".")[0] for m in loaded} == {"mpmath"}
+
+    def test_verify_loads_no_special_functions(self):
+        assert not {m for m in modules_loaded(["verify", "--suite", "all"])
+                    if m.startswith("scipy.special")}
 
 
 class TestContracts:
     def test_unknown_command(self, capsys):
         assert run(capsys, "does-not-exist")[0] == 2
+
+    @pytest.mark.parametrize("argv,key,value", [
+        (["free-energy", "--sweep", "-0.5:0.5:0.5"], "beta_s", -0.5),
+        (["free-energy", "--beta-s", "-1e-3"], "beta_s", -1e-3),
+        (["perturb", "--u", "-1e-2"], "u", -1e-2)])
+    def test_negative_numbers_in_exponent_form(self, capsys, argv, key,
+                                               value):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert json_lines(out)[0][key] == value
 
     def test_no_command(self, capsys):
         assert run(capsys)[0] == 2

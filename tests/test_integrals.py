@@ -1,6 +1,7 @@
 """Infinite-lattice free energy, its field derivative, the constrained
 ratios, series summation, and the first-order law."""
 
+import functools
 import math
 
 import pytest
@@ -28,6 +29,18 @@ TINY_FIELDS = (1e-300, 1e-7, 1e-6, 1e-4, 3e-4)
 #: series, tanh^2 2 beta_s = 1/2 at |beta_s| = ln(1 + sqrt 2)/2 = 0.4407
 SWITCH_GRID = tuple(round(0.01 * i, 2)
                     for i in list(range(15, 31)) + list(range(40, 49)))
+
+
+#: 0 .. 1.5 in steps of 0.025, then fields next to the critical point:
+#: 7.4e-9 is about the largest |beta_s| at which cosh 2 beta_s rounds to 1
+SERIES_GRID = tuple(0.025 * i for i in range(61)) + tuple(
+    s * b for b in (1e-300, 7.4e-9, 1e-8, 1e-6, 1e-4, 0.001, 0.0025, 0.005,
+                    0.01, 0.0125, 0.02) for s in (1.0, -1.0))
+
+
+@functools.cache
+def _mp_free_energy(beta_s):
+    return mp_free_energy(beta_s)
 
 
 class TestAgainstMpmath:
@@ -100,10 +113,19 @@ class TestFreeEnergy:
             baxter_free_energy(-0.3), abs=1e-12)
 
     def test_series_bound_holds(self):
-        for i in range(1, 61):
-            beta_s = 0.025 * i
-            value, bound = baxter_series(beta_s, 2000)
-            assert abs(value - mp_free_energy(beta_s)) <= bound, beta_s
+        # the Lerch tail is slow at small n_max, so n_max = 1 .. 30 run on
+        # three fields: the critical point, next to it, and the worst of
+        # [0, 1.5] for n_max = 1
+        for n_max in [*range(1, 31), 2000]:
+            fields = SERIES_GRID if n_max == 2000 else (0.0, 0.0025, 1.45)
+            for beta_s in fields:
+                value, bound = baxter_series(beta_s, n_max)
+                assert abs(value - _mp_free_energy(beta_s)) <= bound, (
+                    n_max, beta_s)
+                # the rounding of cosh 2 beta_s moves F0 by up to K/pi ulp,
+                # above 1e-15 only where K > 13.4, 7e-9 < |beta_s| < 3e-6
+                if n_max == 2000 and not 1e-9 < abs(beta_s) < 3e-6:
+                    assert bound < 1e-15, beta_s
 
     def test_series_needs_terms(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import dense_transfer
 
 from vertex_expand import dimer
 from vertex_expand.errors import TooLarge
@@ -237,3 +238,13 @@ class TestTransferMatrix:
         za = transfer_partition(periodic(2, 4, 0.5))
         zb = transfer_partition(periodic(2, 4, -0.5))
         assert za == pytest.approx(zb, rel=1e-12)
+
+    @pytest.mark.parametrize("rows", [2, 4, 6, 8])
+    @pytest.mark.parametrize("beta_s", [40.0, -40.0, 5.0, -5.0, -0.7, 0.0,
+                                        0.05, 0.3, 0.45, 1.0])
+    def test_matches_dense_spectrum(self, rows, beta_s):
+        params = periodic(rows, rows, beta_s)
+        res = transfer_matrix_free_energy(params)
+        f, gap = dense_transfer(params)
+        assert abs(res.free_energy - f) <= 1e-14
+        assert abs(res.gap - gap) <= 1e-12
