@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, coulomb, series, verify
-from .errors import VertexExpandError, VerificationFailed
+from .errors import FieldOverflow, VertexExpandError, VerificationFailed
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -179,8 +179,8 @@ def _lattice_error(args) -> str | None:
 # --- subcommand handlers -----------------------------------------------------
 
 def cmd_free_energy(args) -> int:
-    if args.method == "finite" and args.size not in range(2, 13, 2):
-        return _usage_error("--size must be even and in [2, 12]")
+    if args.method == "finite" and args.size not in range(2, 17, 2):
+        return _usage_error("--size must be even and in [2, 16]")
     if args.method == "series" and not 1 <= args.terms <= MAX_SERIES_TERMS:
         return _usage_error(f"--terms must be in [1, {MAX_SERIES_TERMS}]")
     points = args.sweep if args.sweep is not None else [args.beta_s]
@@ -516,6 +516,8 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except FieldOverflow as exc:
+        return _usage_error(f"--beta-s is too large: {exc}")
     except (VertexExpandError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

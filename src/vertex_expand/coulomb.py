@@ -18,6 +18,9 @@ from math import comb
 from .errors import OutOfDomain, VerificationFailed
 from .series import PiRational, Q, RationalSeries, b2_series
 
+#: the solvable coupling ln(2)/2, where the model maps onto free fermions
+FREE_FERMION_BETA_EPS = 0.5 * math.log(2.0)
+
 #: coupling below which the exponent formula diverges (KT regime)
 KT_BETA_EPS = 0.5 * math.log(2.0 - math.sqrt(2.0))
 

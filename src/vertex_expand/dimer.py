@@ -25,8 +25,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (ConstraintConflict, NotFreeFermion, OrientationFailure,
-                     SingularMatrix, TooLarge, TooManyConstraints)
+from .errors import (ConstraintConflict, FieldOverflow, NotFreeFermion,
+                     OrientationFailure, SingularMatrix, TooLarge,
+                     TooManyConstraints)
 from .model import (FREE_FERMION_BETA_EPS, Boundary, LineConfig, ModelParams,
                     STATE_BITS, sublattice, Sublattice)
 
@@ -342,6 +343,9 @@ def constrained_ratio(kast: KasteleynMatrix, constraints) -> float:
         term = math.prod(weights[c] for c in chosen)
         total += ((-1) ** (len(chosen) - len(occ))) * term * _pfaffian(
             block[np.ix_(rows, rows)])
+    if not math.isfinite(total):   # an overflow in K^-1 reaches the sum too
+        raise FieldOverflow(
+            "K^-1 or its Pfaffian sum overflows a double at this field")
     return float(total)
 
 

@@ -29,6 +29,10 @@ class SingularMatrix(VertexExpandError):
     """The signed adjacency matrix is singular (no perfect matching)."""
 
 
+class FieldOverflow(VertexExpandError):
+    """A number that a path forms at this field overflows a double."""
+
+
 class TooManyConstraints(VertexExpandError):
     """More simultaneous edge constraints than the expansion supports."""
 

@@ -22,9 +22,8 @@ from enum import Enum
 
 import numpy as np
 
+from .coulomb import FREE_FERMION_BETA_EPS
 from .errors import IceRuleViolation, NonConvergence, TooLarge
-
-FREE_FERMION_BETA_EPS = 0.5 * math.log(2.0)
 
 ENUMERATION_EDGE_BOUND = 24
 
@@ -340,15 +339,22 @@ def config_from_mask(params: ModelParams, mask: int) -> ArrowConfig:
 
 # --- transfer-matrix oracle --------------------------------------------------
 
-def _column_tensors(params: ModelParams):
-    """Per-sublattice local tensors W[bn, bs, hw, he] = vertex weight."""
-    tensors = {}
+#: the ice-rule vertices by what a row does to its (vertical bond, arrow
+#: bit) pair, listed by the bond bit: states 3 and 4 keep an unequal pair,
+#: states 2 and 1 keep an equal pair, and states 5 and 6 turn an equal pair
+#: into its complement
+_KEEP_UNEQUAL, _KEEP_EQUAL, _FLIP_EQUAL = (3, 4), (2, 1), (5, 6)
+
+
+def _column_weights(params: ModelParams):
+    """Per-sublattice vertex weights of _KEEP_UNEQUAL, _KEEP_EQUAL and
+    _FLIP_EQUAL, shaped (3, 2, 1, 1) to broadcast over a row's bit pairs."""
+    weights = []
     for sub in (Sublattice.A, Sublattice.B):
-        w = np.zeros((2, 2, 2, 2))
-        for state, (wb, eb, nb, sb) in STATE_BITS.items():
-            w[nb, sb, wb, eb] = math.exp(-vertex_energy(state, sub, params))
-        tensors[sub] = w
-    return tensors[Sublattice.A], tensors[Sublattice.B]
+        w = [[math.exp(-vertex_energy(state, sub, params)) for state in pair]
+             for pair in (_KEEP_UNEQUAL, _KEEP_EQUAL, _FLIP_EQUAL)]
+        weights.append(np.array(w).reshape(3, 2, 1, 1))
+    return tuple(weights)
 
 
 def _apply_column(psi: np.ndarray, parity: int, wa: np.ndarray,
@@ -356,22 +362,36 @@ def _apply_column(psi: np.ndarray, parity: int, wa: np.ndarray,
     """One column of the transfer matrix applied to a 2^N interface vector.
 
     The interface holds the horizontal arrow bits of the N rows (row 0 most
-    significant); the N vertical bond bits within the column are contracted
-    row by row with the periodic bond traced at the end.
+    significant).  The state puts two bits in front of it: the vertical bond
+    entering the current row and, fixed until the trace at the end, the
+    periodic bond at the top of the column.  Row r rewrites only the
+    entering bond and its own arrow bit, in place: entries where the two
+    bits differ are scaled where they stand, and entries where they agree
+    each sum two products, so four ufunc calls do a row.
     """
-    # B[a, b, remaining h_in, done h_out]
-    b = np.zeros((2, 2, 1 << n_rows, 1))
-    b[0, 0, :, 0] = psi
-    b[1, 1, :, 0] = psi
+    dim = 1 << n_rows
+    state = np.zeros((2, 2 * dim))     # [entering bond, top bond + interface]
+    state[0, :dim] = psi
+    state[1, dim:] = psi
+    flip_buffer = np.empty(2 * dim)
+    step = state.itemsize
+    bond = state.strides[0]
     for r in range(n_rows):
-        w = wa if (r + parity) % 2 == 0 else wb
-        rest = 1 << (n_rows - 1 - r)
-        done = 1 << r
-        b = b.reshape(2, 2, 2, rest, done)
-        # contract bond and the incoming h bit of this row
-        b = np.einsum("byhe,abhrd->ayrde", w, b)
-        b = b.reshape(2, 2, rest, done * 2)
-    return b[0, 0, 0, :] + b[1, 1, 0, :]
+        keep_unequal, keep_equal, flip_equal = wb if (r + parity) % 2 else wa
+        lo = dim >> (r + 1)            # the stride of row r's arrow bit
+        shape = (2, 2 << r, lo)
+        arrow = lo * step
+        # entry k of each: entering bond k, arrow bit k (equal) or 1 - k
+        equal = np.ndarray(shape, buffer=state,
+                           strides=(bond + arrow, 2 * arrow, step))
+        unequal = np.ndarray(shape, buffer=state, offset=arrow,
+                             strides=(bond - arrow, 2 * arrow, step))
+        flip = flip_buffer.reshape(shape)
+        np.multiply(unequal, keep_unequal, out=unequal)
+        np.multiply(equal[::-1], flip_equal, out=flip)
+        np.multiply(equal, keep_equal, out=equal)
+        np.add(equal, flip, out=equal)
+    return state[0, :dim] + state[1, dim:]
 
 
 @dataclass(frozen=True)
@@ -390,9 +410,9 @@ def transfer_matrix_free_energy(params: ModelParams) -> TransferResult:
     if params.boundary is not Boundary.PERIODIC:
         raise ValueError("transfer matrix requires periodic boundary")
     n = params.rows
-    if n % 2 or n > 12:
-        raise ValueError("rows must be even and <= 12")
-    wa, wb = _column_tensors(params)
+    if n % 2 or n > 16:
+        raise ValueError("rows must be even and <= 16")
+    wa, wb = _column_weights(params)
     dim = 1 << n
 
     def matvec(psi):
@@ -421,7 +441,7 @@ def transfer_partition(params: ModelParams, n_cols: int | None = None) -> float:
     if m % 2:
         raise ValueError("column count must be even")
     n = params.rows
-    wa, wb = _column_tensors(params)
+    wa, wb = _column_weights(params)
     dim = 1 << n
     total = 0.0
     for j in range(dim):

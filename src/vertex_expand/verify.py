@@ -205,9 +205,8 @@ def suite_series() -> list[Check]:
 # --- coulomb suite -----------------------------------------------------------
 
 def suite_coulomb() -> list[Check]:
-    from . import model
     checks: list[Check] = []
-    e_ff = coulomb.singular_exponent(model.FREE_FERMION_BETA_EPS)
+    e_ff = coulomb.singular_exponent(coulomb.FREE_FERMION_BETA_EPS)
     checks.append(("exponent-at-free-fermion", e_ff == 2.0, _fmt(e_ff)))
 
     checks.append(("exponent-divergence-at-kt",

@@ -11,9 +11,13 @@ integral (cos t1 cos t2 = [cos(t1 + t2) + cos(t1 - t2)]/2 and
 the integrand peaks for small beta_s; none uses the elliptic-integral forms
 of the package.
 
-The transfer-matrix reference builds the two-column operator densely from
-its action on unit vectors and diagonalises it with LAPACK, where the package
-asks ARPACK for two eigenvalues of the matrix-free operator.
+The transfer-matrix reference contracts a column row by row with one
+``np.einsum`` over the full 16-entry vertex tensor, reshuffling the whole
+interface into a rest/done layout, where the package rewrites two bits in
+place with the six ice-rule weights.  It builds the two-column
+operator densely from that contraction on unit vectors and diagonalises it
+with LAPACK, where the package asks ARPACK for two eigenvalues of the
+matrix-free operator.
 
 The singular series are the paper's own assembly: Stirling's series for the
 central binomial ratio (``stirling_correction``), then the singular part of
@@ -106,16 +110,47 @@ def odd_clockwise(signs, faces) -> bool:
     return True
 
 
+def column_tensors(params):
+    """Per-sublattice tensors W[north, south, west, east] of the vertex
+    weights, zero on every arrow pattern the ice rule forbids."""
+    tensors = []
+    for sub in (model.Sublattice.A, model.Sublattice.B):
+        w = np.zeros((2, 2, 2, 2))
+        for state, (wb, eb, nb, sb) in model.STATE_BITS.items():
+            w[nb, sb, wb, eb] = math.exp(-model.vertex_energy(state, sub, params))
+        tensors.append(w)
+    return tensors
+
+
+def apply_column(psi, parity, wa, wb, n_rows):
+    """One transfer-matrix column on a 2^N interface vector (row 0 the most
+    significant bit), contracting the vertical bond and each row's incoming
+    horizontal bit with one einsum per row; the periodic bond is traced at
+    the end."""
+    # b[top bond, current bond, remaining h_in, done h_out]
+    b = np.zeros((2, 2, 1 << n_rows, 1))
+    b[0, 0, :, 0] = psi
+    b[1, 1, :, 0] = psi
+    for r in range(n_rows):
+        w = wa if (r + parity) % 2 == 0 else wb
+        rest = 1 << (n_rows - 1 - r)
+        done = 1 << r
+        b = b.reshape(2, 2, 2, rest, done)
+        b = np.einsum("byhe,abhrd->ayrde", w, b)
+        b = b.reshape(2, 2, rest, done * 2)
+    return b[0, 0, 0, :] + b[1, 1, 0, :]
+
+
 def dense_transfer(params):
-    """(free energy, gap) of a torus from the dense two-column matrix: every
-    eigenvalue by ``np.linalg.eigvals``, then ln|lambda_1|/(2N) and
-    |lambda_2|/|lambda_1|."""
+    """(free energy, gap) of a torus from the dense two-column matrix built
+    by :func:`apply_column`: every eigenvalue by ``np.linalg.eigvals``, then
+    ln|lambda_1|/(2N) and |lambda_2|/|lambda_1|."""
     n = params.rows
-    wa, wb = model._column_tensors(params)
+    wa, wb = column_tensors(params)
     eye = np.eye(1 << n)
     dense = np.column_stack([
-        model._apply_column(model._apply_column(col, 0, wa, wb, n),
-                            1, wa, wb, n) for col in eye.T])
+        apply_column(apply_column(col, 0, wa, wb, n), 1, wa, wb, n)
+        for col in eye.T])
     evals = np.sort(np.abs(np.linalg.eigvals(dense)))[::-1]
     return math.log(evals[0]) / (2 * n), evals[1] / evals[0]
 

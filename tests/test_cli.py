@@ -81,7 +81,8 @@ class TestFreeEnergy:
                                         ["--method", "finite", "--size", "7"],
                                         ["--method", "series", "--terms", "0"],
                                         ["--method", "series",
-                                         "--terms", "100000000"]])
+                                         "--terms", "100000000"],
+                                        ["--method", "finite", "--size", "18"]])
     def test_bad_size_or_terms_is_usage_error(self, capsys, option):
         code, out, err = run(capsys, "free-energy", "--beta-s", "0.5", *option)
         assert code == 2
@@ -329,7 +330,10 @@ class TestConstrained:
         ["--site", "2", "2", "--beta-s", "1500"],    # weights e^(|beta_s|/2)
         ["--site", "2", "2", "--beta-s", "-400"],    # four external e^200
         ["--edge", "3:1", "--edge", "7:1", "--beta-s", "720"],  # two internal
-        ["--edge", "40:0", "--beta-s", "1419"]])     # log det K's pivots
+        ["--edge", "40:0", "--beta-s", "1419"],      # log det K's pivots
+        # the weights pass, but K^-1 itself overflows on this odd lattice
+        ["--edge", "3:1", "--edge", "5:0", "--beta-s", "-300"],
+        ["--edge", "3:1", "--edge", "5:0", "--beta-s", "-355"]])
     def test_field_overflowing_the_weights_is_usage_error(self, capsys,
                                                           option):
         code, out, err = run(capsys, "constrained", "--rows", "5", "--cols",
@@ -337,6 +341,14 @@ class TestConstrained:
         assert code == 2
         assert out == ""
         assert "overflows" in err
+
+    def test_inverse_below_the_overflow_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "constrained", "--rows", "5", "--cols", "5",
+                           "--beta-s", "-250", "--edge", "3:1", "--edge", "5:0")
+        assert code == 0
+        (rec,) = json_lines(out)
+        assert rec["ratio"] == pytest.approx(0.25, rel=1e-14)
+        assert math.isfinite(rec["log_z"])
 
     def test_site_field_below_the_overflow_is_accepted(self, capsys):
         # at beta_s > 0 the site sums multiply only external weights below 1
@@ -484,7 +496,8 @@ class TestImports:
         None,
         ["series", "--target", "sng"],
         ["coulomb", "--expand", "2"],
-        ["verify", "--suite", "series"]])
+        ["verify", "--suite", "series"],
+        ["verify", "--suite", "coulomb"]])
     def test_exact_arithmetic_loads_no_numerics(self, argv):
         assert modules_loaded(argv) == set()
 

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import dense_transfer
+from references import apply_column, column_tensors, dense_transfer
 
-from vertex_expand import dimer
+from vertex_expand import dimer, model
 from vertex_expand.errors import TooLarge
+from vertex_expand.integrals import baxter_free_energy
 from vertex_expand.model import (
     ENUMERATION_EDGE_BOUND,
     FREE_FERMION_BETA_EPS,
@@ -248,3 +249,31 @@ class TestTransferMatrix:
         f, gap = dense_transfer(params)
         assert abs(res.free_energy - f) <= 1e-14
         assert abs(res.gap - gap) <= 1e-12
+
+    @pytest.mark.parametrize("rows", range(2, 13))
+    def test_column_kernel_is_bitwise_the_einsum(self, rows):
+        # every output sums at most two nonzero products, as the einsum does
+        rng = np.random.default_rng(rows)
+        for beta_s in (-0.7, 0.0, 0.3, 0.9):
+            for beta_eps in (FREE_FERMION_BETA_EPS, 0.1, 0.9):
+                params = ModelParams(beta_s=beta_s, rows=rows, cols=2,
+                                     beta_eps=beta_eps)
+                weights = model._column_weights(params)
+                tensors = column_tensors(params)
+                psi = rng.standard_normal(1 << rows)
+                for parity in (0, 1):
+                    assert np.array_equal(
+                        model._apply_column(psi, parity, *weights, rows),
+                        apply_column(psi, parity, *tensors, rows))
+
+    @pytest.mark.parametrize("beta_s", [0.3, 0.8])
+    def test_width_14_is_closer_to_f0_than_width_12(self, beta_s):
+        f0 = baxter_free_energy(beta_s)
+        res = transfer_matrix_free_energy(periodic(14, 14, beta_s))
+        f12 = transfer_matrix_free_energy(periodic(12, 12, beta_s)).free_energy
+        assert abs(res.free_energy - f0) < abs(f12 - f0)
+        assert 0.0 < res.gap < 1.0
+
+    def test_rows_above_16_are_rejected(self):
+        with pytest.raises(ValueError, match="<= 16"):
+            transfer_matrix_free_energy(periodic(18, 18))
