@@ -18,7 +18,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__, coulomb, series, verify
-from .errors import FieldOverflow, VertexExpandError, VerificationFailed
+from .errors import (FieldOverflow, OutOfDomain, VertexExpandError,
+                     VerificationFailed)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -32,7 +33,6 @@ ORDER_CAPS = {
     "fst": (32, False),
     "sng": (64, True),
     "b2": (64, True),
-    "t-map": (16, True),
     "coulomb": (4, False),
 }
 
@@ -65,6 +65,8 @@ def _jsonable(value):
 
 
 def _flat(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, float):
         return _float(value)
     if isinstance(value, (dict, list, tuple)):
@@ -73,12 +75,16 @@ def _flat(value) -> str:
 
 
 def emit(records: list[dict], fmt: str, quiet: bool) -> None:
-    """Print records as JSON lines or CSV with a sorted-key header."""
+    """Print records as JSON lines or CSV with a sorted-key header.  JSON
+    has no inf or nan, so a record holding one raises ValueError before any
+    line is printed."""
     if quiet:
         return
     if fmt == "json":
-        for rec in records:
-            print(json.dumps(_jsonable(rec), sort_keys=True))
+        lines = [json.dumps(_jsonable(rec), sort_keys=True, allow_nan=False)
+                 for rec in records]
+        for line in lines:
+            print(line)
         return
     keys = sorted({k for rec in records for k in rec})
     buf = io.StringIO()
@@ -308,14 +314,16 @@ def cmd_constrained(args) -> int:
         return _usage_error("an --edge index is given twice")
     lat = dimer.build_decorated(_build_params(args))
     for edge in edges:
-        if not 0 <= edge < len(lat.edges):
+        if not 0 <= edge < len(lat.i):
             return _usage_error(
-                f"--edge index {edge} outside [0, {len(lat.edges)})")
+                f"--edge index {edge} outside [0, {len(lat.i)})")
     kast = dimer.kasteleyn_orientation(lat)
     records = []
     if args.edge:
         cons = [dimer.EdgeConstraint(*edge) for edge in args.edge]
         ratio = dimer.constrained_ratio(kast, cons)
+        if ratio <= 0.0:
+            return _usage_error("no matching satisfies the --edge constraints")
         records.append({
             "quantity": "constrained_ratio", "rows": args.rows,
             "cols": args.cols, "beta_s": args.beta_s,
@@ -367,17 +375,12 @@ def cmd_series(args) -> int:
         builders = {"fst": series.singular_t_series,
                     "sng": series.singular_betas_series,
                     "b2": series.b2_series}
-        if args.target == "t-map":
-            s = series.t_of_betas(k)
-            rec = {"quantity": "t_map",
-                   "coefficients": {str(d): s[d] for d in range(k + 1)}}
-        else:
-            log_s = builders[args.target](k)
-            rec = {"quantity": args.target,
-                   "scale": log_s.scale,
-                   "log_label": log_s.log_label,
-                   "coefficients": {str(d): log_s.singular[d]
-                                    for d in range(k + 1)}}
+        log_s = builders[args.target](k)
+        rec = {"quantity": args.target,
+               "scale": log_s.scale,
+               "log_label": log_s.log_label,
+               "coefficients": {str(d): log_s.singular[d]
+                                for d in range(k + 1)}}
     rec["order"] = k
     rec["provenance"] = "exact-rational"
     emit([rec], args.format, args.quiet)
@@ -391,11 +394,13 @@ def cmd_coulomb(args) -> int:
             return _usage_error(message)
     records = []
     if args.beta_eps is not None:
+        exponent = coulomb.singular_exponent(args.beta_eps)
         records.append({
             "quantity": "singular_exponent", "beta_eps": args.beta_eps,
             "provenance": "closed-form",
             "j": coulomb.j_of_betaeps(args.beta_eps),
-            "exponent": coulomb.singular_exponent(args.beta_eps),
+            # null where the exponent diverges (the KT regime)
+            "exponent": exponent if math.isfinite(exponent) else None,
             "kt_threshold": coulomb.KT_BETA_EPS})
     if args.expand is not None:
         expansion = coulomb.exponent_u_expansion(args.expand)
@@ -483,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", parents=[common],
                        help="exact singular expansions")
     p.add_argument("--target",
-                   choices=("stirling", "fst", "sng", "b2", "t-map"),
+                   choices=("stirling", "fst", "sng", "b2"),
                    default="sng")
     p.add_argument("--order", type=int, default=8)
     p.set_defaults(func=cmd_series)
@@ -518,6 +523,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VERIFY
     except FieldOverflow as exc:
         return _usage_error(f"--beta-s is too large: {exc}")
+    except OutOfDomain as exc:
+        return _usage_error(f"--beta-eps: {exc}")
     except (VertexExpandError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

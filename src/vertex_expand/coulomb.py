@@ -26,11 +26,12 @@ KT_BETA_EPS = 0.5 * math.log(2.0 - math.sqrt(2.0))
 
 
 def j_of_betaeps(beta_eps: float) -> float:
-    """j = arccos(1 - exp(2 beta_eps)/2) / 2, in [0, pi/2]."""
-    arg = 1.0 - 0.5 * math.exp(2.0 * beta_eps)
-    if arg < -1.0:
-        raise OutOfDomain(f"beta_eps={beta_eps!r} beyond the arccos domain")
-    return 0.5 * math.acos(max(arg, -1.0))
+    """j = arccos(1 - exp(2 beta_eps)/2) / 2, in [0, pi/2]; the arccos
+    needs beta_eps <= ln 2, checked before exp can overflow."""
+    if beta_eps > math.log(2.0):
+        raise OutOfDomain(
+            f"beta_eps={beta_eps!r} is above ln 2, beyond the arccos domain")
+    return 0.5 * math.acos(max(1.0 - 0.5 * math.exp(2.0 * beta_eps), -1.0))
 
 
 def singular_exponent(beta_eps: float) -> float:

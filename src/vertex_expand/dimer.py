@@ -13,7 +13,8 @@ does the square lattice (see ``kasteleyn_orientation``).
 Node indexing is city-major: node = 4*(row*cols + col) + k with
 k = 0 left, 1 top, 2 right, 3 bottom.  The edge list order is fixed
 (internal diamonds city by city, then horizontal externals, then vertical
-externals) so edge indices are reproducible across runs.
+externals) so edge indices are reproducible across runs; the lattice holds
+it as three arrays, edge e joining nodes i[e] and j[e] with weight[e].
 """
 
 from __future__ import annotations
@@ -36,13 +37,6 @@ CONSTRAINT_BOUND = 5
 
 
 @dataclass(frozen=True)
-class Edge:
-    i: int
-    j: int
-    weight: float
-
-
-@dataclass(frozen=True)
 class EdgeConstraint:
     edge: int
     occupied: bool
@@ -50,12 +44,16 @@ class EdgeConstraint:
 
 @dataclass(frozen=True)
 class DecoratedLattice:
+    """Edge e joins nodes i[e] and j[e] with weight[e], in the module's edge
+    order; the three arrays are read-only."""
+
     rows: int
     cols: int
-    beta_s: float
     weight_c: float
     weight_u: float
-    edges: tuple[Edge, ...] = field(repr=False)
+    i: np.ndarray = field(repr=False, compare=False)
+    j: np.ndarray = field(repr=False, compare=False)
+    weight: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -74,10 +72,6 @@ class DecoratedLattice:
         return (4 * self.rows * self.cols + self.rows * (self.cols - 1)
                 + row * self.cols + col)
 
-    def internal(self, row: int, col: int, k: int) -> int:
-        """Internal diamond edge k of a city: 0 L-T, 1 T-R, 2 R-B, 3 B-L."""
-        return 4 * (row * self.cols + col) + k
-
 
 def build_decorated(params: ModelParams) -> DecoratedLattice:
     """City decoration of the lattice at the solvable point.
@@ -95,22 +89,19 @@ def build_decorated(params: ModelParams) -> DecoratedLattice:
     n, m = params.rows, params.cols
     c_w = math.exp(-0.5 * params.beta_s)
     u_w = 0.5 * math.sqrt(2.0) * math.exp(0.5 * params.beta_s)
-
-    def node(r, c, k):
-        return 4 * (r * m + c) + k
-
-    edges = []
-    for r in range(n):
-        for c in range(m):
-            for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
-                edges.append(Edge(node(r, c, a), node(r, c, b), u_w))
-    for r in range(n):
-        for c in range(m - 1):
-            edges.append(Edge(node(r, c, 2), node(r, c + 1, 0), c_w))
-    for r in range(n - 1):
-        for c in range(m):
-            edges.append(Edge(node(r, c, 3), node(r + 1, c, 1), c_w))
-    return DecoratedLattice(n, m, params.beta_s, c_w, u_w, tuple(edges))
+    city = 4 * np.arange(n * m, dtype=np.int64).reshape(n, m)
+    i = np.concatenate([
+        (city[:, :, None] + np.arange(4)).ravel(),  # L-T, T-R, R-B, B-L
+        (city[:, :-1] + 2).ravel(),                 # R to the east city's L
+        (city[:-1, :] + 3).ravel()])                # B to the south city's T
+    j = np.concatenate([
+        (city[:, :, None] + (np.arange(4) + 1) % 4).ravel(),
+        city[:, 1:].ravel(),
+        (city[1:, :] + 1).ravel()])
+    weight = np.repeat([u_w, c_w], [4 * n * m, len(i) - 4 * n * m])
+    for a in (i, j, weight):
+        a.flags.writeable = False
+    return DecoratedLattice(n, m, c_w, u_w, i, j, weight)
 
 
 # --- the Kasteleyn matrix ----------------------------------------------------
@@ -128,10 +119,8 @@ class KasteleynMatrix:
     def __init__(self, lattice: DecoratedLattice, signs: np.ndarray):
         self.lattice = lattice
         self.signs = signs
-        n = lattice.n_nodes
-        i = np.array([e.i for e in lattice.edges], dtype=np.int64)
-        j = np.array([e.j for e in lattice.edges], dtype=np.int64)
-        k = signs * np.array([e.weight for e in lattice.edges])
+        n, i, j = lattice.n_nodes, lattice.i, lattice.j
+        k = signs * lattice.weight
         self.sparse = sp.csc_matrix(
             (np.concatenate([k, -k]),
              (np.concatenate([i, j]), np.concatenate([j, i]))), shape=(n, n))
@@ -185,7 +174,7 @@ def kasteleyn_orientation(lat: DecoratedLattice) -> KasteleynMatrix:
     externals and internal edge 3 of its top-right city).  Local statistics
     and det K do not depend on which valid orientation is used.
     """
-    signs = np.ones(len(lat.edges), dtype=np.int8)
+    signs = np.ones(len(lat.i), dtype=np.int8)
     signs[3:4 * lat.rows * lat.cols:4] = -1
     kast = KasteleynMatrix(lat, signs)
     audit_faces(kast)
@@ -230,23 +219,25 @@ def enumerate_matchings(lat: DecoratedLattice,
     if lat.n_nodes > MATCHING_NODE_BOUND:
         raise TooLarge(f"{lat.n_nodes} nodes exceeds {MATCHING_NODE_BOUND}")
     absent = set(forced_absent)
+    ends = list(zip(lat.i.tolist(), lat.j.tolist()))
+    weights = lat.weight.tolist()
     adj: dict[int, list[tuple[int, float]]] = {i: [] for i in range(lat.n_nodes)}
-    for e_idx, e in enumerate(lat.edges):
+    for e_idx, (i, j) in enumerate(ends):
         if e_idx in absent or e_idx in forced_present:
             continue
-        adj[e.i].append((e.j, e.weight))
-        adj[e.j].append((e.i, e.weight))
+        adj[i].append((j, weights[e_idx]))
+        adj[j].append((i, weights[e_idx]))
 
     covered = [False] * lat.n_nodes
     prefactor = 1.0
     for e_idx in forced_present:
         if e_idx in absent:
             return 0.0
-        e = lat.edges[e_idx]
-        if covered[e.i] or covered[e.j]:
+        i, j = ends[e_idx]
+        if covered[i] or covered[j]:
             return 0.0
-        covered[e.i] = covered[e.j] = True
-        prefactor *= e.weight
+        covered[i] = covered[j] = True
+        prefactor *= weights[e_idx]
 
     def recurse(start: int) -> float:
         node = start
@@ -303,9 +294,8 @@ def _validated(lat: DecoratedLattice, constraints) -> tuple[list[int], list[int]
     seen = set()
     occ, emp = [], []
     for c in constraints:
-        if not 0 <= c.edge < len(lat.edges):
-            raise IndexError(
-                f"edge {c.edge} outside [0, {len(lat.edges)})")
+        if not 0 <= c.edge < len(lat.i):
+            raise IndexError(f"edge {c.edge} outside [0, {len(lat.i)})")
         if c.edge in seen:
             raise ConstraintConflict(f"edge {c.edge} constrained twice")
         seen.add(c.edge)
@@ -325,13 +315,13 @@ def constrained_ratio(kast: KasteleynMatrix, constraints) -> float:
     lat = kast.lattice
     occ, emp = _validated(lat, constraints)
     edges = occ + emp
-    ends = [(lat.edges[e].i, lat.edges[e].j) for e in edges]
+    ends = list(zip(lat.i[edges].tolist(), lat.j[edges].tolist()))
     # sorted, so every occupation pattern on the same edges shares one block
     nodes = sorted({v for pair in ends for v in pair})
     position = {v: k for k, v in enumerate(nodes)}
     block = kast.inverse_block(nodes)
     block = 0.5 * (block - block.T)  # the solve is anti-symmetric to rounding
-    weights = [-kast.signs[e] * lat.edges[e].weight for e in edges]
+    weights = (-kast.signs[edges] * lat.weight[edges]).tolist()
     total = 0.0
     for t in range(1 << len(emp)):
         chosen = list(range(len(occ))) + [

@@ -141,16 +141,6 @@ class ArrowConfig:
         return (int(self.h[row, col]), int(self.h[row, col + 1]),
                 int(self.v[row, col]), int(self.v[row + 1, col]))
 
-    def reversed(self) -> "ArrowConfig":
-        return ArrowConfig(self.rows, self.cols, self.boundary,
-                           (1 - self.h).astype(np.uint8),
-                           (1 - self.v).astype(np.uint8))
-
-
-def ground_state_config(params: ModelParams) -> ArrowConfig:
-    h, v = _reference_bits(params)
-    return ArrowConfig(params.rows, params.cols, params.boundary, h, v)
-
 
 def classify_vertex(config: ArrowConfig, site: tuple[int, int]) -> int:
     """Vertex state 1..6 at ``site``; IceRuleViolation otherwise."""
@@ -159,16 +149,6 @@ def classify_vertex(config: ArrowConfig, site: tuple[int, int]) -> int:
     if state == 0:
         raise IceRuleViolation(f"vertex {site} is not two-in/two-out")
     return state
-
-
-def reduced_hamiltonian(config: ArrowConfig, params: ModelParams) -> float:
-    """H(c) = -sum of reduced vertex energies."""
-    total = 0.0
-    for r in range(params.rows):
-        for c in range(params.cols):
-            state = classify_vertex(config, (r, c))
-            total -= vertex_energy(state, sublattice(r, c), params)
-    return total
 
 
 @dataclass(frozen=True)
@@ -264,7 +244,6 @@ class EnumerationResult:
     log_z: float
     masks: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    free_edges: list = field(repr=False)
 
 
 def _ice_configurations(slots: np.ndarray, fixed: np.ndarray,
@@ -319,7 +298,7 @@ def enumerate_partition(params: ModelParams) -> EnumerationResult:
     with np.errstate(over="ignore"):     # log_z stays finite where Z is not
         weights = np.exp(hams)
     return EnumerationResult(float(np.sum(weights)), float(log_z), masks,
-                             weights, free_edges)
+                             weights)
 
 
 def config_from_mask(params: ModelParams, mask: int) -> ArrowConfig:

@@ -17,7 +17,6 @@ independent reference in tests/references.py.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -45,9 +44,6 @@ class PiRational:
 
     def scaled(self, q) -> "PiRational":
         return PiRational(self.rational * Fraction(q), self.pi_power)
-
-    def to_float(self) -> float:
-        return float(self.rational) / math.pi ** self.pi_power
 
     def as_json(self) -> dict:
         return {"rational": str(self.rational), "pi_power": self.pi_power}
@@ -127,13 +123,6 @@ class RationalSeries:
                 if b:
                     out[i + j] += a * b
         return RationalSeries(out, k)
-
-    def differentiate(self) -> "RationalSeries":
-        if self.order == 0:
-            return RationalSeries([], 0)
-        return RationalSeries(
-            [d * self.coeffs[d] for d in range(1, self.order + 1)],
-            self.order - 1)
 
     def compose(self, inner: "RationalSeries") -> "RationalSeries":
         """self(inner(x)), requiring inner(0) = 0."""
@@ -235,19 +224,6 @@ def stirling_correction(K: int) -> RationalSeries:
         if p <= K:
             g[p] = B2k[k - 1] / Q(2 * k * (2 * k - 1)) * (Q(2) ** (2 - 2 * k) - 4)
     return RationalSeries(g, K).exp()
-
-
-def t_of_betas(K: int) -> RationalSeries:
-    """t = 2 ln cosh(2 x) as an exact series in x = beta_s."""
-    if K > 16 or K % 2 != 0:
-        raise ValueError("K must be even and <= 16")
-    # cosh(2x) - 1, then ln(1+y) composed with it.
-    ch = [Q(0)] * (K + 1)
-    for m in range(1, K // 2 + 1):
-        ch[2 * m] = Q(2 ** (2 * m), factorial(2 * m))
-    ln1p = RationalSeries(
-        [Q(0)] + [Q((-1) ** (j + 1), j) for j in range(1, K + 1)], K)
-    return ln1p.compose(RationalSeries(ch, K)).scaled(2)
 
 
 def _central_squares(K: int) -> RationalSeries:

@@ -1,9 +1,14 @@
 """Independent references shared by the tests.
 
-The planar-face tracer finds the bounded faces of a decorated lattice from
-a drawing of it, with no knowledge of the lattice's face structure; the
-Kasteleyn tests check the package's closed-form orientation and its face
-audit against it.
+The decorated lattice's edge list is built city by city in Python loops,
+where the package broadcasts index arrays.  The planar-face tracer finds
+the bounded faces of a decorated lattice from a drawing of it, with no
+knowledge of the lattice's face structure; the Kasteleyn tests check the
+package's closed-form orientation and its face audit against it.
+
+The arrow-configuration helpers (the ground state, full reversal and the
+reduced Hamiltonian summed vertex by vertex) and the series helpers (term
+by term derivative, PiRational as a float) serve the tests only.
 
 The infinite-lattice quantities are each an mpmath quadrature of a 1-D reduction of the defining double
 integral (cos t1 cos t2 = [cos(t1 + t2) + cos(t1 - t2)]/2 and
@@ -38,10 +43,36 @@ from vertex_expand.series import (
     PiRational,
     RationalSeries,
     stirling_correction,
-    t_of_betas,
 )
 
 DPS = 30
+
+
+def decorated_edges(params):
+    """(i, j, weight) lists of the decorated lattice, edge by edge: each
+    city's diamond L-T, T-R, R-B, B-L, then the horizontal externals (R of
+    a city to L of its east neighbour), then the vertical ones (B to T of
+    its south neighbour)."""
+    n, m = params.rows, params.cols
+    c_w = math.exp(-0.5 * params.beta_s)
+    u_w = 0.5 * math.sqrt(2.0) * math.exp(0.5 * params.beta_s)
+
+    def node(r, c, k):
+        return 4 * (r * m + c) + k
+
+    edges = []
+    for r in range(n):
+        for c in range(m):
+            for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
+                edges.append((node(r, c, a), node(r, c, b), u_w))
+    for r in range(n):
+        for c in range(m - 1):
+            edges.append((node(r, c, 2), node(r, c + 1, 0), c_w))
+    for r in range(n - 1):
+        for c in range(m):
+            edges.append((node(r, c, 3), node(r + 1, c, 1), c_w))
+    return tuple(list(col) for col in zip(*edges))
+
 
 #: node offsets from the city centre: left, top, right, bottom
 _NODE_OFFSET = ((-1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, -1.0))
@@ -59,10 +90,11 @@ def planar_faces(lat):
     coords = [(4.0 * c + dx, -4.0 * r + dy)
               for r in range(lat.rows) for c in range(lat.cols)
               for dx, dy in _NODE_OFFSET]
+    ends = list(zip(lat.i.tolist(), lat.j.tolist()))
     nbrs = {i: [] for i in range(lat.n_nodes)}
     edge_of = {}
-    for e_idx, e in enumerate(lat.edges):
-        for a, b in ((e.i, e.j), (e.j, e.i)):
+    for e_idx, (i, j) in enumerate(ends):
+        for a, b in ((i, j), (j, i)):
             dx = coords[b][0] - coords[a][0]
             dy = coords[b][1] - coords[a][1]
             nbrs[a].append((math.atan2(dy, dx), b))
@@ -87,7 +119,7 @@ def planar_faces(lat):
         while (a, b) not in seen:
             seen.add((a, b))
             idx = edge_of[(a, b)]
-            cycle.append((idx, (lat.edges[idx].i, lat.edges[idx].j) == (a, b)))
+            cycle.append((idx, ends[idx] == (a, b)))
             area += coords[a][0] * coords[b][1] - coords[b][0] * coords[a][1]
             a, b = next_half_edge(a, b)
         faces.append((cycle, area))
@@ -108,6 +140,30 @@ def odd_clockwise(signs, faces) -> bool:
         if (against if ccw else len(cycle) - against) % 2 == 0:
             return False
     return True
+
+
+def ground_state_config(params):
+    """The reference ground state: every A vertex in state 6, every B vertex
+    in state 5."""
+    h, v = model._reference_bits(params)
+    return model.ArrowConfig(params.rows, params.cols, params.boundary, h, v)
+
+
+def reversed_config(config):
+    """``config`` with every arrow reversed."""
+    return model.ArrowConfig(config.rows, config.cols, config.boundary,
+                             (1 - config.h).astype(np.uint8),
+                             (1 - config.v).astype(np.uint8))
+
+
+def reduced_hamiltonian(config, params):
+    """H(c) = -sum of reduced vertex energies."""
+    total = 0.0
+    for r in range(params.rows):
+        for c in range(params.cols):
+            state = model.classify_vertex(config, (r, c))
+            total -= model.vertex_energy(state, model.sublattice(r, c), params)
+    return total
 
 
 def column_tensors(params):
@@ -205,6 +261,33 @@ def mp_zb_ratio(beta_s):
         return (1 - (a - mpmath.exp(-2 * bs)) * mean) ** 2 / 4
 
 
+def differentiate(series: RationalSeries) -> RationalSeries:
+    """The term-by-term derivative, one order shorter."""
+    if series.order == 0:
+        return RationalSeries([], 0)
+    return RationalSeries(
+        [d * series.coeffs[d] for d in range(1, series.order + 1)],
+        series.order - 1)
+
+
+def pi_rational_float(x: PiRational) -> float:
+    """rational / pi**pi_power as a float."""
+    return float(x.rational) / math.pi ** x.pi_power
+
+
+def t_of_betas(K: int) -> RationalSeries:
+    """t = 2 ln cosh(2 x) as an exact series in x = beta_s."""
+    if K > 16 or K % 2 != 0:
+        raise ValueError("K must be even and <= 16")
+    # cosh(2x) - 1, then ln(1+y) composed with it.
+    ch = [Q(0)] * (K + 1)
+    for m in range(1, K // 2 + 1):
+        ch[2 * m] = Q(2 ** (2 * m), factorial(2 * m))
+    ln1p = RationalSeries(
+        [Q(0)] + [Q((-1) ** (j + 1), j) for j in range(1, K + 1)], K)
+    return ln1p.compose(RationalSeries(ch, K)).scaled(2)
+
+
 def u_p_singular(p: int) -> LogSeries:
     """Singular part of sum_n exp(-n t)/n^p at t = 0.
 
@@ -243,7 +326,7 @@ def paper_singular_betas_series(K: int) -> LogSeries:
 
 def paper_b2_series(K: int) -> LogSeries:
     """g'^2/4 with g the bracket of the paper's beta_s-series at K + 2."""
-    gp = paper_singular_betas_series(K + 2).singular.differentiate()
+    gp = differentiate(paper_singular_betas_series(K + 2).singular)
     sq = gp * gp
     return LogSeries(RationalSeries([c / 4 for c in sq.coeffs[:K + 1]], K),
                      PiRational(Q(8), 2), "ln^2|beta_s|")

@@ -13,7 +13,8 @@ import pytest
 from references import mp_free_energy
 
 import vertex_expand
-from vertex_expand.cli import MAX_SERIES_TERMS, main
+from vertex_expand.cli import MAX_SERIES_TERMS, emit, main
+from vertex_expand.coulomb import KT_BETA_EPS
 
 # F0(0.5) correctly rounded to a double.  Reference: mpmath at 40 digits of
 # (1/2)<arccosh(2 cosh 1 + cos u)>_u - (1/2) ln 2 = 0.53331044624567856784...,
@@ -357,6 +358,16 @@ class TestConstrained:
         assert code == 0
         assert json_lines(out)[-1]["value"] == 1.0
 
+    @pytest.mark.parametrize("edges", [
+        ["--edge", "0:1", "--edge", "1:1"],       # share node T of city 0
+        ["--edge", "0:1", "--edge", "3:1", "--edge", "40:0"]])
+    def test_unsatisfiable_edges_are_usage_error(self, capsys, edges):
+        code, out, err = run(capsys, "constrained", "--rows", "3", "--cols",
+                             "3", *edges)
+        assert code == 2
+        assert out == ""
+        assert "no matching satisfies the --edge constraints" in err
+
     def test_too_many_edges_is_usage_error(self, capsys):
         edges = [f"--edge={i}:1" for i in range(6)]
         code, out, err = run(capsys, "constrained", "--rows", "3", "--cols",
@@ -396,8 +407,7 @@ class TestSeriesAndCoulomb:
     @pytest.mark.parametrize("target,order", [("sng", 99), ("sng", 7),
                                               ("sng", 66), ("b2", 7),
                                               ("b2", 66), ("fst", -1),
-                                              ("fst", 33), ("stirling", 17),
-                                              ("t-map", 3)])
+                                              ("fst", 33), ("stirling", 17)])
     def test_order_outside_cap_is_usage_error(self, capsys, target, order):
         code, out, err = run(capsys, "series", "--target", target,
                              "--order", str(order))
@@ -409,13 +419,19 @@ class TestSeriesAndCoulomb:
     @pytest.mark.parametrize("target,order", [("stirling", 16), ("fst", 8),
                                               ("fst", 32), ("sng", 8),
                                               ("sng", 64), ("b2", 6),
-                                              ("b2", 8), ("b2", 64),
-                                              ("t-map", 16)])
+                                              ("b2", 8), ("b2", 64)])
     def test_order_at_cap_is_accepted(self, capsys, target, order):
         code, out, _ = run(capsys, "series", "--target", target,
                            "--order", str(order))
         assert code == 0
         assert json_lines(out)[0]["order"] == order
+
+    def test_t_map_target_is_gone(self, capsys):
+        code, out, err = run(capsys, "series", "--target", "t-map",
+                             "--order", "4")
+        assert code == 2
+        assert out == ""
+        assert "invalid choice: 't-map'" in err
 
     @pytest.mark.parametrize("order", ["-1", "5"])
     def test_coulomb_order_outside_cap_is_usage_error(self, capsys, order):
@@ -435,6 +451,26 @@ class TestSeriesAndCoulomb:
         assert code == 2
         assert out == ""
         assert "--beta-eps" in err
+
+    @pytest.mark.parametrize("beta_eps", ["-0.3", repr(KT_BETA_EPS)])
+    def test_divergent_exponent_is_null(self, capsys, beta_eps):
+        code, out, _ = run(capsys, "coulomb", "--beta-eps", beta_eps)
+        assert code == 0
+        assert '"exponent": null' in out
+        assert json_lines(out)[0]["exponent"] is None
+
+    def test_exponent_at_ln2(self, capsys):
+        code, out, _ = run(capsys, "coulomb", "--beta-eps",
+                           repr(math.log(2.0)))
+        assert code == 0
+        assert '"exponent": 1.3333333333333333' in out
+
+    @pytest.mark.parametrize("beta_eps", ["0.7", "1e300"])
+    def test_beta_eps_above_ln2_is_usage_error(self, capsys, beta_eps):
+        code, out, err = run(capsys, "coulomb", "--beta-eps", beta_eps)
+        assert code == 2
+        assert out == ""
+        assert "above ln 2" in err and "Traceback" not in err
 
     def test_coulomb_requires_a_request(self, capsys):
         code, _, _ = run(capsys, "coulomb")
@@ -575,3 +611,10 @@ class TestContracts:
                         "--format", "csv")
         (rec,) = csv.DictReader(io.StringIO(out))
         assert rec["value"] == f"{F0_HALF:.17g}"
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_json_records_never_hold_non_json_floats(self, capsys, value):
+        with pytest.raises(ValueError):
+            emit([{"quantity": "ok", "value": 1.0},
+                  {"quantity": "bad", "value": value}], "json", False)
+        assert capsys.readouterr().out == ""

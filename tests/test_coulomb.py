@@ -5,6 +5,7 @@ import math
 from fractions import Fraction as Q
 
 import pytest
+from references import pi_rational_float
 
 from vertex_expand.coulomb import (
     KT_BETA_EPS,
@@ -36,6 +37,8 @@ class TestCoupling:
     def test_domain(self):
         with pytest.raises(OutOfDomain):
             j_of_betaeps(1.0)
+        with pytest.raises(OutOfDomain):    # exp(2 beta_eps) would overflow
+            j_of_betaeps(1e300)
         # boundary of the domain itself is fine
         assert j_of_betaeps(0.5 * math.log(4.0)) == pytest.approx(
             math.pi / 2, abs=1e-12)
@@ -73,7 +76,8 @@ class TestExpansion:
         h = 1e-6
         fd = (singular_exponent(FREE_FERMION_BETA_EPS + h)
               - singular_exponent(FREE_FERMION_BETA_EPS - h)) / (2.0 * h)
-        assert fd == pytest.approx(exponent_u_slope().to_float(), abs=1e-5)
+        assert fd == pytest.approx(pi_rational_float(exponent_u_slope()),
+                                   abs=1e-5)
 
     def test_expansion_evaluates_to_exponent(self):
         u = 0.01

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from references import odd_clockwise, planar_faces
+from references import decorated_edges, odd_clockwise, planar_faces
 from vertex_expand.dimer import (
     MATCHING_NODE_BOUND,
     EdgeConstraint,
@@ -79,7 +79,23 @@ class TestDecoration:
         lat = build_decorated(params_for(2, 3))
         assert lat.n_nodes == 24
         # 4 internal per city + horizontal + vertical externals
-        assert len(lat.edges) == 24 + 2 * 2 + 3
+        assert len(lat.i) == 24 + 2 * 2 + 3
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 5), (5, 1), (3, 4),
+                                           (8, 8)])
+    @pytest.mark.parametrize("beta_s", [-0.5, 0.0, 0.3])
+    def test_arrays_match_loop_reference(self, rows, cols, beta_s):
+        params = params_for(rows, cols, beta_s)
+        lat = build_decorated(params)
+        i, j, weight = decorated_edges(params)
+        assert lat.i.dtype == lat.j.dtype == np.int64
+        assert lat.i.tolist() == i
+        assert lat.j.tolist() == j
+        assert lat.weight.tolist() == weight
+        assert not (lat.i.flags.writeable or lat.j.flags.writeable
+                    or lat.weight.flags.writeable)
+        # the frozen dataclass compares its scalars, never its arrays
+        assert lat == build_decorated(params)
 
     def test_empty_city_weight(self):
         # a lone city has two diamond matchings of weight u^2 each, so
@@ -111,9 +127,9 @@ class TestKasteleyn:
         lat = build_decorated(params_for(3, 4))
         signs = kasteleyn_orientation(lat).signs
         assert signs.tolist() == [
-            -1 if e in {lat.internal(r, c, 3)
+            -1 if e in {4 * (r * 4 + c) + 3
                         for r in range(3) for c in range(4)} else 1
-            for e in range(len(lat.edges))]
+            for e in range(len(lat.i))]
 
     def test_closed_form_odd_on_traced_faces(self):
         for rows in range(1, 9):
@@ -144,9 +160,8 @@ class TestKasteleyn:
                                    min_size=1, max_size=8))
         signs = kast.signs.copy()
         for node in nodes:
-            for e, edge in enumerate(lat.edges):
-                if node in (edge.i, edge.j):
-                    signs[e] = -signs[e]
+            touches = (lat.i == node) | (lat.j == node)
+            signs[touches] = -signs[touches]
         gauged = KasteleynMatrix(lat, signs)
         audit_faces(gauged)
         assert partition_dimer(gauged) == pytest.approx(
@@ -224,8 +239,8 @@ class TestConstrained:
             emp = constrained_ratio(kast22, [EdgeConstraint(edge, False)])
             assert occ + emp == pytest.approx(1.0, rel=1e-12)
             # one edge's occupation is K(i,j) K^-1(j,i), here from a dense inverse
-            e = kast22.lattice.edges[edge]
-            assert occ == pytest.approx(kast22.sparse[e.i, e.j] * k_inv[e.j, e.i],
+            i, j = kast22.lattice.i[edge], kast22.lattice.j[edge]
+            assert occ == pytest.approx(kast22.sparse[i, j] * k_inv[j, i],
                                         rel=1e-12)
 
     def test_against_direct_enumeration(self, kast22):
@@ -294,7 +309,7 @@ class TestConstrained:
            beta_s=st.floats(-1.0, 1.0))
     def test_random_patterns_against_enumeration(self, size, data, beta_s):
         lat = build_decorated(params_for(size, size, beta_s))
-        edges = data.draw(st.lists(st.integers(0, len(lat.edges) - 1),
+        edges = data.draw(st.lists(st.integers(0, len(lat.i) - 1),
                                    min_size=1, max_size=5, unique=True))
         occupied = data.draw(st.lists(st.booleans(), min_size=len(edges),
                                       max_size=len(edges)))
