@@ -323,7 +323,9 @@ def cmd_constrained(args) -> int:
         cons = [dimer.EdgeConstraint(*edge) for edge in args.edge]
         ratio = dimer.constrained_ratio(kast, cons)
         if ratio <= 0.0:
-            return _usage_error("no matching satisfies the --edge constraints")
+            return _usage_error(
+                "no matching satisfies the --edge constraints, or their "
+                "ratio is below the rounding of the Pfaffian sum")
         records.append({
             "quantity": "constrained_ratio", "rows": args.rows,
             "cols": args.cols, "beta_s": args.beta_s,

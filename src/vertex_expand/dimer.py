@@ -27,13 +27,17 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (ConstraintConflict, FieldOverflow, NotFreeFermion,
-                     OrientationFailure, SingularMatrix, TooLarge,
-                     TooManyConstraints)
+                     OrientationFailure, TooLarge, TooManyConstraints)
 from .model import (FREE_FERMION_BETA_EPS, Boundary, LineConfig, ModelParams,
                     STATE_BITS, sublattice, Sublattice)
 
 MATCHING_NODE_BOUND = 36
 CONSTRAINT_BOUND = 5
+
+#: an inclusion-exclusion sum within this many ulps of the sum of its terms'
+#: magnitudes is rounding left by terms that cancel, and reads as exactly 0
+#: (cancelling sums over 1x1 to 3x3 lattices at |beta_s| <= 6 leave < 4)
+_CANCELLATION_ULPS = 8
 
 
 @dataclass(frozen=True)
@@ -114,6 +118,9 @@ class KasteleynMatrix:
     when the object is built; log det K and any block of K^-1 come from
     that one factorization.  The last K^-1 block is kept, so the six
     states of one site, which constrain the same four edges, share a solve.
+    The fixed boundary always leaves one perfect matching, the ground
+    state's completion, so K is never singular: a failed factorization or
+    a non-positive det K means the field has swamped a double's precision.
     """
 
     def __init__(self, lattice: DecoratedLattice, signs: np.ndarray):
@@ -127,7 +134,8 @@ class KasteleynMatrix:
         try:
             self._lu = spla.splu(self.sparse)
         except RuntimeError as exc:
-            raise SingularMatrix("no perfect matching") from exc
+            raise FieldOverflow(
+                "the sparse LU of K loses its pivots at this field") from exc
         self._last_block: tuple[tuple[int, ...], np.ndarray] | None = None
 
     def log_det(self) -> float:
@@ -136,7 +144,8 @@ class KasteleynMatrix:
         sign = (_parity(self._lu.perm_r) * _parity(self._lu.perm_c)
                 * np.prod(np.sign(diag)))
         if sign <= 0:
-            raise SingularMatrix("det R is not positive (no perfect matching)")
+            raise FieldOverflow(
+                "det K = Pf(K)^2 comes out non-positive at this field")
         return float(np.sum(np.log(np.abs(diag))))
 
     def inverse_block(self, nodes: list[int]) -> np.ndarray:
@@ -310,7 +319,8 @@ def constrained_ratio(kast: KasteleynMatrix, constraints) -> float:
     probability prod(-K(u_i,v_i)) Pf(K^-1[u_1,v_1,...,u_k,v_k]) (Kenyon,
     "Local statistics of lattice dimers"), which is 0 when two edges share
     a node.  Mixed sets are reduced to all-occupied ones by
-    inclusion-exclusion over the edges required to be empty.
+    inclusion-exclusion over the edges required to be empty; a sum whose
+    terms cancel to within its rounding returns exactly 0.
     """
     lat = kast.lattice
     occ, emp = _validated(lat, constraints)
@@ -322,7 +332,7 @@ def constrained_ratio(kast: KasteleynMatrix, constraints) -> float:
     block = kast.inverse_block(nodes)
     block = 0.5 * (block - block.T)  # the solve is anti-symmetric to rounding
     weights = (-kast.signs[edges] * lat.weight[edges]).tolist()
-    total = 0.0
+    total = magnitude = 0.0
     for t in range(1 << len(emp)):
         chosen = list(range(len(occ))) + [
             len(occ) + b for b in range(len(emp)) if (t >> b) & 1]
@@ -330,12 +340,15 @@ def constrained_ratio(kast: KasteleynMatrix, constraints) -> float:
         if len(set(covered)) < len(covered):
             continue  # two edges share a node: no matching holds both
         rows = [position[v] for v in covered]
-        term = math.prod(weights[c] for c in chosen)
-        total += ((-1) ** (len(chosen) - len(occ))) * term * _pfaffian(
+        term = math.prod(weights[c] for c in chosen) * _pfaffian(
             block[np.ix_(rows, rows)])
+        total += ((-1) ** (len(chosen) - len(occ))) * term
+        magnitude += abs(term)
     if not math.isfinite(total):   # an overflow in K^-1 reaches the sum too
         raise FieldOverflow(
             "K^-1 or its Pfaffian sum overflows a double at this field")
+    if abs(total) <= _CANCELLATION_ULPS * np.finfo(float).eps * magnitude:
+        return 0.0
     return float(total)
 
 

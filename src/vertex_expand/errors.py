@@ -25,10 +25,6 @@ class OrientationFailure(VertexExpandError):
     """Face-parity orientation could not be completed (embedding bug)."""
 
 
-class SingularMatrix(VertexExpandError):
-    """The signed adjacency matrix is singular (no perfect matching)."""
-
-
 class FieldOverflow(VertexExpandError):
     """A number that a path forms at this field overflows a double."""
 

@@ -3,7 +3,8 @@
 Defines the six vertex states, the two-sublattice staggered energies, arrow
 configurations with their line representation, and two independent
 small-lattice oracles: exhaustive ice-rule enumeration and a matrix-free
-two-column transfer matrix whose leading eigenvalues ARPACK finds.
+two-column transfer matrix whose leading eigenvalues a symmetric Lanczos
+iteration finds (the second column is the transpose of the first).
 
 Conventions (used consistently across the package):
 
@@ -27,8 +28,11 @@ from .errors import IceRuleViolation, NonConvergence, TooLarge
 
 ENUMERATION_EDGE_BOUND = 24
 
-#: relative tolerance of the ARPACK eigensolve in transfer_matrix_free_energy
-ARPACK_TOL = 1e-13
+#: relative tolerance of the Ritz residuals in transfer_matrix_free_energy
+EIGEN_TOL = 1e-13
+
+#: Lanczos steps transfer_matrix_free_energy takes before it gives up
+LANCZOS_STEP_CAP = 60
 
 #: arrow bits (W, E, N, S) for each vertex state
 STATE_BITS = {
@@ -382,9 +386,19 @@ class TransferResult:
 def transfer_matrix_free_energy(params: ModelParams) -> TransferResult:
     """Reduced free energy per vertex in the infinite-column limit.
 
-    ARPACK diagonalizes the two-column operator (two columns absorb the A/B
-    staggering); returns f = ln(lambda_max) / (2 N) and the relative gap
-    |lambda_2| / |lambda_1| as a convergence diagnostic.
+    The parity-1 column is the transpose of the parity-0 one, so the
+    two-column operator T = C^T C (two columns absorb the A/B staggering)
+    is symmetric positive semi-definite.  A Lanczos iteration from the
+    uniform vector, fully reorthogonalized twice a step, runs until the
+    Ritz residuals of the top two values are within EIGEN_TOL of the
+    largest; the weights are divided by the largest first, so no product
+    overflows, and f gets the logarithm of that scale back.  Returns
+    f = ln(lambda_max) / (2 N) and the relative gap lambda_2 / lambda_1 as a
+    convergence diagnostic, good to about EIGEN_TOL absolute (a smaller
+    gap, as at |beta_s| >= 10, is rounding and may read 0).  lambda_2 is
+    the second level the uniform vector reaches: a level of another
+    symmetry sector stays unseen (at beta_s = 0 and beta_eps = 0.9 one
+    lies above it from N = 2 on).
     """
     if params.boundary is not Boundary.PERIODIC:
         raise ValueError("transfer matrix requires periodic boundary")
@@ -392,24 +406,34 @@ def transfer_matrix_free_energy(params: ModelParams) -> TransferResult:
     if n % 2 or n > 16:
         raise ValueError("rows must be even and <= 16")
     wa, wb = _column_weights(params)
+    scale = max(wa.max(), wb.max())
+    wa, wb = wa / scale, wb / scale
     dim = 1 << n
-
-    def matvec(psi):
-        out = _apply_column(psi, 0, wa, wb, n)
-        return _apply_column(out, 1, wa, wb, n)
-
-    import scipy.sparse.linalg as spla
-    op = spla.LinearOperator((dim, dim), matvec=matvec)
-    v0 = np.full(dim, 1.0 / math.sqrt(dim))
-    try:
-        evals = spla.eigs(op, k=2, which="LM", v0=v0, tol=ARPACK_TOL,
-                          return_eigenvectors=False)
-    except spla.ArpackNoConvergence as exc:
-        raise NonConvergence("transfer-matrix eigensolve stalled") from exc
-    lam2, lam1 = sorted(np.abs(evals).tolist())
+    basis = np.empty((min(dim, LANCZOS_STEP_CAP), dim))
+    basis[0] = 1.0 / math.sqrt(dim)
+    alpha, beta = [], []
+    for m in range(len(basis)):
+        w = _apply_column(_apply_column(basis[m], 0, wa, wb, n), 1, wa, wb, n)
+        alpha.append(float(basis[m] @ w))
+        for _ in range(2):
+            w -= basis[:m + 1].T @ (basis[:m + 1] @ w)
+        beta.append(float(np.linalg.norm(w)))
+        theta, s = np.linalg.eigh(
+            np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
+        residual = beta[-1] * np.abs(s[-1, -2:])
+        if (beta[-1] == 0.0 or m + 1 == dim    # the Krylov space is exhausted
+                or np.all(residual <= EIGEN_TOL * theta[-1])):
+            break
+        if m + 1 < len(basis):
+            basis[m + 1] = w / beta[-1]
+    else:
+        raise NonConvergence("transfer-matrix eigensolve stalled")
+    lam1 = float(theta[-1])
+    lam2 = float(abs(theta[-2])) if len(theta) > 1 else 0.0
     if not np.isfinite(lam1) or lam1 <= 0:
         raise NonConvergence("non-positive leading eigenvalue")
-    return TransferResult(math.log(lam1) / (2 * n), lam2 / lam1)
+    return TransferResult(math.log(lam1) / (2 * n) + math.log(scale),
+                          lam2 / lam1)
 
 
 def transfer_partition(params: ModelParams, n_cols: int | None = None) -> float:

@@ -21,8 +21,8 @@ The transfer-matrix reference contracts a column row by row with one
 interface into a rest/done layout, where the package rewrites two bits in
 place with the six ice-rule weights.  It builds the two-column
 operator densely from that contraction on unit vectors and diagonalises it
-with LAPACK, where the package asks ARPACK for two eigenvalues of the
-matrix-free operator.
+with LAPACK's general (non-symmetric) eigensolver, where the package runs a
+symmetric Lanczos iteration on the matrix-free operator.
 
 The singular series are the paper's own assembly: Stirling's series for the
 central binomial ratio (``stirling_correction``), then the singular part of

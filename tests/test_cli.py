@@ -196,6 +196,19 @@ class TestPartition:
         assert out == ""
         assert "overflows" in err
 
+    @pytest.mark.parametrize("size,beta_s", [
+        (["--rows", "1", "--cols", "2"], "-700"),
+        (["--rows", "5", "--cols", "5"], "-480")])
+    def test_field_that_loses_the_pivots_is_usage_error(self, capsys, size,
+                                                        beta_s):
+        # the fixed boundary always has a perfect matching, so a singular
+        # or negative det K is the field's doing
+        code, out, err = run(capsys, "partition", *size, "--beta-s", beta_s,
+                             "--oracle", "pfaffian")
+        assert code == 2
+        assert out == ""
+        assert "--beta-s is too large" in err
+
     @pytest.mark.parametrize("option", [
         ["--beta-s", "177.4"],       # 4 |beta_s| just below ln(DBL_MAX)
         ["--beta-s", "-400", "--oracle", "enumerate"],
@@ -364,6 +377,17 @@ class TestConstrained:
     def test_unsatisfiable_edges_are_usage_error(self, capsys, edges):
         code, out, err = run(capsys, "constrained", "--rows", "3", "--cols",
                              "3", *edges)
+        assert code == 2
+        assert out == ""
+        assert "no matching satisfies the --edge constraints" in err
+
+    @pytest.mark.parametrize("beta_s", ["1.1", "0", "0.3", "-0.7"])
+    def test_constraints_that_cancel_are_usage_error(self, capsys, beta_s):
+        # in a lone city the L-T dimer forces R-B, so P(0) - P(0 and 2)
+        # cancels; its rounding residue is no ratio
+        code, out, err = run(capsys, "constrained", "--rows", "1", "--cols",
+                             "1", "--beta-s", beta_s, "--edge", "0:1",
+                             "--edge", "2:0")
         assert code == 2
         assert out == ""
         assert "no matching satisfies the --edge constraints" in err
@@ -545,7 +569,8 @@ class TestImports:
         assert modules_loaded(argv) == set()
 
     @pytest.mark.parametrize("argv", [
-        ["free-energy", "--beta-s", "0.5"]])
+        ["free-energy", "--beta-s", "0.5"],
+        ["free-energy", "--method", "finite", "--size", "8"]])
     def test_free_energy_loads_no_scipy(self, argv):
         assert not {m for m in modules_loaded(argv)
                     if m.split(".")[0] == "scipy"}

@@ -291,6 +291,28 @@ class TestConstrained:
         with pytest.raises(IndexError):
             constrained_ratio(kast22, [EdgeConstraint(edge, True)])
 
+    @pytest.mark.parametrize("beta_s", [-0.7, 0.0, 0.3, 1.1])
+    def test_cancelling_terms_are_exactly_zero(self, beta_s):
+        # 3x3 corner city 0: node L has only edges 0 (L-T) and 3 (B-L), so
+        # 1 - P(0) - P(3) cancels; a lone city's L-T dimer forces R-B
+        kast = kasteleyn_orientation(build_decorated(params_for(3, 3, beta_s)))
+        assert constrained_ratio(kast, [EdgeConstraint(0, False),
+                                        EdgeConstraint(3, False)]) == 0.0
+        kast = kasteleyn_orientation(build_decorated(params_for(1, 1, beta_s)))
+        assert constrained_ratio(kast, [EdgeConstraint(0, True),
+                                        EdgeConstraint(2, False)]) == 0.0
+
+    @pytest.mark.parametrize("beta_s", [2.0, 3.0])
+    def test_small_ratio_from_cancelling_terms_is_kept(self, beta_s):
+        # the centre city of 3x3 with all four internal edges empty: 16
+        # terms of order 1 sum to about 3e-8 (beta_s = 2) or 1e-11 (3)
+        lat = build_decorated(params_for(3, 3, beta_s))
+        cons = [EdgeConstraint(e, False) for e in range(16, 20)]
+        direct = (enumerate_matchings(lat, (), tuple(range(16, 20)))
+                  / enumerate_matchings(lat))
+        assert constrained_ratio(kasteleyn_orientation(lat), cons) == (
+            pytest.approx(direct, rel=1e-4))
+
     def test_node_sharing_edges_exactly_zero(self, kast22):
         # internal edges 0 (L-T) and 1 (T-R) of city 0 share node T
         both = [EdgeConstraint(0, True), EdgeConstraint(1, True)]

@@ -225,6 +225,10 @@ class TestArrowConfig:
                     assert sum(lines_cfg.incident_bits(r, c)) % 2 == 0
 
 
+#: fields of the dense-spectrum checks; at +-40 an unscaled norm overflows
+DENSE_BETAS = [40.0, -40.0, 5.0, -5.0, -0.7, 0.0, 0.05, 0.3, 0.45, 1.0]
+
+
 class TestTransferMatrix:
     def test_matches_enumeration(self):
         params = periodic(2, 4, 0.5)
@@ -245,15 +249,24 @@ class TestTransferMatrix:
         zb = transfer_partition(periodic(2, 4, -0.5))
         assert za == pytest.approx(zb, rel=1e-12)
 
-    @pytest.mark.parametrize("rows", [2, 4, 6, 8])
-    @pytest.mark.parametrize("beta_s", [40.0, -40.0, 5.0, -5.0, -0.7, 0.0,
-                                        0.05, 0.3, 0.45, 1.0])
-    def test_matches_dense_spectrum(self, rows, beta_s):
-        params = periodic(rows, rows, beta_s)
+    @staticmethod
+    def assert_matches_dense(params):
         res = transfer_matrix_free_energy(params)
         f, gap = dense_transfer(params)
         assert abs(res.free_energy - f) <= 1e-14
         assert abs(res.gap - gap) <= 1e-12
+
+    @pytest.mark.parametrize("rows", [2, 4, 6, 8])
+    @pytest.mark.parametrize("beta_s", DENSE_BETAS)
+    def test_matches_dense_spectrum(self, rows, beta_s):
+        self.assert_matches_dense(periodic(rows, rows, beta_s))
+
+    @pytest.mark.parametrize("rows", [2, 4, 6, 8])
+    @pytest.mark.parametrize("beta_s", DENSE_BETAS)
+    @pytest.mark.parametrize("u", [0.01, -0.01, 0.2 - FREE_FERMION_BETA_EPS])
+    def test_matches_dense_spectrum_off_the_free_fermion_point(
+            self, rows, beta_s, u):
+        self.assert_matches_dense(periodic(rows, rows, beta_s, u))
 
     @pytest.mark.parametrize("rows", range(2, 13))
     def test_column_kernel_is_bitwise_the_einsum(self, rows):
@@ -270,6 +283,21 @@ class TestTransferMatrix:
                     assert np.array_equal(
                         model._apply_column(psi, parity, *weights, rows),
                         apply_column(psi, parity, *tensors, rows))
+
+    @pytest.mark.parametrize("rows", range(2, 11))
+    @pytest.mark.parametrize("beta_s", [-0.7, 0.0, 0.3, 5.0])
+    def test_second_column_is_the_transpose_of_the_first(self, rows, beta_s):
+        # the identity that makes the two-column operator symmetric
+        eye = np.eye(1 << rows)
+        for beta_eps in (FREE_FERMION_BETA_EPS, 0.1, 0.9):
+            params = ModelParams(beta_s=beta_s, rows=rows, cols=2,
+                                 beta_eps=beta_eps)
+            wa, wb = model._column_weights(params)
+            first, second = (
+                np.column_stack([model._apply_column(col, parity, wa, wb, rows)
+                                 for col in eye])
+                for parity in (0, 1))
+            assert np.array_equal(second, first.T)
 
     @pytest.mark.parametrize("beta_s", [0.3, 0.8])
     def test_width_14_is_closer_to_f0_than_width_12(self, beta_s):
