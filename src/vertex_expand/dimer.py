@@ -91,8 +91,12 @@ def build_decorated(params: ModelParams) -> DecoratedLattice:
     if params.boundary is not Boundary.FIXED_GROUND_STATE:
         raise ValueError("decorated lattice uses the fixed ground-state boundary")
     n, m = params.rows, params.cols
-    c_w = math.exp(-0.5 * params.beta_s)
-    u_w = 0.5 * math.sqrt(2.0) * math.exp(0.5 * params.beta_s)
+    try:
+        c_w = math.exp(-0.5 * params.beta_s)
+        u_w = 0.5 * math.sqrt(2.0) * math.exp(0.5 * params.beta_s)
+    except OverflowError:
+        raise FieldOverflow("a Kasteleyn weight e^(|beta_s|/2) overflows "
+                            "a double") from None
     city = 4 * np.arange(n * m, dtype=np.int64).reshape(n, m)
     i = np.concatenate([
         (city[:, :, None] + np.arange(4)).ravel(),  # L-T, T-R, R-B, B-L
@@ -146,7 +150,10 @@ class KasteleynMatrix:
         if sign <= 0:
             raise FieldOverflow(
                 "det K = Pf(K)^2 comes out non-positive at this field")
-        return float(np.sum(np.log(np.abs(diag))))
+        log_det = float(np.sum(np.log(np.abs(diag))))
+        if not math.isfinite(log_det):
+            raise FieldOverflow("a pivot of log det K overflows a double")
+        return log_det
 
     def inverse_block(self, nodes: list[int]) -> np.ndarray:
         """K^-1[I, I] for the node list I, from one solve on its unit vectors
@@ -293,7 +300,7 @@ def _pfaffian(a: np.ndarray) -> float:
             tau = a[k, k + 2:] / pivot
             col = a[k + 2:, k + 1]
             a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
-    return pf
+    return float(pf)
 
 
 def _validated(lat: DecoratedLattice, constraints) -> tuple[list[int], list[int]]:
@@ -353,11 +360,12 @@ def constrained_ratio(kast: KasteleynMatrix, constraints) -> float:
 
 
 def constrained_partition(kast: KasteleynMatrix, constraints) -> float:
-    """log Z^cons (log-domain; -inf when the constraints are unsatisfiable)."""
+    """log Z^cons (log-domain; -inf when the constraints are unsatisfiable).
+    log det K comes first: where its pivots overflow, so that the ratio
+    rounds to 0, the field is at fault and not the constraints."""
+    log_z = partition_dimer(kast)
     ratio = constrained_ratio(kast, constraints)
-    if ratio <= 0.0:
-        return -math.inf
-    return partition_dimer(kast) + math.log(ratio)
+    return log_z + math.log(ratio) if ratio > 0.0 else -math.inf
 
 
 # --- vertex-state constraints ------------------------------------------------

@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .coulomb import FREE_FERMION_BETA_EPS
-from .errors import IceRuleViolation, NonConvergence, TooLarge
+from .errors import FieldOverflow, IceRuleViolation, NonConvergence, TooLarge
 
 ENUMERATION_EDGE_BOUND = 24
 
@@ -298,11 +298,13 @@ def enumerate_partition(params: ModelParams) -> EnumerationResult:
     configs = sorted(_ice_configurations(slots, fixed, _energy_table(params)))
     masks = np.array([m for m, _ in configs], dtype=np.int64)
     hams = np.array([h for _, h in configs])
+    if not np.all(np.isfinite(hams)):
+        raise FieldOverflow("a configuration energy overflows a double")
     log_z = hams.max() + math.log(math.fsum(np.exp(hams - hams.max())))
     with np.errstate(over="ignore"):     # log_z stays finite where Z is not
         weights = np.exp(hams)
-    return EnumerationResult(float(np.sum(weights)), float(log_z), masks,
-                             weights)
+        z = float(np.sum(weights))
+    return EnumerationResult(z, float(log_z), masks, weights)
 
 
 def config_from_mask(params: ModelParams, mask: int) -> ArrowConfig:
@@ -329,12 +331,14 @@ def config_from_mask(params: ModelParams, mask: int) -> ArrowConfig:
 _KEEP_UNEQUAL, _KEEP_EQUAL, _FLIP_EQUAL = (3, 4), (2, 1), (5, 6)
 
 
-def _column_weights(params: ModelParams):
-    """Per-sublattice vertex weights of _KEEP_UNEQUAL, _KEEP_EQUAL and
-    _FLIP_EQUAL, shaped (3, 2, 1, 1) to broadcast over a row's bit pairs."""
+def _column_weights(params: ModelParams, log_scale: float = 0.0):
+    """Per-sublattice vertex weights e^(-E - log_scale) of _KEEP_UNEQUAL,
+    _KEEP_EQUAL and _FLIP_EQUAL, shaped (3, 2, 1, 1) to broadcast over a
+    row's bit pairs."""
     weights = []
     for sub in (Sublattice.A, Sublattice.B):
-        w = [[math.exp(-vertex_energy(state, sub, params)) for state in pair]
+        w = [[math.exp(-vertex_energy(state, sub, params) - log_scale)
+              for state in pair]
              for pair in (_KEEP_UNEQUAL, _KEEP_EQUAL, _FLIP_EQUAL)]
         weights.append(np.array(w).reshape(3, 2, 1, 1))
     return tuple(weights)
@@ -391,23 +395,23 @@ def transfer_matrix_free_energy(params: ModelParams) -> TransferResult:
     is symmetric positive semi-definite.  A Lanczos iteration from the
     uniform vector, fully reorthogonalized twice a step, runs until the
     Ritz residuals of the top two values are within EIGEN_TOL of the
-    largest; the weights are divided by the largest first, so no product
-    overflows, and f gets the logarithm of that scale back.  Returns
-    f = ln(lambda_max) / (2 N) and the relative gap lambda_2 / lambda_1 as a
-    convergence diagnostic, good to about EIGEN_TOL absolute (a smaller
-    gap, as at |beta_s| >= 10, is rounding and may read 0).  lambda_2 is
-    the second level the uniform vector reaches: a level of another
-    symmetry sector stays unseen (at beta_s = 0 and beta_eps = 0.9 one
-    lies above it from N = 2 on).
+    largest; the weights are formed relative to the largest, in log space,
+    so none overflows at any finite field, and f gets that log scale back.
+    Returns f = ln(lambda_max) / (2 N) and the relative gap lambda_2 /
+    lambda_1 as a convergence diagnostic, good to about EIGEN_TOL absolute
+    (a smaller gap, as at |beta_s| >= 10, is rounding and may read 0).
+    lambda_2 is the second level the uniform vector reaches: a level of
+    another symmetry sector stays unseen (at beta_s = 0 and beta_eps = 0.9
+    one lies above it from N = 2 on).
     """
     if params.boundary is not Boundary.PERIODIC:
         raise ValueError("transfer matrix requires periodic boundary")
     n = params.rows
     if n % 2 or n > 16:
         raise ValueError("rows must be even and <= 16")
-    wa, wb = _column_weights(params)
-    scale = max(wa.max(), wb.max())
-    wa, wb = wa / scale, wb / scale
+    log_scale = max(-vertex_energy(state, sub, params)
+                    for state in VERTEX_STATES for sub in Sublattice)
+    wa, wb = _column_weights(params, log_scale)
     dim = 1 << n
     basis = np.empty((min(dim, LANCZOS_STEP_CAP), dim))
     basis[0] = 1.0 / math.sqrt(dim)
@@ -432,7 +436,7 @@ def transfer_matrix_free_energy(params: ModelParams) -> TransferResult:
     lam2 = float(abs(theta[-2])) if len(theta) > 1 else 0.0
     if not np.isfinite(lam1) or lam1 <= 0:
         raise NonConvergence("non-positive leading eigenvalue")
-    return TransferResult(math.log(lam1) / (2 * n) + math.log(scale),
+    return TransferResult(math.log(lam1) / (2 * n) + log_scale,
                           lam2 / lam1)
 
 

@@ -144,15 +144,17 @@ class TestFreeEnergy:
     @pytest.mark.parametrize("option", [["--beta-s", "50"],
                                         ["--beta-s", "-50"],
                                         ["--sweep", "0:50:25"]])
-    def test_finite_field_overflowing_transfer_matrix_is_usage_error(
-            self, capsys, option):
-        # the two-column operator of an 8-row torus multiplies 16 vertex
-        # weights e^(+-beta_s): finite up to |beta_s| = ln(DBL_MAX) / 16
-        code, out, err = run(capsys, "free-energy", "--method", "finite",
-                             "--size", "8", *option)
-        assert code == 2
-        assert out == ""
-        assert "transfer matrix" in err
+    def test_large_finite_field_is_frozen(self, capsys, option):
+        # the weights are formed relative to the largest one, so the
+        # transfer matrix answers at any finite field, though e^(16 |beta_s|)
+        # overflows; f is |beta_s| there, to rounding
+        code, out, _ = run(capsys, "free-energy", "--method", "finite",
+                           "--size", "8", *option)
+        assert code == 0
+        for rec in json_lines(out):
+            if rec["beta_s"] != 0.0:
+                assert rec["value"] == pytest.approx(abs(rec["beta_s"]),
+                                                     abs=1e-12)
         code, out, _ = run(capsys, "free-energy", "--method", "finite",
                            "--size", "8", "--beta-s", "44")
         assert code == 0
@@ -183,11 +185,7 @@ class TestPartition:
         assert out == ""
 
     @pytest.mark.parametrize("option", [
-        ["--beta-s", "400"],                         # enumerated weights
-        ["--beta-s", "-200", "--boundary", "periodic", "--oracle",
-         "enumerate"],
-        ["--beta-s", "1500", "--oracle", "pfaffian"],  # Kasteleyn weights
-        ["--beta-s", "-1419", "--oracle", "pfaffian"]])
+        ["--beta-s", "1500", "--oracle", "pfaffian"]])  # weight e^750
     def test_field_overflowing_the_weights_is_usage_error(self, capsys,
                                                           option):
         code, out, err = run(capsys, "partition", "--rows", "2", "--cols",
@@ -196,9 +194,28 @@ class TestPartition:
         assert out == ""
         assert "overflows" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("option,log_z", [
+        (["--cols", "2", "--beta-s", "400"], 1600.0),
+        (["--cols", "2", "--beta-s", "-200", "--boundary", "periodic",
+          "--oracle", "enumerate"], 800.0),
+        # each weight is finite, but their sum Z overflows
+        (["--cols", "4", "--beta-s", "177.4", "--boundary", "periodic",
+          "--oracle", "enumerate"], 8 * 177.4)])
+    def test_field_past_the_range_of_the_weights_is_answered(
+            self, capsys, option, log_z):
+        # Z = e^(rows cols |beta_s|) overflows, but neither oracle needs it:
+        # the enumerated log Z is max-shifted and log det K sums log pivots
+        code, out, err = run(capsys, "partition", "--rows", "2", *option)
+        assert (code, err) == (0, "")
+        (rec,) = json_lines(out)
+        assert rec["log_z_enumerate"] == pytest.approx(log_z, rel=1e-15)
+        assert rec.get("log_z_pfaffian", log_z) == log_z
+
     @pytest.mark.parametrize("size,beta_s", [
         (["--rows", "1", "--cols", "2"], "-700"),
-        (["--rows", "5", "--cols", "5"], "-480")])
+        (["--rows", "5", "--cols", "5"], "-480"),
+        (["--rows", "2", "--cols", "2"], "-1419")])
     def test_field_that_loses_the_pivots_is_usage_error(self, capsys, size,
                                                         beta_s):
         # the fixed boundary always has a perfect matching, so a singular
@@ -210,7 +227,7 @@ class TestPartition:
         assert "--beta-s is too large" in err
 
     @pytest.mark.parametrize("option", [
-        ["--beta-s", "177.4"],       # 4 |beta_s| just below ln(DBL_MAX)
+        ["--beta-s", "177.4"],       # Z = e^709.6, just below DBL_MAX
         ["--beta-s", "-400", "--oracle", "enumerate"],
         ["--beta-s", "1418", "--oracle", "pfaffian"]])
     def test_field_below_the_overflow_is_accepted(self, capsys, option):
@@ -341,11 +358,11 @@ class TestConstrained:
         assert "twice" in err
 
     @pytest.mark.parametrize("option", [
-        ["--site", "2", "2", "--beta-s", "1500"],    # weights e^(|beta_s|/2)
-        ["--site", "2", "2", "--beta-s", "-400"],    # four external e^200
-        ["--edge", "3:1", "--edge", "7:1", "--beta-s", "720"],  # two internal
-        ["--edge", "40:0", "--beta-s", "1419"],      # log det K's pivots
-        # the weights pass, but K^-1 itself overflows on this odd lattice
+        ["--site", "2", "2", "--beta-s", "1500"],    # weight e^750
+        ["--site", "2", "2", "--beta-s", "-400"],    # the Pfaffian sum
+        ["--edge", "3:1", "--edge", "7:1", "--beta-s", "720"],  # the same
+        ["--edge", "40:0", "--beta-s", "1419"],      # a pivot of log det K
+        # the weights and K pass, but K^-1 overflows on this odd lattice
         ["--edge", "3:1", "--edge", "5:0", "--beta-s", "-300"],
         ["--edge", "3:1", "--edge", "5:0", "--beta-s", "-355"]])
     def test_field_overflowing_the_weights_is_usage_error(self, capsys,
@@ -413,6 +430,73 @@ class TestPerturb:
         assert code == 0
         (rec,) = json_lines(out)
         assert rec["f0"] == rec["free_energy"] == 400.0
+
+
+EXTREME_FIELDS = [sign + value for value in ("1e-300", "50", "400", "800",
+                                             "1419.3", "1500", "1e300",
+                                             "1.7e308")
+                  for sign in ("", "-")]
+
+EXTREME_COMMANDS = {
+    "quad": ["free-energy"],
+    "series": ["free-energy", "--method", "series", "--terms", "1"],
+    "finite": ["free-energy", "--method", "finite", "--size", "4"],
+    "perturb": ["perturb", "--u", "{beta_s}"],
+    **{oracle: ["partition", "--rows", "2", "--cols", "2", "--oracle", oracle]
+       for oracle in ("enumerate", "pfaffian", "both")},
+    "periodic": ["partition", "--rows", "2", "--cols", "2", "--boundary",
+                 "periodic", "--oracle", "enumerate"],
+    "site": ["constrained", "--rows", "3", "--cols", "3", "--site", "1", "1"],
+    "occupied": ["constrained", "--rows", "3", "--cols", "3", "--edge", "3:1"],
+    "empty": ["constrained", "--rows", "3", "--cols", "3", "--edge", "40:0"],
+}
+
+
+def strict_json_lines(out):
+    def reject(name):
+        raise AssertionError(f"non-JSON constant {name}")
+    return [json.loads(line, parse_constant=reject)
+            for line in out.splitlines()]
+
+
+class TestExtremeFields:
+    """Every command answers or exits 2 at any finite field: a path that
+    would form a non-finite number says so, and nothing else reaches the
+    user (no traceback, no warning, no exit 3)."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta_s", EXTREME_FIELDS)
+    @pytest.mark.parametrize("command", EXTREME_COMMANDS)
+    def test_exits_0_or_2(self, capsys, command, beta_s):
+        argv = [a.format(beta_s=beta_s) for a in EXTREME_COMMANDS[command]]
+        code, out, err = run(capsys, *argv, "--beta-s", beta_s)
+        assert code in (0, 2), err
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            return
+        recs = strict_json_lines(out)
+        field = float(beta_s)
+        if abs(field) < 50.0:
+            return
+        # frozen: f is |beta_s| and log Z of the 2x2 lattice 4 |beta_s|, but
+        # at beta_s < 0 the fixed boundary forbids the reversed ground state
+        # and its best configuration, four vertices in states 1-4, has
+        # log Z = -4 beta_eps = -2 ln 2
+        for rec in recs:
+            if rec["quantity"] == "free_energy":
+                assert rec["value"] == pytest.approx(abs(field), rel=1e-15)
+            elif rec["quantity"] == "first_order_free_energy":
+                assert rec["f0"] == rec["free_energy"] == abs(field)
+            elif rec["quantity"] == "log_partition":
+                frozen = (4.0 * abs(field) if command == "periodic"
+                          or field > 0.0 else -2.0 * math.log(2.0))
+                for key in ("log_z_enumerate", "log_z_pfaffian"):
+                    if key in rec:
+                        assert rec[key] == pytest.approx(frozen, rel=1e-15,
+                                                         abs=1e-12)
+            elif rec["quantity"] == "vertex_state_probability_sum":
+                assert rec["value"] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSeriesAndCoulomb:
