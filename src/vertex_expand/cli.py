@@ -3,7 +3,8 @@
 Subcommands: free-energy, partition, constrained, perturb, series, coulomb,
 verify.  Output is deterministic: floats print with 17 significant digits,
 JSON keys are sorted, exact rationals print as fraction strings.  Exit codes:
-0 success, 1 verification failure, 2 usage error, 3 numerical failure.
+0 success, 1 verification failure, 2 usage error, 3 numerical failure, 141
+when the reader of stdout closes it before all is printed.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -25,6 +27,8 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+#: 128 + SIGPIPE, as a shell reports a writer that a closed pipe stopped
+EXIT_CLOSED_PIPE = 141
 
 #: highest order and whether it must be even, per ``series --target`` and for
 #: ``coulomb --expand``
@@ -472,7 +476,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone (`| head -1`): what is still buffered goes to
+        # devnull, so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY

@@ -13,7 +13,7 @@ import pytest
 from references import mp_free_energy
 
 import vertex_expand
-from vertex_expand.cli import MAX_SERIES_TERMS, emit, main
+from vertex_expand.cli import EXIT_CLOSED_PIPE, MAX_SERIES_TERMS, emit, main
 from vertex_expand.coulomb import KT_BETA_EPS
 
 # F0(0.5) correctly rounded to a double.  Reference: mpmath at 40 digits of
@@ -681,6 +681,23 @@ class TestImports:
 class TestContracts:
     def test_unknown_command(self, capsys):
         assert run(capsys, "does-not-exist")[0] == 2
+
+    def test_closed_pipe_exits_quietly(self):
+        # 1000 records, about 120 kB: more than a pipe and the reader's
+        # buffer hold, so the command is still printing when the reader goes
+        src = str(Path(vertex_expand.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "vertex_expand.cli", "free-energy",
+             "--sweep", "0.001:1:0.001"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert json.loads(proc.stdout.readline())["beta_s"] == 0.001
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_CLOSED_PIPE
+        assert err == b""
 
     @pytest.mark.parametrize("argv,key,value", [
         (["free-energy", "--sweep", "-0.5:0.5:0.5"], "beta_s", -0.5),

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from references import decorated_edges, odd_clockwise, planar_faces
+from references import (decorated_edges, odd_clockwise, pfaffian_by_expansion,
+                        planar_faces)
+from vertex_expand import dimer
 from vertex_expand.dimer import (
     MATCHING_NODE_BOUND,
     EdgeConstraint,
@@ -22,7 +24,9 @@ from vertex_expand.dimer import (
     kasteleyn_orientation,
     line_completion_weight,
     partition_dimer,
+    pfaffians,
     vertex_constrained_ratio,
+    vertex_state_constraints,
 )
 from vertex_expand.errors import (
     ConstraintConflict,
@@ -344,6 +348,77 @@ class TestConstrained:
                                       abs=1e-12)
 
 
+@st.composite
+def skew_stacks(draw):
+    """(stack, zero_rows): anti-symmetric matrices of one even size 2-10
+    with integer entries in [-3, 3], so their Pfaffians are exact integers
+    and rows hold ties of equal magnitude; some have a zero row."""
+    n = draw(st.sampled_from([2, 4, 6, 8, 10]))
+    upper = st.lists(st.integers(-3, 3), min_size=n * (n - 1) // 2,
+                     max_size=n * (n - 1) // 2)
+    stack, zero_rows = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        a = np.zeros((n, n))
+        a[np.triu_indices(n, 1)] = draw(upper)
+        a -= a.T
+        zero = draw(st.none() | st.integers(0, n - 1))
+        if zero is not None:
+            a[zero, :] = a[:, zero] = 0.0
+        stack.append(a)
+        zero_rows.append(zero is not None)
+    return np.array(stack), zero_rows
+
+
+class TestPfaffians:
+    """The batched elimination against an expansion over all matchings."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=skew_stacks(), data=st.data())
+    def test_against_expansion(self, drawn, data):
+        stack, zero_rows = drawn
+        n = stack.shape[-1]
+        exact = [pfaffian_by_expansion(a) for a in stack]
+        got = pfaffians(stack)
+        # (n-1)!! matchings, each a product of n/2 entries of size <= 3
+        tol = 1e-12 * math.prod(range(n - 1, 0, -2)) * 3 ** (n // 2)
+        for pf, want, zero in zip(got, exact, zero_rows):
+            assert abs(pf - want) <= tol
+            if zero:
+                assert pf == 0.0 == want  # a zero pivot gives exactly 0
+        # D A D with power-of-two d_i in pairs +-s: entries span 2^+-498,
+        # about 1e+-150, and Pf(D A D) = det D Pf(A) = Pf(A)
+        scaled = []
+        for a in stack:
+            s = data.draw(st.lists(st.integers(-249, 249), min_size=n // 2,
+                                   max_size=n // 2))
+            order = data.draw(st.permutations(range(n)))
+            d = np.ldexp(1.0, np.array(s + [-x for x in s])[order])
+            scaled.append(d[:, None] * a * d[None, :])
+        for pf, want in zip(pfaffians(np.array(scaled)), exact):
+            assert abs(pf - want) <= tol
+        # Pf^2 = det wherever the determinant can be trusted to 1e-12
+        for a, pf in zip(stack, got):
+            if np.linalg.cond(a) < 1e3:
+                assert pf * pf == pytest.approx(np.linalg.det(a), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=skew_stacks(), data=st.data())
+    def test_unit_pair_padding_leaves_the_pfaffian(self, drawn, data):
+        # the form the subset stacks take: an aligned unit 2x2 pair in
+        # place of an edge's rows leaves the other rows' Pfaffian, bit for bit
+        stack, _ = drawn
+        n = stack.shape[-1]
+        padded = []
+        for a in stack:
+            at = 2 * data.draw(st.integers(0, n // 2))
+            keep = np.r_[0:at, at + 2:n + 2]
+            p = np.zeros((n + 2, n + 2))
+            p[np.ix_(keep, keep)] = a
+            p[at, at + 1], p[at + 1, at] = 1.0, -1.0
+            padded.append(p)
+        assert pfaffians(np.array(padded)).tolist() == pfaffians(stack).tolist()
+
+
 @pytest.fixture(scope="module")
 def kast33():
     return kasteleyn_orientation(build_decorated(params_for(3, 3)))
@@ -368,16 +443,31 @@ class TestVertexStates:
 
     def test_six_states_share_one_solve(self, monkeypatch):
         kast = kasteleyn_orientation(build_decorated(params_for(4, 4)))
-        lu, solves = kast._lu, []
+        lu, solves, eliminations = kast._lu, [], []
 
         class CountingLU:
             def solve(self, rhs):
                 solves.append(rhs.shape[1])
                 return lu.solve(rhs)
 
+        def counting_pfaffians(a):
+            eliminations.append(a.shape)
+            return pfaffians(a)
+
         monkeypatch.setattr(kast, "_lu", CountingLU())
+        monkeypatch.setattr(dimer, "pfaffians", counting_pfaffians)
         probs = [vertex_constrained_ratio(kast, (1, 2), s) for s in range(1, 7)]
+        # the four edges are node-disjoint: all 16 subsets in one stack
         assert solves == [8]
+        assert eliminations == [(16, 8, 8)]
+        edges = tuple(sorted(c.edge for c in
+                             vertex_state_constraints(kast.lattice, (1, 2), 1)))
+        with pytest.raises(TypeError):
+            kast.subset_terms(edges)[0] = 0.0  # the kept table is read-only
+        # another edge set, even a subset of the last, is a new elimination
+        constrained_ratio(kast, [EdgeConstraint(edges[0], False)])
+        assert solves == [8, 2]
+        assert eliminations == [(16, 8, 8), (2, 2, 2)]
         fresh = kasteleyn_orientation(build_decorated(params_for(4, 4)))
         assert probs == [vertex_constrained_ratio(fresh, (1, 2), s)
                          for s in range(1, 7)]
