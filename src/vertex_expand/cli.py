@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, coulomb, series, verify
-from .errors import (FieldOverflow, OutOfDomain, VertexExpandError,
+from .errors import (BadInput, FieldOverflow, OutOfDomain, VertexExpandError,
                      VerificationFailed)
 
 EXIT_OK = 0
@@ -33,11 +33,11 @@ EXIT_CLOSED_PIPE = 141
 #: highest order and whether it must be even, per ``series --target`` and for
 #: ``coulomb --expand``
 ORDER_CAPS = {
-    "stirling": (16, False),
+    "stirling": (series.STIRLING_ORDER_CAP, False),
     "fst": (32, False),
     "sng": (64, True),
     "b2": (64, True),
-    "coulomb": (4, False),
+    "coulomb": (coulomb.EXPANSION_ORDER_CAP, False),
 }
 
 #: most points one ``free-energy --sweep`` may ask for
@@ -148,20 +148,10 @@ def _order_error(name: str, order: int) -> str | None:
     return None
 
 
-def _lattice_error(args) -> str | None:
-    if args.rows < 1 or args.cols < 1:
-        return "--rows and --cols must be >= 1"
-    if args.boundary == "periodic" and (args.rows % 2 or args.cols % 2):
-        return "--boundary periodic needs even --rows and --cols"
-    return None
-
-
 # --- subcommand handlers -----------------------------------------------------
 
 def cmd_free_energy(args) -> int:
-    if args.method == "finite" and args.size not in range(2, 17, 2):
-        return _usage_error("--size must be even and in [2, 16]")
-    if args.method == "series" and not 1 <= args.terms <= MAX_SERIES_TERMS:
+    if args.method == "series" and args.terms > MAX_SERIES_TERMS:
         return _usage_error(f"--terms must be in [1, {MAX_SERIES_TERMS}]")
     points = args.sweep if args.sweep is not None else [args.beta_s]
     if args.method == "finite":
@@ -192,39 +182,16 @@ def cmd_free_energy(args) -> int:
     return EXIT_OK
 
 
-def _build_params(args):
-    from . import model
-    boundary = (model.Boundary.PERIODIC if args.boundary == "periodic"
-                else model.Boundary.FIXED_GROUND_STATE)
-    return model.ModelParams(beta_s=args.beta_s, rows=args.rows,
-                             cols=args.cols, boundary=boundary)
-
-
-def _enumeration_error(args) -> str | None:
-    """The enumeration oracle scans every arrow state of the free edges:
-    all 2 rows cols of them on a torus, the interior ones under the fixed
-    boundary."""
-    from . import model
-    rows, cols = args.rows, args.cols
-    free = (2 * rows * cols if args.boundary == "periodic"
-            else rows * (cols - 1) + (rows - 1) * cols)
-    if free > model.ENUMERATION_EDGE_BOUND:
-        return (f"{rows}x{cols} has {free} free edges, above the enumeration "
-                f"bound {model.ENUMERATION_EDGE_BOUND}")
-    return None
-
-
 def cmd_partition(args) -> int:
-    message = _lattice_error(args)
-    if (message is None and args.oracle != "enumerate"
-            and args.boundary != "fixed"):
-        message = "pfaffian oracle needs --boundary fixed"
-    if message is None and args.oracle != "pfaffian":
-        message = _enumeration_error(args)
-    if message:
-        return _usage_error(message)
     from . import model
-    params = _build_params(args)
+    params = model.ModelParams(
+        beta_s=args.beta_s, rows=args.rows, cols=args.cols,
+        boundary=model.Boundary.PERIODIC if args.boundary == "periodic"
+        else model.Boundary.FIXED_GROUND_STATE)
+    lattice = None
+    if args.oracle != "enumerate":
+        from . import dimer
+        lattice = dimer.build_decorated(params)  # checked before enumerating
     rec = {"quantity": "log_partition", "rows": args.rows, "cols": args.cols,
            "beta_s": args.beta_s, "boundary": args.boundary,
            "oracle": args.oracle, "provenance": args.oracle}
@@ -232,10 +199,8 @@ def cmd_partition(args) -> int:
     if args.oracle in ("enumerate", "both"):
         log_enum = model.enumerate_partition(params).log_z
         rec["log_z_enumerate"] = log_enum
-    if args.oracle in ("pfaffian", "both"):
-        from . import dimer
-        kast = dimer.kasteleyn_orientation(dimer.build_decorated(params))
-        log_pf = dimer.partition_dimer(kast)
+    if lattice is not None:
+        log_pf = dimer.partition_dimer(dimer.kasteleyn_orientation(lattice))
         rec["log_z_pfaffian"] = log_pf
     if log_enum is not None and log_pf is not None:
         diff = abs(log_enum - log_pf)
@@ -251,34 +216,20 @@ def cmd_partition(args) -> int:
 def cmd_constrained(args) -> int:
     if not args.edge and args.site is None:
         return _usage_error("give --edge and/or --site")
-    message = _lattice_error(args)
-    if message:
-        return _usage_error(message)
-    if args.boundary != "fixed":
-        return _usage_error("constrained sums need --boundary fixed")
-    from . import dimer
+    from . import dimer, model
+    lat = dimer.build_decorated(model.ModelParams(
+        beta_s=args.beta_s, rows=args.rows, cols=args.cols))
+    cons = [dimer.EdgeConstraint(*edge) for edge in args.edge]
+    # the site and the constraints are checked before K is factored
     if args.site is not None:
-        r, c = args.site
-        if not (0 < r < args.rows - 1 and 0 < c < args.cols - 1):
-            return _usage_error(
-                f"--site {r} {c} is not an interior site of "
-                f"{args.rows}x{args.cols}")
-    if len(args.edge) > dimer.CONSTRAINT_BOUND:
-        return _usage_error(
-            f"at most {dimer.CONSTRAINT_BOUND} --edge constraints")
-    edges = [edge for edge, _ in args.edge]
-    if len(set(edges)) < len(edges):
-        return _usage_error("an --edge index is given twice")
-    lat = dimer.build_decorated(_build_params(args))
-    for edge in edges:
-        if not 0 <= edge < len(lat.i):
-            return _usage_error(
-                f"--edge index {edge} outside [0, {len(lat.i)})")
+        dimer.incident_external_edges(lat, args.site)
+    dimer.check_constraints(lat, cons)
     kast = dimer.kasteleyn_orientation(lat)
     records = []
     if args.edge:
-        cons = [dimer.EdgeConstraint(*edge) for edge in args.edge]
-        log_z = dimer.constrained_partition(kast, cons)
+        # log det K comes first: where its pivots overflow, so that the
+        # ratio rounds to 0, the field is at fault and not the constraints
+        log_z = dimer.partition_dimer(kast)
         ratio = dimer.constrained_ratio(kast, cons)
         if ratio <= 0.0:
             return _usage_error(
@@ -288,7 +239,8 @@ def cmd_constrained(args) -> int:
             "quantity": "constrained_ratio", "rows": args.rows,
             "cols": args.cols, "beta_s": args.beta_s,
             "constraints": [f"{e}:{int(o)}" for e, o in args.edge],
-            "provenance": "pfaffian", "ratio": ratio, "log_z": log_z})
+            "provenance": "pfaffian", "ratio": ratio,
+            "log_z": log_z + math.log(ratio)})
     if args.site is not None:
         r, c = args.site
         total = 0.0
@@ -430,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--beta-s", type=_finite_float, default=0.0)
-    p.add_argument("--boundary", choices=("periodic", "fixed"),
-                   default="fixed")
     p.add_argument("--edge", type=_parse_edge, action="append", default=[],
                    metavar="INDEX:OCC")
     p.add_argument("--site", type=int, nargs=2, default=None,
@@ -491,6 +441,8 @@ def main(argv: list[str] | None = None) -> int:
         return _usage_error(f"--beta-s is too large: {exc}")
     except OutOfDomain as exc:
         return _usage_error(f"--beta-eps: {exc}")
+    except BadInput as exc:
+        return _usage_error(str(exc))
     except (VertexExpandError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from math import comb
 
-from .errors import OutOfDomain, VerificationFailed
+from .errors import BadInput, OutOfDomain, VerificationFailed
 from .series import PiRational, Q, RationalSeries, b2_series
 
 #: the solvable coupling ln(2)/2, where the model maps onto free fermions
@@ -23,6 +23,9 @@ FREE_FERMION_BETA_EPS = 0.5 * math.log(2.0)
 
 #: coupling below which the exponent formula diverges (KT regime)
 KT_BETA_EPS = 0.5 * math.log(2.0 - math.sqrt(2.0))
+
+#: highest U-order of ``exponent_u_expansion``
+EXPANSION_ORDER_CAP = 4
 
 
 def j_of_betaeps(beta_eps: float) -> float:
@@ -81,8 +84,9 @@ def exponent_u_expansion(order: int = 2) -> list[dict]:
     the U^d coefficient is {k: (-8)^k [U^d] r^k}, with k <= d since r
     vanishes at U = 0.
     """
-    if order > 4:
-        raise ValueError("order capped at 4")
+    if not 0 <= order <= EXPANSION_ORDER_CAP:
+        raise BadInput(f"order {order} outside [0, {EXPANSION_ORDER_CAP}] "
+                       "for the exponent expansion")
     r = _j_shift_series(order)
     powers = [RationalSeries.monomial(0, 1, order)]
     for _ in range(order):

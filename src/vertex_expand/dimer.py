@@ -28,13 +28,18 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (ConstraintConflict, FieldOverflow, NotFreeFermion,
-                     OrientationFailure, TooLarge, TooManyConstraints)
+from .errors import (BadInput, ConstraintConflict, EdgeOutOfRange,
+                     FieldOverflow, NotFreeFermion, OrientationFailure,
+                     TooLarge, TooManyConstraints)
 from .model import (FREE_FERMION_BETA_EPS, Boundary, LineConfig, ModelParams,
                     STATE_BITS, sublattice, Sublattice)
 
 MATCHING_NODE_BOUND = 36
 CONSTRAINT_BOUND = 5
+
+#: most cities (rows * cols) of a decorated lattice: 512x512, the largest
+#: measured to finish, took 12.6 s and 2.3 GB to factor K on a 2-core Xeon
+CITY_BOUND = 512 * 512
 
 #: an inclusion-exclusion sum within this many ulps of the sum of its terms'
 #: magnitudes is rounding left by terms that cancel, and reads as exactly 0.
@@ -86,16 +91,20 @@ def build_decorated(params: ModelParams) -> DecoratedLattice:
     """City decoration of the lattice at the solvable point.
 
     Weights: C = exp(-beta_s/2) on external edges, u = (sqrt2/2)
-    exp(beta_s/2) on internal ones; requires beta_eps = ln(2)/2 and the
+    exp(beta_s/2) on internal ones; requires beta_eps = ln(2)/2, the
     fixed ground-state boundary (lines cannot cross the boundary, so no
-    external stubs are needed and the graph stays planar-with-boundary).
+    external stubs are needed and the graph stays planar-with-boundary)
+    and at most CITY_BOUND cities, checked before any array is allocated.
     """
     if abs(params.beta_eps - FREE_FERMION_BETA_EPS) > 1e-12:
         raise NotFreeFermion(
             f"beta_eps={params.beta_eps!r} is off the solvable point")
     if params.boundary is not Boundary.FIXED_GROUND_STATE:
-        raise ValueError("decorated lattice uses the fixed ground-state boundary")
+        raise BadInput("decorated lattice uses the fixed ground-state boundary")
     n, m = params.rows, params.cols
+    if n * m > CITY_BOUND:
+        raise TooLarge(f"{n}x{m} has {n * m} cities, above the Kasteleyn "
+                       f"bound {CITY_BOUND}")
     try:
         c_w = math.exp(-0.5 * params.beta_s)
         u_w = 0.5 * math.sqrt(2.0) * math.exp(0.5 * params.beta_s)
@@ -345,7 +354,11 @@ def pfaffians(a: np.ndarray) -> np.ndarray:
     return pf
 
 
-def _validated(lat: DecoratedLattice, constraints) -> tuple[list[int], list[int]]:
+def check_constraints(lat: DecoratedLattice,
+                      constraints) -> tuple[list[int], list[int]]:
+    """The occupied and the empty edges of a constraint set; BadInput for
+    more than CONSTRAINT_BOUND constraints, an edge outside the lattice or
+    an edge given twice."""
     if len(constraints) > CONSTRAINT_BOUND:
         raise TooManyConstraints(
             f"at most {CONSTRAINT_BOUND} simultaneous constraints")
@@ -353,7 +366,7 @@ def _validated(lat: DecoratedLattice, constraints) -> tuple[list[int], list[int]
     occ, emp = [], []
     for c in constraints:
         if not 0 <= c.edge < len(lat.i):
-            raise IndexError(f"edge {c.edge} outside [0, {len(lat.i)})")
+            raise EdgeOutOfRange(f"edge {c.edge} outside [0, {len(lat.i)})")
         if c.edge in seen:
             raise ConstraintConflict(f"edge {c.edge} constrained twice")
         seen.add(c.edge)
@@ -373,7 +386,7 @@ def constrained_ratio(kast: KasteleynMatrix, constraints) -> float:
     from ``KasteleynMatrix.subset_terms`` of the sorted edge set: one solve
     and one batched elimination per set, kept for the next call on it.
     """
-    occ, emp = _validated(kast.lattice, constraints)
+    occ, emp = check_constraints(kast.lattice, constraints)
     # sorted, so every occupation pattern on the same edges shares one table
     edges = tuple(sorted(occ + emp))
     terms = kast.subset_terms(edges)
@@ -395,21 +408,15 @@ def constrained_ratio(kast: KasteleynMatrix, constraints) -> float:
     return float(total)
 
 
-def constrained_partition(kast: KasteleynMatrix, constraints) -> float:
-    """log Z^cons (log-domain; -inf when the constraints are unsatisfiable).
-    log det K comes first: where its pivots overflow, so that the ratio
-    rounds to 0, the field is at fault and not the constraints."""
-    log_z = partition_dimer(kast)
-    ratio = constrained_ratio(kast, constraints)
-    return log_z + math.log(ratio) if ratio > 0.0 else -math.inf
-
-
 # --- vertex-state constraints ------------------------------------------------
 
-def _incident_external_edges(lat: DecoratedLattice, site: tuple[int, int]):
+def incident_external_edges(lat: DecoratedLattice, site: tuple[int, int]):
+    """The W, E, N and S external edges of a site; BadInput unless the site
+    is interior, so that all four are present."""
     r, c = site
     if not (0 < r < lat.rows - 1 and 0 < c < lat.cols - 1):
-        raise ValueError("site must be interior (all four external edges present)")
+        raise BadInput(f"site ({r}, {c}) is not an interior site of "
+                       f"{lat.rows}x{lat.cols}")
     return (lat.external_h(r, c - 1),   # W
             lat.external_h(r, c),       # E
             lat.external_v(r - 1, c),   # N
@@ -427,7 +434,7 @@ def vertex_state_constraints(lat: DecoratedLattice, site: tuple[int, int],
     ref = 6 if sublattice(r, c) is Sublattice.A else 5
     bits = STATE_BITS[state]
     ref_bits = STATE_BITS[ref]
-    edges = _incident_external_edges(lat, site)
+    edges = incident_external_edges(lat, site)
     return [EdgeConstraint(e, bits[k] != ref_bits[k])
             for k, e in enumerate(edges)]
 

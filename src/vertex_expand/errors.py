@@ -5,19 +5,24 @@ class VertexExpandError(Exception):
     """Base class for all package errors."""
 
 
+class BadInput(VertexExpandError, ValueError):
+    """An argument breaks a rule of the function it is passed to: a size,
+    bound, index or boundary it does not accept."""
+
+
 class IceRuleViolation(VertexExpandError):
     """A vertex does not have exactly two arrows in and two arrows out."""
 
 
-class TooLarge(VertexExpandError):
-    """Problem size exceeds the exhaustive-oracle bound."""
+class TooLarge(BadInput):
+    """Problem size exceeds the bound of the method asked for."""
 
 
 class NonConvergence(VertexExpandError):
     """An iterative eigensolve failed to reach tolerance."""
 
 
-class NotFreeFermion(VertexExpandError):
+class NotFreeFermion(BadInput):
     """The dimer mapping requires beta_eps = ln(2)/2."""
 
 
@@ -29,12 +34,16 @@ class FieldOverflow(VertexExpandError):
     """A number that a path forms at this field overflows a double."""
 
 
-class TooManyConstraints(VertexExpandError):
+class TooManyConstraints(BadInput):
     """More simultaneous edge constraints than the expansion supports."""
 
 
-class ConstraintConflict(VertexExpandError):
+class ConstraintConflict(BadInput):
     """The same edge appears twice in one constraint set."""
+
+
+class EdgeOutOfRange(BadInput, IndexError):
+    """An edge index outside the lattice's edge list."""
 
 
 class IdentityMismatch(VertexExpandError):

@@ -42,7 +42,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate, chain, count, islice
 
-from .errors import IdentityMismatch
+from .errors import BadInput, IdentityMismatch
 from .series import stirling_correction
 
 _STIRLING_ORDER = 8
@@ -180,7 +180,7 @@ def baxter_series(beta_s: float, n_max: int) -> tuple[float, float]:
     ~ ln(1/|beta_s|).
     """
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise BadInput(f"head terms n_max must be >= 1, not {n_max}")
     if abs(beta_s) >= _FROZEN_BETAS:
         # the sum is |beta_s| + e^{-4 |beta_s|}/4 + ..., the correction far
         # below the rounding allowance

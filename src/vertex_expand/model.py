@@ -24,7 +24,8 @@ from enum import Enum
 import numpy as np
 
 from .coulomb import FREE_FERMION_BETA_EPS
-from .errors import FieldOverflow, IceRuleViolation, NonConvergence, TooLarge
+from .errors import (BadInput, FieldOverflow, IceRuleViolation,
+                     NonConvergence, TooLarge)
 
 ENUMERATION_EDGE_BOUND = 24
 
@@ -85,11 +86,12 @@ class ModelParams:
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
-            raise ValueError("lattice dimensions must be >= 1")
+            raise BadInput(f"lattice dimensions must be >= 1, not "
+                           f"{self.rows}x{self.cols}")
         if self.boundary is Boundary.PERIODIC and (
                 self.rows % 2 or self.cols % 2):
-            raise ValueError(
-                "periodic staggered lattices need even rows and cols")
+            raise BadInput(f"periodic staggered lattices need even rows "
+                           f"and cols, not {self.rows}x{self.cols}")
 
 
 def vertex_energy(state: int, sub: Sublattice, params: ModelParams) -> float:
@@ -288,13 +290,16 @@ def enumerate_partition(params: ModelParams) -> EnumerationResult:
     """Exact Z = sum_c exp(H(c)) over all ice-rule configurations.
 
     Configurations are reported in ascending bit-mask order over the free
-    edges.
+    edges: all 2 rows cols of them on a torus, the interior ones under the
+    fixed boundary.  Their count is checked before any table is built.
     """
-    free_edges, slots, fixed = _edge_layout(params)
-    if len(free_edges) > ENUMERATION_EDGE_BOUND:
-        raise TooLarge(
-            f"{len(free_edges)} free edges exceeds the enumeration bound "
-            f"{ENUMERATION_EDGE_BOUND}")
+    n, m = params.rows, params.cols
+    free = (2 * n * m if params.boundary is Boundary.PERIODIC
+            else n * (m - 1) + (n - 1) * m)
+    if free > ENUMERATION_EDGE_BOUND:
+        raise TooLarge(f"{n}x{m} has {free} free edges, above the "
+                       f"enumeration bound {ENUMERATION_EDGE_BOUND}")
+    _, slots, fixed = _edge_layout(params)
     configs = sorted(_ice_configurations(slots, fixed, _energy_table(params)))
     masks = np.array([m for m, _ in configs], dtype=np.int64)
     hams = np.array([h for _, h in configs])
@@ -405,10 +410,11 @@ def transfer_matrix_free_energy(params: ModelParams) -> TransferResult:
     one lies above it from N = 2 on).
     """
     if params.boundary is not Boundary.PERIODIC:
-        raise ValueError("transfer matrix requires periodic boundary")
+        raise BadInput("transfer matrix requires periodic boundary")
     n = params.rows
     if n % 2 or n > 16:
-        raise ValueError("rows must be even and <= 16")
+        raise BadInput(f"transfer-matrix rows must be even and <= 16, "
+                       f"not {n}")
     log_scale = max(-vertex_energy(state, sub, params)
                     for state in VERTEX_STATES for sub in Sublattice)
     wa, wb = _column_weights(params, log_scale)

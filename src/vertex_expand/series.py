@@ -22,9 +22,12 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial
 
-from .errors import CompositionAtNonzero, DivisionByZeroSeries
+from .errors import BadInput, CompositionAtNonzero, DivisionByZeroSeries
 
 Q = Fraction
+
+#: highest order of ``stirling_correction``
+STIRLING_ORDER_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -215,8 +218,9 @@ def stirling_correction(K: int) -> RationalSeries:
     pure 1/n-series.  The result is asymptotic (coefficients eventually
     grow), which is fine for the fixed truncations used here.
     """
-    if K > 16:
-        raise ValueError("K capped at 16")
+    if not 0 <= K <= STIRLING_ORDER_CAP:
+        raise BadInput(f"order {K} outside [0, {STIRLING_ORDER_CAP}] for "
+                       "the Stirling bracket")
     B2k = bernoulli_numbers((K + 1) // 2 + 1)
     g = [Q(0)] * (K + 1)
     for k in range(1, len(B2k) + 1):

@@ -13,8 +13,10 @@ import pytest
 from references import mp_free_energy
 
 import vertex_expand
+from vertex_expand import coulomb, dimer, integrals, model, series
 from vertex_expand.cli import EXIT_CLOSED_PIPE, MAX_SERIES_TERMS, emit, main
 from vertex_expand.coulomb import KT_BETA_EPS
+from vertex_expand.errors import BadInput
 
 # F0(0.5) correctly rounded to a double.  Reference: mpmath at 40 digits of
 # (1/2)<arccosh(2 cosh 1 + cos u)>_u - (1/2) ln 2 = 0.53331044624567856784...,
@@ -30,6 +32,13 @@ def run(capsys, *argv):
 
 def json_lines(out):
     return [json.loads(line) for line in out.strip().splitlines()]
+
+
+def child_env():
+    """The environment of a child interpreter that imports this checkout."""
+    src = str(Path(vertex_expand.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
 
 
 class TestFreeEnergy:
@@ -380,6 +389,12 @@ class TestConstrained:
         (rec,) = json_lines(out)
         assert rec["ratio"] == pytest.approx(0.25, rel=1e-14)
         assert math.isfinite(rec["log_z"])
+        code, out, _ = run(capsys, "partition", "--rows", "5", "--cols", "5",
+                           "--beta-s", "-250", "--oracle", "pfaffian")
+        assert code == 0
+        log_z = json_lines(out)[0]["log_z_pfaffian"]
+        assert rec["log_z"] == pytest.approx(log_z + math.log(rec["ratio"]),
+                                             abs=1e-12)
 
     def test_site_field_below_the_overflow_is_accepted(self, capsys):
         # at beta_s > 0 the site sums multiply only external weights below 1
@@ -416,6 +431,14 @@ class TestConstrained:
         assert code == 2
         assert out == ""
         assert "at most 5" in err
+
+    @pytest.mark.parametrize("boundary", ["fixed", "periodic"])
+    def test_boundary_is_only_a_partition_option(self, capsys, boundary):
+        code, out, err = run(capsys, "constrained", "--rows", "3", "--cols",
+                             "3", "--site", "1", "1", "--boundary", boundary)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --boundary" in err
 
 
 class TestPerturb:
@@ -624,11 +647,9 @@ def modules_loaded(argv):
               "    with contextlib.redirect_stdout(io.StringIO()):\n"
               "        assert main(argv) == 0\n"
               "print(json.dumps(sorted(sys.modules)))\n")
-    src = str(Path(vertex_expand.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
-                          capture_output=True, text=True, env=env, check=True)
+                          capture_output=True, text=True, env=child_env(),
+                          check=True)
     return {name for name in json.loads(done.stdout)
             if name.split(".")[0] in HEAVY}
 
@@ -685,13 +706,10 @@ class TestContracts:
     def test_closed_pipe_exits_quietly(self):
         # 1000 records, about 120 kB: more than a pipe and the reader's
         # buffer hold, so the command is still printing when the reader goes
-        src = str(Path(vertex_expand.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "vertex_expand.cli", "free-energy",
              "--sweep", "0.001:1:0.001"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
         assert json.loads(proc.stdout.readline())["beta_s"] == 0.001
         proc.stdout.close()
         err = proc.stderr.read()
@@ -744,3 +762,101 @@ class TestContracts:
             emit([{"quantity": "ok", "value": 1.0},
                   {"quantity": "bad", "value": value}], "json", False)
         assert capsys.readouterr().out == ""
+
+
+#: a 256x256 lattice, where factoring K takes seconds: its rules must be
+#: decided before that
+BIG = ["constrained", "--rows", "256", "--cols", "256"]
+
+#: one command per input rule, named by the module that decides it
+INPUT_RULES = {
+    "model-dimensions": ["partition", "--rows", "0", "--cols", "3"],
+    "model-periodic-parity": ["free-energy", "--method", "finite",
+                              "--size", "7"],
+    "model-enumeration-bound": ["partition", "--rows", "2", "--cols", "9",
+                                "--oracle", "enumerate"],
+    "model-transfer-rows": ["free-energy", "--method", "finite",
+                            "--size", "18"],
+    "dimer-fixed-boundary": ["partition", "--rows", "2", "--cols", "2",
+                             "--boundary", "periodic", "--oracle",
+                             "pfaffian"],
+    "dimer-city-bound": ["partition", "--rows", "512", "--cols", "513",
+                         "--oracle", "pfaffian"],
+    "dimer-city-bound-constrained": ["constrained", "--rows", "513",
+                                     "--cols", "512", "--site", "1", "1"],
+    **{f"huge-{oracle}": ["partition", "--rows", "100000", "--cols",
+                          "100000", "--oracle", oracle]
+       for oracle in ("enumerate", "pfaffian", "both")},
+    "huge-constrained": ["constrained", "--rows", "100000", "--cols",
+                         "100000", "--site", "1", "1"],
+    "dimer-interior-site": [*BIG, "--site", "0", "128"],
+    "dimer-edge-range": [*BIG, "--edge", "392704:1"],   # 392704 edges
+    "dimer-repeated-edge": [*BIG, "--edge", "7:1", "--edge", "7:0"],
+    "dimer-constraint-count": [*BIG, *(f"--edge={e}:1" for e in range(6))],
+    "integrals-head-terms": ["free-energy", "--method", "series",
+                             "--terms", "0"],
+    "cli-terms-cap": ["free-energy", "--method", "series",
+                      "--terms", str(MAX_SERIES_TERMS + 1)],
+    "cli-series-order": ["series", "--target", "stirling", "--order", "17"],
+    "cli-coulomb-order": ["coulomb", "--expand", "5"],
+    "cli-selection": ["constrained", "--rows", "3", "--cols", "3"],
+}
+
+
+def _lattice_33():
+    return dimer.build_decorated(model.ModelParams(0.0, 3, 3))
+
+
+#: each library rule, broken by a direct call
+LIBRARY_RULES = {
+    "dimensions": lambda: model.ModelParams(0.0, 0, 3),
+    "periodic-parity": lambda: model.ModelParams(
+        0.0, 3, 2, boundary=model.Boundary.PERIODIC),
+    "enumeration-bound": lambda: model.enumerate_partition(
+        model.ModelParams(0.0, 100000, 100000)),
+    "transfer-rows": lambda: model.transfer_matrix_free_energy(
+        model.ModelParams(0.0, 18, 18, boundary=model.Boundary.PERIODIC)),
+    "transfer-boundary": lambda: model.transfer_matrix_free_energy(
+        model.ModelParams(0.0, 2, 2)),
+    "free-fermion-point": lambda: dimer.build_decorated(
+        model.ModelParams(0.0, 2, 2, beta_eps=0.3)),
+    "fixed-boundary": lambda: dimer.build_decorated(
+        model.ModelParams(0.0, 2, 2, boundary=model.Boundary.PERIODIC)),
+    "city-bound": lambda: dimer.build_decorated(
+        model.ModelParams(0.0, 512, 513)),
+    "interior-site": lambda: dimer.incident_external_edges(
+        _lattice_33(), (0, 1)),
+    "edge-range": lambda: dimer.check_constraints(
+        _lattice_33(), [dimer.EdgeConstraint(48, True)]),
+    "repeated-edge": lambda: dimer.check_constraints(
+        _lattice_33(), [dimer.EdgeConstraint(7, True),
+                        dimer.EdgeConstraint(7, False)]),
+    "constraint-count": lambda: dimer.check_constraints(
+        _lattice_33(), [dimer.EdgeConstraint(e, True) for e in range(6)]),
+    "head-terms": lambda: integrals.baxter_series(0.5, 0),
+    "stirling-order": lambda: series.stirling_correction(
+        series.STIRLING_ORDER_CAP + 1),
+    "expansion-order": lambda: coulomb.exponent_u_expansion(
+        coulomb.EXPANSION_ORDER_CAP + 1),
+}
+
+
+class TestInputRules:
+    """Each input rule is decided once, and bad input exits 2 with one
+    ``error:`` line, before any costly computation."""
+
+    @pytest.mark.parametrize("argv", INPUT_RULES.values(), ids=INPUT_RULES)
+    def test_rule_is_usage_error(self, argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "vertex_expand.cli", *argv],
+            capture_output=True, text=True, env=child_env(), timeout=10)
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("call", LIBRARY_RULES.values(),
+                             ids=LIBRARY_RULES)
+    def test_library_rule_raises_bad_input(self, call):
+        with pytest.raises(BadInput):
+            call()

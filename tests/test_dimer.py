@@ -18,7 +18,6 @@ from vertex_expand.dimer import (
     KasteleynMatrix,
     audit_faces,
     build_decorated,
-    constrained_partition,
     constrained_ratio,
     enumerate_matchings,
     kasteleyn_orientation,
@@ -271,13 +270,6 @@ class TestConstrained:
         direct = enumerate_matchings(lat, (0, 5), (16, 17, 18)) / z0
         assert constrained_ratio(kast22, cons) == pytest.approx(
             direct, abs=1e-11)
-
-    def test_constrained_partition_log(self, kast22):
-        cons = [EdgeConstraint(0, True)]
-        expected = partition_dimer(kast22) + math.log(
-            constrained_ratio(kast22, cons))
-        assert constrained_partition(kast22, cons) == pytest.approx(
-            expected, rel=1e-12)
 
     def test_conflicting_constraints(self, kast22):
         with pytest.raises(ConstraintConflict):
