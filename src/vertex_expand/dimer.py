@@ -15,6 +15,15 @@ k = 0 left, 1 top, 2 right, 3 bottom.  The edge list order is fixed
 (internal diamonds city by city, then horizontal externals, then vertical
 externals) so edge indices are reproducible across runs; the lattice holds
 it as three arrays, edge e joining nodes i[e] and j[e] with weight[e].
+
+The external edges come in the order of ``model.enumerate_partition``'s
+free edges, so a vertex configuration with mask ``mask`` has its dimers on
+external edge 4*rows*cols + b exactly where bit b of the line set
+``mask ^ model.ground_state_mask(params)`` is 1.  Each city's diamond then
+completes the matching: two ways with no line at the city, one way with
+lines on two adjacent sides or on all four, none otherwise (the ice rule).
+So one configuration's weight is ``enumerate_matchings`` with every
+external edge pinned, which is how the mapping is checked.
 """
 
 from __future__ import annotations
@@ -31,8 +40,8 @@ import scipy.sparse.linalg as spla
 from .errors import (BadInput, ConstraintConflict, EdgeOutOfRange,
                      FieldOverflow, NotFreeFermion, OrientationFailure,
                      TooLarge, TooManyConstraints)
-from .model import (FREE_FERMION_BETA_EPS, Boundary, LineConfig, ModelParams,
-                    STATE_BITS, sublattice, Sublattice)
+from .model import (FREE_FERMION_BETA_EPS, Boundary, ModelParams, STATE_BITS,
+                    sublattice, Sublattice)
 
 MATCHING_NODE_BOUND = 36
 CONSTRAINT_BOUND = 5
@@ -75,14 +84,16 @@ class DecoratedLattice:
 
     def external_h(self, row: int, col: int) -> int:
         """Edge index of the horizontal external edge east of city (row, col)."""
-        if not (0 <= col < self.cols - 1):
-            raise IndexError("no external edge there")
+        if not (0 <= row < self.rows and 0 <= col < self.cols - 1):
+            raise EdgeOutOfRange(f"no external edge east of city ({row}, "
+                                 f"{col}) on {self.rows}x{self.cols}")
         return 4 * self.rows * self.cols + row * (self.cols - 1) + col
 
     def external_v(self, row: int, col: int) -> int:
         """Edge index of the vertical external edge south of city (row, col)."""
-        if not (0 <= row < self.rows - 1):
-            raise IndexError("no external edge there")
+        if not (0 <= row < self.rows - 1 and 0 <= col < self.cols):
+            raise EdgeOutOfRange(f"no external edge south of city ({row}, "
+                                 f"{col}) on {self.rows}x{self.cols}")
         return (4 * self.rows * self.cols + self.rows * (self.cols - 1)
                 + row * self.cols + col)
 
@@ -446,41 +457,3 @@ def vertex_constrained_ratio(kast: KasteleynMatrix, site: tuple[int, int],
     elimination of the 16 subset Pfaffians."""
     return constrained_ratio(
         kast, vertex_state_constraints(kast.lattice, site, state))
-
-
-# --- line-configuration completion weight (mapping equivalence) --------------
-
-_DIAMOND_MATCHINGS = ((), ((0, 1),), ((1, 2),), ((2, 3),), ((3, 0),),
-                      ((0, 1), (2, 3)), ((1, 2), (3, 0)))
-
-
-def line_completion_weight(lat: DecoratedLattice, lines: LineConfig) -> float:
-    """Total dimer weight of all completions of a line configuration.
-
-    External dimers are placed exactly on the occupied line edges; each city
-    then sums the internal diamond matchings that cover its remaining nodes.
-    """
-    if lines.boundary is not Boundary.FIXED_GROUND_STATE:
-        raise ValueError("line completions need the fixed ground-state boundary")
-    weight = 1.0
-    covered = np.zeros((lat.rows, lat.cols, 4), dtype=bool)
-    for r in range(lat.rows):
-        for c in range(1, lat.cols):
-            if lines.h[r, c]:
-                weight *= lat.weight_c
-                covered[r, c - 1, 2] = covered[r, c, 0] = True
-    for r in range(1, lat.rows):
-        for c in range(lat.cols):
-            if lines.v[r, c]:
-                weight *= lat.weight_c
-                covered[r - 1, c, 3] = covered[r, c, 1] = True
-    for r in range(lat.rows):
-        for c in range(lat.cols):
-            open_nodes = frozenset(k for k in range(4) if not covered[r, c, k])
-            city = 0.0
-            for matching in _DIAMOND_MATCHINGS:
-                nodes = frozenset(n for pair in matching for n in pair)
-                if nodes == open_nodes:
-                    city += lat.weight_u ** len(matching)
-            weight *= city
-    return weight

@@ -10,10 +10,6 @@ class BadInput(VertexExpandError, ValueError):
     bound, index or boundary it does not accept."""
 
 
-class IceRuleViolation(VertexExpandError):
-    """A vertex does not have exactly two arrows in and two arrows out."""
-
-
 class TooLarge(BadInput):
     """Problem size exceeds the bound of the method asked for."""
 

@@ -1,10 +1,11 @@
 """Staggered six-vertex model on the square lattice.
 
-Defines the six vertex states, the two-sublattice staggered energies, arrow
-configurations with their line representation, and two independent
-small-lattice oracles: exhaustive ice-rule enumeration and a matrix-free
-two-column transfer matrix whose leading eigenvalues a symmetric Lanczos
-iteration finds (the second column is the transpose of the first).
+Defines the six vertex states, the two-sublattice staggered energies and
+two independent small-lattice oracles: exhaustive ice-rule enumeration and
+a matrix-free two-column transfer matrix whose leading eigenvalues a
+symmetric Lanczos iteration finds (the second column is the transpose of
+the first).  The enumeration encodes a configuration as a bit mask of its
+free arrows, and ``mask ^ ground_state_mask(params)`` is its line set.
 
 Conventions (used consistently across the package):
 
@@ -12,7 +13,11 @@ Conventions (used consistently across the package):
   sublattice A, and ``(r + c) % 2`` selects the sublattice.
 * horizontal arrow bit 1 = arrow points east; vertical bit 1 = points north.
 * the reference ground state has every A vertex in state 6 and every
-  B vertex in state 5.
+  B vertex in state 5: arrow bit 1 exactly on the edges east and south of
+  the A vertices.
+* enumeration masks number the free edges row-major, every edge east of a
+  vertex before every edge south of one; on the fixed boundary that is the
+  order of the decorated lattice's external edges.
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .coulomb import FREE_FERMION_BETA_EPS
-from .errors import (BadInput, FieldOverflow, IceRuleViolation,
-                     NonConvergence, TooLarge)
+from .errors import BadInput, FieldOverflow, NonConvergence, TooLarge
 
 ENUMERATION_EDGE_BOUND = 24
 
@@ -97,7 +101,7 @@ class ModelParams:
 def vertex_energy(state: int, sub: Sublattice, params: ModelParams) -> float:
     """Reduced energy of one vertex (the Hamiltonian sums -1 times these)."""
     if state not in STATE_BITS:
-        raise ValueError(f"invalid vertex state {state}")
+        raise BadInput(f"invalid vertex state {state}")
     if state <= 4:
         return params.beta_eps
     sign = 1.0 if state == 5 else -1.0
@@ -106,131 +110,56 @@ def vertex_energy(state: int, sub: Sublattice, params: ModelParams) -> float:
     return sign * params.beta_s
 
 
-def _reference_bits(params: ModelParams):
-    """Arrow bits of the reference ground state in ArrowConfig layout."""
-    n, m = params.rows, params.cols
-    rr = np.arange(n)[:, None]
-    if params.boundary is Boundary.PERIODIC:
-        cc = np.arange(m)[None, :]
-        h = ((rr + cc) % 2 == 0).astype(np.uint8)       # east vertex is B
-        v = ((rr + cc) % 2 == 0).astype(np.uint8)       # north vertex is A
-    else:
-        h = ((rr + np.arange(m + 1)[None, :]) % 2 == 1).astype(np.uint8)
-        v = ((np.arange(n + 1)[:, None] + np.arange(m)[None, :]) % 2
-             == 1).astype(np.uint8)
-    return h, v
-
-
-@dataclass(frozen=True)
-class ArrowConfig:
-    """Full arrow configuration.
-
-    Periodic layout: ``h[r, c]`` is the east edge of vertex (r, c) and
-    ``v[r, c]`` its south edge, both wrapping.  Fixed-boundary layout:
-    ``h[r, c]`` is the west edge of vertex (r, c) (so ``h`` has cols+1
-    columns) and ``v[r, c]`` the north edge (rows+1 rows); the outermost
-    entries are the fixed boundary arrows.
-    """
-
-    rows: int
-    cols: int
-    boundary: Boundary
-    h: np.ndarray = field(repr=False)
-    v: np.ndarray = field(repr=False)
-
-    def incident_bits(self, row: int, col: int) -> tuple[int, int, int, int]:
-        """(W, E, N, S) arrow bits at a vertex."""
-        n, m = self.rows, self.cols
-        if self.boundary is Boundary.PERIODIC:
-            return (int(self.h[row, (col - 1) % m]), int(self.h[row, col]),
-                    int(self.v[(row - 1) % n, col]), int(self.v[row, col]))
-        return (int(self.h[row, col]), int(self.h[row, col + 1]),
-                int(self.v[row, col]), int(self.v[row + 1, col]))
-
-
-def classify_vertex(config: ArrowConfig, site: tuple[int, int]) -> int:
-    """Vertex state 1..6 at ``site``; IceRuleViolation otherwise."""
-    w, e, nn, s = config.incident_bits(*site)
-    state = PATTERN_TO_STATE[w * 8 + e * 4 + nn * 2 + s]
-    if state == 0:
-        raise IceRuleViolation(f"vertex {site} is not two-in/two-out")
-    return state
-
-
-@dataclass(frozen=True)
-class LineConfig:
-    """Edge occupation bits: 1 where the arrow opposes the reference
-    ground state.  Same array layout as ArrowConfig."""
-
-    rows: int
-    cols: int
-    boundary: Boundary
-    h: np.ndarray = field(repr=False)
-    v: np.ndarray = field(repr=False)
-
-
-def line_representation(config: ArrowConfig, params: ModelParams) -> LineConfig:
-    for r in range(params.rows):
-        for c in range(params.cols):
-            classify_vertex(config, (r, c))
-    h_ref, v_ref = _reference_bits(params)
-    return LineConfig(config.rows, config.cols, config.boundary,
-                      np.bitwise_xor(config.h, h_ref),
-                      np.bitwise_xor(config.v, v_ref))
-
-
 # --- exhaustive enumeration oracle -------------------------------------------
 
-def _edge_layout(params: ModelParams):
-    """Free-edge indexing plus per-vertex slot tables for the enumeration.
+def _free_shape(params: ModelParams) -> tuple[int, int]:
+    """(free edges east of the vertices of a row, rows of free edges south
+    of a vertex): every vertex's on a torus, under the fixed boundary only
+    those that join two vertices."""
+    if params.boundary is Boundary.PERIODIC:
+        return params.cols, params.rows
+    return params.cols - 1, params.rows - 1
 
-    Returns (free_edges, slots, fixed_bits) where free_edges is a
-    deterministic list of ('h'|'v', r, c) descriptors, slots[vertex, k] the
-    free-edge index feeding arrow slot k (W, E, N, S) or -1, and fixed_bits
-    the boundary arrow bits for -1 slots.
+
+def ground_state_mask(params: ModelParams) -> int:
+    """The reference ground state as an enumeration mask: bit 1 on each free
+    edge east or south of a vertex with row + col even."""
+    n, m = params.rows, params.cols
+    east, south = _free_shape(params)
+    even = ([(r + c) % 2 == 0 for r in range(n) for c in range(east)]
+            + [(r + c) % 2 == 0 for r in range(south) for c in range(m)])
+    return sum(1 << b for b, bit in enumerate(even) if bit)
+
+
+def _edge_layout(params: ModelParams):
+    """Per-vertex slot tables for the enumeration.
+
+    Free edges are numbered row-major, every edge east of a vertex before
+    every edge south of one.  Returns (slots, fixed) where slots[vertex, k]
+    is the free edge feeding arrow slot k (W, E, N, S) or -1, and
+    fixed[vertex] the vertex's ground-state arrow bits, which the -1 slots
+    keep.
     """
     n, m = params.rows, params.cols
-    free_edges = []
-    h_index = {}
-    v_index = {}
-    if params.boundary is Boundary.PERIODIC:
-        for r in range(n):
-            for c in range(m):
-                h_index[(r, c)] = len(free_edges)
-                free_edges.append(("h", r, c))
-        for r in range(n):
-            for c in range(m):
-                v_index[(r, c)] = len(free_edges)
-                free_edges.append(("v", r, c))
-    else:
-        for r in range(n):
-            for c in range(1, m):
-                h_index[(r, c)] = len(free_edges)
-                free_edges.append(("h", r, c))
-        for r in range(1, n):
-            for c in range(m):
-                v_index[(r, c)] = len(free_edges)
-                free_edges.append(("v", r, c))
-    h_ref, v_ref = _reference_bits(params)
+    torus = params.boundary is Boundary.PERIODIC
+    east, south = _free_shape(params)
     slots = np.full((n * m, 4), -1, dtype=np.int32)
     fixed = np.zeros((n * m, 4), dtype=np.int8)
     for r in range(n):
         for c in range(m):
             vtx = r * m + c
-            if params.boundary is Boundary.PERIODIC:
-                keys = [("h", r, (c - 1) % m), ("h", r, c),
-                        ("v", (r - 1) % n, c), ("v", r, c)]
-            else:
-                keys = [("h", r, c), ("h", r, c + 1),
-                        ("v", r, c), ("v", r + 1, c)]
-            for k, (kind, er, ec) in enumerate(keys):
-                idx = (h_index if kind == "h" else v_index).get((er, ec))
-                if idx is not None:
-                    slots[vtx, k] = idx
-                else:
-                    ref = h_ref if kind == "h" else v_ref
-                    fixed[vtx, k] = ref[er, ec]
-    return free_edges, slots, fixed
+            # W and E are east of (r, c - 1) and (r, c), N and S south of
+            # (r - 1, c) and (r, c)
+            for k, (er, ec) in enumerate(
+                    ((r, c - 1), (r, c), (r - 1, c), (r, c))):
+                if torus:
+                    er, ec = er % n, ec % m
+                if k < 2 and 0 <= ec < east:
+                    slots[vtx, k] = er * east + ec
+                elif k >= 2 and 0 <= er < south:
+                    slots[vtx, k] = n * east + er * m + ec
+            fixed[vtx] = STATE_BITS[6 if (r + c) % 2 == 0 else 5]
+    return slots, fixed
 
 
 def _energy_table(params: ModelParams) -> np.ndarray:
@@ -294,12 +223,12 @@ def enumerate_partition(params: ModelParams) -> EnumerationResult:
     fixed boundary.  Their count is checked before any table is built.
     """
     n, m = params.rows, params.cols
-    free = (2 * n * m if params.boundary is Boundary.PERIODIC
-            else n * (m - 1) + (n - 1) * m)
+    east, south = _free_shape(params)
+    free = n * east + south * m
     if free > ENUMERATION_EDGE_BOUND:
         raise TooLarge(f"{n}x{m} has {free} free edges, above the "
                        f"enumeration bound {ENUMERATION_EDGE_BOUND}")
-    _, slots, fixed = _edge_layout(params)
+    slots, fixed = _edge_layout(params)
     configs = sorted(_ice_configurations(slots, fixed, _energy_table(params)))
     masks = np.array([m for m, _ in configs], dtype=np.int64)
     hams = np.array([h for _, h in configs])
@@ -310,21 +239,6 @@ def enumerate_partition(params: ModelParams) -> EnumerationResult:
         weights = np.exp(hams)
         z = float(np.sum(weights))
     return EnumerationResult(z, float(log_z), masks, weights)
-
-
-def config_from_mask(params: ModelParams, mask: int) -> ArrowConfig:
-    """Rebuild the full arrow configuration for one enumeration mask."""
-    free_edges, _, _ = _edge_layout(params)
-    h, v = _reference_bits(params)
-    h = h.copy()
-    v = v.copy()
-    if params.boundary is Boundary.PERIODIC:
-        h[:] = 0
-        v[:] = 0
-    for bit, (kind, r, c) in enumerate(free_edges):
-        target = h if kind == "h" else v
-        target[r, c] = (mask >> bit) & 1
-    return ArrowConfig(params.rows, params.cols, params.boundary, h, v)
 
 
 # --- transfer-matrix oracle --------------------------------------------------
@@ -449,10 +363,10 @@ def transfer_matrix_free_energy(params: ModelParams) -> TransferResult:
 def transfer_partition(params: ModelParams, n_cols: int | None = None) -> float:
     """Finite-torus Z via the trace of the column-operator product."""
     if params.boundary is not Boundary.PERIODIC:
-        raise ValueError("transfer partition requires periodic boundary")
+        raise BadInput("transfer partition requires periodic boundary")
     m = params.cols if n_cols is None else n_cols
     if m % 2:
-        raise ValueError("column count must be even")
+        raise BadInput("column count must be even")
     n = params.rows
     wa, wb = _column_weights(params)
     dim = 1 << n

@@ -2,7 +2,9 @@
 
 Each check returns (name, passed, detail); suites aggregate them.  The
 checks mirror the package's cross-validation contracts: Pfaffian counting
-against brute-force matching sums, the six-vertex/dimer mapping, agreement
+against brute-force matching sums, the six-vertex/dimer mapping (each
+enumerated configuration's weight against the matching sum with its line
+set ``mask ^ ground_state_mask`` pinned on the external edges), agreement
 of the free-energy representations (quadrature, series, transfer matrix and
 finite-lattice Pfaffians), the first-order identity, exact series
 reproduction, and the amplitude cross-check.
@@ -44,11 +46,16 @@ def suite_kasteleyn() -> list[Check]:
         params = model.ModelParams(beta_s=0.3, rows=rows, cols=cols)
         lat = dimer.build_decorated(params)
         result = model.enumerate_partition(params)
+        ground = model.ground_state_mask(params)
+        # bit b of a mask is the arrow on external edge 4 rows cols + b
+        external = range(4 * rows * cols, len(lat.i))
         worst = 0.0
         for mask, weight in zip(result.masks, result.weights):
-            cfg = model.config_from_mask(params, int(mask))
-            lines = model.line_representation(cfg, params)
-            completion = dimer.line_completion_weight(lat, lines)
+            lines = int(mask) ^ ground
+            completion = dimer.enumerate_matchings(
+                lat, tuple(e for b, e in enumerate(external) if lines >> b & 1),
+                tuple(e for b, e in enumerate(external)
+                      if not lines >> b & 1))
             worst = max(worst, abs(completion - weight) / weight)
         kast = dimer.kasteleyn_orientation(lat)
         z_err = abs(math.exp(dimer.partition_dimer(kast)) - result.z) / result.z

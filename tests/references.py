@@ -6,9 +6,13 @@ the bounded faces of a decorated lattice from a drawing of it, with no
 knowledge of the lattice's face structure; the Kasteleyn tests check the
 package's closed-form orientation and its face audit against it.
 
-The arrow-configuration helpers (the ground state, full reversal and the
-reduced Hamiltonian summed vertex by vertex) and the series helpers (term
-by term derivative, PiRational as a float) serve the tests only.
+The arrow configurations are plain (h, v) arrays with their own edge
+layout, the west and north arrow of each vertex.  The helpers on them (the
+ground state built vertex by vertex from ``STATE_BITS``, full reversal, the
+vertex states and the reduced Hamiltonian, and the decoder of an
+enumeration mask) and the series helpers (term by term derivative,
+PiRational as a float) serve the tests only.  ``pinned_matchings`` weighs a
+line set by the matching sum with every external edge pinned.
 
 The infinite-lattice quantities are each an mpmath quadrature of a 1-D reduction of the defining double
 integral (cos t1 cos t2 = [cos(t1 + t2) + cos(t1 - t2)]/2 and
@@ -41,7 +45,7 @@ from math import factorial
 import mpmath
 import numpy as np
 
-from vertex_expand import model
+from vertex_expand import dimer, model
 from vertex_expand.series import (
     LogSeries,
     PiRational,
@@ -147,17 +151,36 @@ def odd_clockwise(signs, faces) -> bool:
 
 
 def ground_state_config(params):
-    """The reference ground state: every A vertex in state 6, every B vertex
-    in state 5."""
-    h, v = model._reference_bits(params)
-    return model.ArrowConfig(params.rows, params.cols, params.boundary, h, v)
+    """The reference ground state, every A vertex in state 6 and every B
+    vertex in state 5, as arrow arrays (h, v).
+
+    ``h[r, c]`` is the arrow on the edge west of vertex (r, c), column
+    ``cols`` the east boundary; ``v[r, c]`` the arrow on the edge north of
+    it, row ``rows`` the south boundary.  On a torus the last column and
+    row repeat the first.
+    """
+    n, m = params.rows, params.cols
+    h = np.zeros((n, m + 1), dtype=np.uint8)
+    v = np.zeros((n + 1, m), dtype=np.uint8)
+    for r in range(n):
+        for c in range(m):
+            w, e, north, s = model.STATE_BITS[6 if (r + c) % 2 == 0 else 5]
+            h[r, c], h[r, c + 1], v[r, c], v[r + 1, c] = w, e, north, s
+    return h, v
 
 
 def reversed_config(config):
     """``config`` with every arrow reversed."""
-    return model.ArrowConfig(config.rows, config.cols, config.boundary,
-                             (1 - config.h).astype(np.uint8),
-                             (1 - config.v).astype(np.uint8))
+    h, v = config
+    return 1 - h, 1 - v
+
+
+def vertex_state(config, r, c):
+    """The state 1..6 of vertex (r, c), or 0 where its arrows are not
+    two-in/two-out."""
+    h, v = config
+    bits = (int(h[r, c]), int(h[r, c + 1]), int(v[r, c]), int(v[r + 1, c]))
+    return next((s for s, b in model.STATE_BITS.items() if b == bits), 0)
 
 
 def reduced_hamiltonian(config, params):
@@ -165,9 +188,42 @@ def reduced_hamiltonian(config, params):
     total = 0.0
     for r in range(params.rows):
         for c in range(params.cols):
-            state = model.classify_vertex(config, (r, c))
+            state = vertex_state(config, r, c)
+            assert state, f"vertex ({r}, {c}) breaks the ice rule"
             total -= model.vertex_energy(state, model.sublattice(r, c), params)
     return total
+
+
+def free_edges(params):
+    """('h' | 'v', r, c) of each free arrow in enumeration-mask order, in
+    the layout of ``ground_state_config``: columns 1 .. cols - 1 of h row
+    by row, then rows 1 .. rows - 1 of v; on a torus also column cols and
+    row rows."""
+    n, m = params.rows, params.cols
+    torus = params.boundary is model.Boundary.PERIODIC
+    return ([("h", r, c) for r in range(n) for c in range(1, m + torus)]
+            + [("v", r, c) for r in range(1, n + torus) for c in range(m)])
+
+
+def config_from_mask(params, mask):
+    """The arrow arrays of an enumeration mask: bit b is the b-th arrow of
+    ``free_edges``, and the fixed boundary keeps the ground state's."""
+    h, v = ground_state_config(params)
+    for b, (kind, r, c) in enumerate(free_edges(params)):
+        (h if kind == "h" else v)[r, c] = mask >> b & 1
+    if params.boundary is model.Boundary.PERIODIC:
+        h[:, 0], v[0] = h[:, -1], v[-1]
+    return h, v
+
+
+def pinned_matchings(lat, lines):
+    """Dimer weight of a line set, a bit mask over the external edges (bit
+    b on edge 4 rows cols + b): the matching sum with every external edge
+    pinned occupied or empty."""
+    external = range(4 * lat.rows * lat.cols, len(lat.i))
+    return dimer.enumerate_matchings(
+        lat, tuple(e for b, e in enumerate(external) if lines >> b & 1),
+        tuple(e for b, e in enumerate(external) if not lines >> b & 1))
 
 
 def column_tensors(params):

@@ -631,6 +631,20 @@ class TestVerify:
         assert "FAIL [kasteleyn]" in out
         assert out.strip().splitlines()[-1] == "FAILED"
 
+    def test_mutated_ground_mask_fails_mapping_check(self, capsys,
+                                                     monkeypatch):
+        # a line set one bit off breaks the ice rule, so every configuration
+        # weighs 0 on the dimer side
+        from vertex_expand import model
+        original = model.ground_state_mask
+        monkeypatch.setattr(model, "ground_state_mask",
+                            lambda params: original(params) ^ 1)
+        code, out, _ = run(capsys, "verify", "--suite", "kasteleyn")
+        assert code == 1
+        assert any(line.startswith("FAIL [kasteleyn] mapping-equivalence")
+                   for line in out.splitlines())
+        assert out.strip().splitlines()[-1] == "FAILED"
+
 
 #: the packages the exact-arithmetic commands must not load
 HEAVY = ("numpy", "scipy", "mpmath")
@@ -818,6 +832,12 @@ LIBRARY_RULES = {
         model.ModelParams(0.0, 18, 18, boundary=model.Boundary.PERIODIC)),
     "transfer-boundary": lambda: model.transfer_matrix_free_energy(
         model.ModelParams(0.0, 2, 2)),
+    "transfer-partition-boundary": lambda: model.transfer_partition(
+        model.ModelParams(0.0, 2, 2)),
+    "transfer-partition-cols": lambda: model.transfer_partition(
+        model.ModelParams(0.0, 2, 2, boundary=model.Boundary.PERIODIC), 3),
+    "vertex-state": lambda: model.vertex_energy(
+        7, model.Sublattice.A, model.ModelParams(0.0, 2, 2)),
     "free-fermion-point": lambda: dimer.build_decorated(
         model.ModelParams(0.0, 2, 2, beta_eps=0.3)),
     "fixed-boundary": lambda: dimer.build_decorated(

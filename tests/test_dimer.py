@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from references import (decorated_edges, odd_clockwise, pfaffian_by_expansion,
-                        planar_faces)
+from references import (config_from_mask, decorated_edges, free_edges,
+                        ground_state_config, odd_clockwise,
+                        pfaffian_by_expansion, pinned_matchings, planar_faces)
 from vertex_expand import dimer
 from vertex_expand.dimer import (
     MATCHING_NODE_BOUND,
@@ -21,7 +22,6 @@ from vertex_expand.dimer import (
     constrained_ratio,
     enumerate_matchings,
     kasteleyn_orientation,
-    line_completion_weight,
     partition_dimer,
     pfaffians,
     vertex_constrained_ratio,
@@ -29,6 +29,7 @@ from vertex_expand.dimer import (
 )
 from vertex_expand.errors import (
     ConstraintConflict,
+    EdgeOutOfRange,
     NotFreeFermion,
     OrientationFailure,
     TooLarge,
@@ -39,13 +40,16 @@ from vertex_expand.model import (
     FREE_FERMION_BETA_EPS,
     Boundary,
     ModelParams,
-    config_from_mask,
     enumerate_partition,
-    line_representation,
+    ground_state_mask,
 )
 
 
 MAX_CITIES = MATCHING_NODE_BOUND // 4  # four nodes per city
+
+#: every fixed lattice the matching oracle takes
+SMALL_SHAPES = [(rows, cols) for rows in range(1, MAX_CITIES + 1)
+                for cols in range(1, MAX_CITIES // rows + 1)]
 
 
 def params_for(rows, cols, beta_s=0.3):
@@ -99,6 +103,15 @@ class TestDecoration:
                     or lat.weight.flags.writeable)
         # the frozen dataclass compares its scalars, never its arrays
         assert lat == build_decorated(params)
+
+    @pytest.mark.parametrize("kind,row,col", [
+        ("h", 3, 0), ("h", -1, 0), ("h", 0, 2), ("h", 0, -1),
+        ("v", 0, 3), ("v", 0, -1), ("v", 2, 0), ("v", -1, 0)])
+    def test_external_index_out_of_range(self, kind, row, col):
+        # each coordinate is checked: an unchecked one reads another edge
+        lat = build_decorated(params_for(3, 3))
+        with pytest.raises(EdgeOutOfRange):
+            (lat.external_h if kind == "h" else lat.external_v)(row, col)
 
     def test_empty_city_weight(self):
         # a lone city has two diamond matchings of weight u^2 each, so
@@ -209,16 +222,46 @@ class TestKasteleyn:
 
 
 class TestMappingEquivalence:
-    @pytest.mark.parametrize("rows,cols", [(2, 2), (2, 3)])
-    def test_per_configuration_weights(self, rows, cols):
-        params = params_for(rows, cols)
+    @pytest.mark.parametrize("rows,cols", SMALL_SHAPES)
+    @pytest.mark.parametrize("beta_s", [-0.7, 0.0, 0.3])
+    def test_per_configuration_weights(self, rows, cols, beta_s):
+        params = params_for(rows, cols, beta_s)
         lat = build_decorated(params)
         result = enumerate_partition(params)
+        ground = ground_state_mask(params)
         for mask, weight in zip(result.masks, result.weights):
-            cfg = config_from_mask(params, int(mask))
-            lines = line_representation(cfg, params)
-            assert line_completion_weight(lat, lines) == pytest.approx(
+            assert pinned_matchings(lat, int(mask) ^ ground) == pytest.approx(
                 weight, rel=1e-13)
+
+    @pytest.mark.parametrize("rows,cols", [(1, 2), (2, 1), (2, 3), (3, 3),
+                                           (4, 4), (2, 5)])
+    def test_mask_bit_is_external_edge(self, rows, cols):
+        # flipping free bit b of the ground mask reverses one arrow, and it
+        # sits on external edge 4 rows cols + b
+        params = params_for(rows, cols)
+        lat = build_decorated(params)
+        ground, gs = ground_state_mask(params), ground_state_config(params)
+        assert len(free_edges(params)) == len(lat.i) - 4 * rows * cols
+        for b in range(len(lat.i) - 4 * rows * cols):
+            h, v = config_from_mask(params, ground ^ 1 << b)
+            flipped = ([("h", r, c) for r, c in zip(*np.nonzero(h != gs[0]))]
+                       + [("v", r, c) for r, c in zip(*np.nonzero(v != gs[1]))])
+            assert len(flipped) == 1
+            kind, r, c = flipped[0]
+            edge = (lat.external_h(r, c - 1) if kind == "h"
+                    else lat.external_v(r - 1, c))
+            assert edge == 4 * rows * cols + b
+
+    @pytest.mark.parametrize("rows,cols", [(2, 2), (2, 3), (3, 3), (1, 4)])
+    def test_single_flip_weighs_zero(self, rows, cols):
+        # one reversed arrow breaks the ice rule at both of its vertices
+        params = params_for(rows, cols)
+        lat = build_decorated(params)
+        ground = ground_state_mask(params)
+        n_free = len(lat.i) - 4 * rows * cols
+        for mask in enumerate_partition(params).masks:
+            for b in range(n_free):
+                assert pinned_matchings(lat, int(mask) ^ ground ^ 1 << b) == 0.0
 
     @pytest.mark.parametrize("rows,cols", [(2, 2), (2, 3)])
     def test_partition_functions_agree(self, rows, cols):

@@ -9,28 +9,27 @@ from hypothesis import strategies as st
 from references import (
     apply_column,
     column_tensors,
+    config_from_mask,
     dense_transfer,
     ground_state_config,
     reduced_hamiltonian,
     reversed_config,
+    vertex_state,
 )
 
 from vertex_expand import dimer, model
-from vertex_expand.errors import TooLarge
+from vertex_expand.errors import BadInput, TooLarge
 from vertex_expand.integrals import baxter_free_energy
 from vertex_expand.model import (
     ENUMERATION_EDGE_BOUND,
     FREE_FERMION_BETA_EPS,
     PATTERN_TO_STATE,
     STATE_BITS,
-    ArrowConfig,
     Boundary,
     ModelParams,
     Sublattice,
-    classify_vertex,
-    config_from_mask,
     enumerate_partition,
-    line_representation,
+    ground_state_mask,
     sublattice,
     transfer_matrix_free_energy,
     transfer_partition,
@@ -110,7 +109,7 @@ class TestGroundState:
         gs = ground_state_config(params)
         for r in range(4):
             for c in range(4):
-                state = classify_vertex(gs, (r, c))
+                state = vertex_state(gs, r, c)
                 expected = 6 if sublattice(r, c) is Sublattice.A else 5
                 assert state == expected
 
@@ -122,10 +121,19 @@ class TestGroundState:
         assert reduced_hamiltonian(flipped, params) == pytest.approx(
             -16 * 0.3, abs=1e-12)
 
-    def test_no_lines(self):
-        params = fixed(3, 3)
-        lines = line_representation(ground_state_config(params), params)
-        assert not lines.h.any() and not lines.v.any()
+    @pytest.mark.parametrize("params", [fixed(3, 3), fixed(2, 3), fixed(1, 4),
+                                        periodic(2, 2), periodic(2, 4)])
+    def test_no_lines(self, params):
+        # the ground-state mask decodes to the ground state, so its line set
+        # mask ^ ground_state_mask is empty
+        h, v = config_from_mask(params, ground_state_mask(params))
+        gs_h, gs_v = ground_state_config(params)
+        assert np.array_equal(h, gs_h) and np.array_equal(v, gs_v)
+
+    @pytest.mark.parametrize("params,mask", [(fixed(2, 2), 0x5),
+                                             (fixed(2, 3), 0x59)])
+    def test_ground_mask_pinned(self, params, mask):
+        assert ground_state_mask(params) == mask
 
 
 class TestEnumeration:
@@ -146,7 +154,7 @@ class TestEnumeration:
             cfg = config_from_mask(params, int(mask))
             for r in range(2):
                 for c in range(4):
-                    assert 1 <= classify_vertex(cfg, (r, c)) <= 6
+                    assert 1 <= vertex_state(cfg, r, c) <= 6
 
     def test_weights_match_hamiltonian(self):
         params = fixed(2, 3, 0.4)
@@ -208,21 +216,21 @@ class TestArrowConfig:
         params = periodic(2, 2)
         gs = ground_state_config(params)
         back = reversed_config(reversed_config(gs))
-        assert np.array_equal(back.h, gs.h) and np.array_equal(back.v, gs.v)
+        assert np.array_equal(back[0], gs[0]) and np.array_equal(back[1], gs[1])
 
     def test_line_parity_even(self):
-        # ice rule means the line representation enters and leaves each
+        # ice rule means the line set mask ^ ground enters and leaves each
         # vertex in pairs
         params = periodic(2, 4, 0.5)
         result = enumerate_partition(params)
+        ground = ground_state_mask(params)
         for mask in result.masks[:40]:
-            lines = line_representation(
-                config_from_mask(params, int(mask)), params)
-            lines_cfg = ArrowConfig(lines.rows, lines.cols, lines.boundary,
-                                    lines.h, lines.v)
+            # on a torus every arrow is free, so this decodes the line set
+            h, v = config_from_mask(params, int(mask) ^ ground)
             for r in range(2):
                 for c in range(4):
-                    assert sum(lines_cfg.incident_bits(r, c)) % 2 == 0
+                    lines = int(h[r, c]) + h[r, c + 1] + v[r, c] + v[r + 1, c]
+                    assert lines % 2 == 0
 
 
 #: fields of the dense-spectrum checks; at +-40 an unscaled norm overflows
