@@ -46,6 +46,10 @@ MAX_SWEEP_POINTS = 10_000
 #: most head terms ``free-energy --method series --terms`` may ask for
 MAX_SERIES_TERMS = 1_000_000
 
+#: largest |log Z| difference ``partition --oracle both`` accepts between
+#: the enumeration and the Pfaffian
+ORACLE_TOL = 1e-9
+
 
 def _float(x: float) -> str:
     return f"{x:.17g}"
@@ -103,13 +107,6 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not finite")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not > 0")
     return value
 
 
@@ -205,7 +202,7 @@ def cmd_partition(args) -> int:
     if log_enum is not None and log_pf is not None:
         diff = abs(log_enum - log_pf)
         rec["abs_diff"] = diff
-        if diff > max(args.tol, 1e-9):
+        if diff > ORACLE_TOL:
             emit([rec], args.format, args.quiet)
             print("error: oracle disagreement", file=sys.stderr)
             return EXIT_NUMERICAL
@@ -234,7 +231,7 @@ def cmd_constrained(args) -> int:
         if ratio <= 0.0:
             return _usage_error(
                 "no matching satisfies the --edge constraints, or their "
-                "ratio is below the rounding of the Pfaffian sum")
+                "ratio is below the rounding of the Pfaffian")
         records.append({
             "quantity": "constrained_ratio", "rows": args.rows,
             "cols": args.cols, "beta_s": args.beta_s,
@@ -372,9 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="fixed")
     p.add_argument("--oracle", choices=("enumerate", "pfaffian", "both"),
                    default="both")
-    p.add_argument("--tol", type=_positive_float, default=1e-10,
-                   help="largest accepted |log Z| difference of the two "
-                        "oracles (at least 1e-9)")
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("constrained", parents=[common],

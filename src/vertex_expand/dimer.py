@@ -24,14 +24,17 @@ completes the matching: two ways with no line at the city, one way with
 lines on two adjacent sides or on all four, none otherwise (the ice rule).
 So one configuration's weight is ``enumerate_matchings`` with every
 external edge pinned, which is how the mapping is checked.
+
+A constrained ratio Z^cons / Z_0 is one Pfaffian of a block of K^-1 per
+occupation pattern, with the inclusion-exclusion over the empty edges
+folded in (``KasteleynMatrix.ratios``); a pattern that forced moves rule
+out is exactly 0.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,8 +43,8 @@ import scipy.sparse.linalg as spla
 from .errors import (BadInput, ConstraintConflict, EdgeOutOfRange,
                      FieldOverflow, NotFreeFermion, OrientationFailure,
                      TooLarge, TooManyConstraints)
-from .model import (FREE_FERMION_BETA_EPS, Boundary, ModelParams, STATE_BITS,
-                    sublattice, Sublattice)
+from .model import (FREE_FERMION_BETA_EPS, STATE_BITS, VERTEX_STATES, Boundary,
+                    ModelParams, sublattice, Sublattice)
 
 MATCHING_NODE_BOUND = 36
 CONSTRAINT_BOUND = 5
@@ -50,14 +53,6 @@ CONSTRAINT_BOUND = 5
 #: measured to finish, took 12.6 s and 2.3 GB to factor K on a 2-core Xeon
 CITY_BOUND = 512 * 512
 
-#: an inclusion-exclusion sum within this many ulps of the sum of its terms'
-#: magnitudes is rounding left by terms that cancel, and reads as exactly 0.
-#: Over 6100 random sets on 1x1 to 3x3 lattices at |beta_s| <= 6, those no
-#: matching satisfies whose terms are all true probabilities left at most
-#: 1.75 ulps (one set 6e4), satisfiable ones at least 1.1e4.  A term that is
-#: rounding of a true 0 carries the scale of K^-1, which this rule cannot see.
-_CANCELLATION_ULPS = 8
-
 
 @dataclass(frozen=True)
 class EdgeConstraint:
@@ -65,18 +60,17 @@ class EdgeConstraint:
     occupied: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecoratedLattice:
     """Edge e joins nodes i[e] and j[e] with weight[e], in the module's edge
-    order; the three arrays are read-only."""
+    order; the three arrays are read-only.  Two lattices are equal only when
+    they are the same object."""
 
     rows: int
     cols: int
-    weight_c: float
-    weight_u: float
-    i: np.ndarray = field(repr=False, compare=False)
-    j: np.ndarray = field(repr=False, compare=False)
-    weight: np.ndarray = field(repr=False, compare=False)
+    i: np.ndarray = field(repr=False)
+    j: np.ndarray = field(repr=False)
+    weight: np.ndarray = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -134,7 +128,7 @@ def build_decorated(params: ModelParams) -> DecoratedLattice:
     weight = np.repeat([u_w, c_w], [4 * n * m, len(i) - 4 * n * m])
     for a in (i, j, weight):
         a.flags.writeable = False
-    return DecoratedLattice(n, m, c_w, u_w, i, j, weight)
+    return DecoratedLattice(n, m, i, j, weight)
 
 
 # --- the Kasteleyn matrix ----------------------------------------------------
@@ -145,8 +139,8 @@ class KasteleynMatrix:
     ``signs[e]`` is +1 when edge e is oriented i -> j in edge-list order.
     K is held as a sparse CSC matrix and factored once, by a sparse LU,
     when the object is built; log det K and any block of K^-1 come from
-    that one factorization.  The subset terms of the last edge set asked
-    for are kept (``subset_terms``), so the six states of one site, which
+    that one factorization.  The ratios of the last edge set and patterns
+    asked for are kept (``ratios``), so the six states of one site, which
     constrain the same four edges, share one solve and one batched
     elimination.  The fixed boundary always leaves one perfect matching,
     the ground state's completion, so K is never singular: a failed
@@ -167,7 +161,7 @@ class KasteleynMatrix:
         except RuntimeError as exc:
             raise FieldOverflow(
                 "the sparse LU of K loses its pivots at this field") from exc
-        self._last_terms: tuple[tuple[int, ...], Mapping[int, float]] | None = None
+        self._last: tuple[tuple, tuple[float, ...]] | None = None
 
     def log_det(self) -> float:
         """log det K from the diagonal of U; det K = Pf(K)^2 must be > 0."""
@@ -188,42 +182,44 @@ class KasteleynMatrix:
         rhs[nodes, np.arange(len(nodes))] = 1.0
         return self._lu.solve(rhs)[nodes, :]
 
-    def subset_terms(self, edges: tuple[int, ...]) -> Mapping[int, float]:
-        """{S: prod_{e in S} (-K_e) Pf(K^-1[V(S)])} over the node-disjoint
-        subsets S of the sorted edge tuple, S a bit mask over its positions.
+    def ratios(self, edges: tuple[int, ...],
+               patterns: tuple[tuple[bool, ...], ...]) -> tuple[float, ...]:
+        """Z^cons / Z_0 for each occupation pattern (True where occupied) of
+        the edge tuple.
 
-        One solve gives K^-1 on the edges' ends, rows (i_e, j_e) edge by
-        edge.  Each subset is that block with every edge outside it given a
-        unit 2x2 pair in place of its rows and columns, which leaves the
-        Pfaffian that of the subset's own rows, so one elimination takes
-        every subset at once.  The table of the last edge tuple asked for is
-        kept for the next call on the same tuple.
+        One solve gives B = K^-1 on the edges' ends, rows (i_e, j_e) edge by
+        edge.  A pattern's matrix is B with row and column i_e scaled by
+        -K_e where e is occupied and by K_e where it is empty, plus a unit
+        pair at (i_e, j_e) of each empty edge.  Expanded in the unit pairs,
+        its Pfaffian is sum_{T in empty} (-1)^|T| P(occupied + T), the
+        inclusion-exclusion over the local Pfaffians P(S) =
+        prod_{e in S} (-K_e) Pf(B[S]) (Kenyon, "Local statistics of lattice
+        dimers"), so one batched elimination gives every pattern.  A
+        pattern that forced moves show no matching holds (``_unmatchable``)
+        is exactly 0.  The result of the last call is kept for the next
+        call with the same arguments.
         """
-        if self._last_terms is not None and self._last_terms[0] == edges:
-            return self._last_terms[1]
-        lat, k, index = self.lattice, len(edges), list(edges)
+        if self._last is not None and self._last[0] == (edges, patterns):
+            return self._last[1]
+        lat, index, k = self.lattice, list(edges), len(edges)
         ends = np.stack([lat.i[index], lat.j[index]], axis=1).ravel()
-        nodes, position = np.unique(ends, return_inverse=True)
-        block = self.inverse_block(nodes.tolist())[np.ix_(position, position)]
+        block = self.inverse_block(ends.tolist())
         block = 0.5 * (block - block.T)  # the solve is anti-symmetric to rounding
-        masks = np.arange(1 << k)
-        keep = np.repeat((masks[:, None] >> np.arange(k)) & 1 == 1, 2, axis=1)
-        # a subset whose edges share a node holds no matching and has no term
-        uses = keep.astype(np.int64) @ (position[:, None] == np.arange(len(nodes)))
-        disjoint = uses.max(axis=1, initial=0) <= 1
-        masks, keep = masks[disjoint], keep[disjoint]
-        unit = np.zeros((2 * k, 2 * k))
-        unit[0::2, 1::2] = np.eye(k)
-        unit[1::2, 0::2] = -np.eye(k)
-        # selection, not a 0/1 product: an entry of K^-1 may be inf
-        pf = pfaffians(np.where(keep[:, :, None] & keep[:, None, :], block, unit))
-        weights = (-self.signs[index] * lat.weight[index]).tolist()
-        # Python floats: a weight product that overflows times a Pfaffian of
-        # 0 is nan, which the caller's finiteness check reports
-        terms = {s: math.prod(w for b, w in enumerate(weights) if (s >> b) & 1)
-                 * p for s, p in zip(masks.tolist(), pf.tolist())}
-        self._last_terms = edges, MappingProxyType(terms)
-        return self._last_terms[1]
+        occupied = np.array(patterns, dtype=bool).reshape(len(patterns), k)
+        k_e = self.signs[index] * lat.weight[index]
+        scale = np.ones((len(patterns), 2 * k))
+        scale[:, 0::2] = np.where(occupied, -k_e, k_e)
+        pairs = np.zeros((len(patterns), 2 * k, 2 * k))
+        pairs[:, 0::2, 1::2] = ~occupied[:, :, None] * np.eye(k)
+        pairs -= pairs.transpose(0, 2, 1)
+        pf = pfaffians(scale[:, :, None] * block * scale[:, None, :] + pairs)
+        zero = [_unmatchable(lat, edges, pattern) for pattern in patterns]
+        pf = np.where(zero, 0.0, pf) + 0.0  # never -0.0
+        if not np.all(np.isfinite(pf)):
+            raise FieldOverflow(
+                "K^-1 or its Pfaffian overflows a double at this field")
+        self._last = (edges, patterns), tuple(pf.tolist())
+        return self._last[1]
 
 
 def _parity(perm: np.ndarray) -> int:
@@ -365,61 +361,89 @@ def pfaffians(a: np.ndarray) -> np.ndarray:
     return pf
 
 
-def check_constraints(lat: DecoratedLattice,
-                      constraints) -> tuple[list[int], list[int]]:
-    """The occupied and the empty edges of a constraint set; BadInput for
-    more than CONSTRAINT_BOUND constraints, an edge outside the lattice or
-    an edge given twice."""
+def check_constraints(lat: DecoratedLattice, constraints) -> None:
+    """BadInput for more than CONSTRAINT_BOUND constraints, an edge outside
+    the lattice or an edge given twice."""
     if len(constraints) > CONSTRAINT_BOUND:
         raise TooManyConstraints(
             f"at most {CONSTRAINT_BOUND} simultaneous constraints")
     seen = set()
-    occ, emp = [], []
     for c in constraints:
         if not 0 <= c.edge < len(lat.i):
             raise EdgeOutOfRange(f"edge {c.edge} outside [0, {len(lat.i)})")
         if c.edge in seen:
             raise ConstraintConflict(f"edge {c.edge} constrained twice")
         seen.add(c.edge)
-        (occ if c.occupied else emp).append(c.edge)
-    return occ, emp
+
+
+def _neighbours(lat: DecoratedLattice, node: int) -> list[int]:
+    """The nodes joined to ``node``: its two diamond neighbours, and the
+    facing node of the next city (L the west city's R, R the east city's L,
+    T the north city's B, B the south city's T) where there is one."""
+    k, (row, col) = node % 4, divmod(node // 4, lat.cols)
+    out = [node - k + (k + 1) % 4, node - k + (k + 3) % 4]
+    if k == 0 and col > 0:
+        out.append(node - 2)
+    elif k == 2 and col < lat.cols - 1:
+        out.append(node + 2)
+    elif k == 1 and row > 0:
+        out.append(node - 4 * lat.cols + 2)
+    elif k == 3 and row < lat.rows - 1:
+        out.append(node + 4 * lat.cols - 2)
+    return out
+
+
+def _unmatchable(lat: DecoratedLattice, edges, pattern) -> bool:
+    """True when forced moves leave a node no edge to match along: two
+    occupied edges share a node, or, once every open node left with one
+    usable edge has taken it, some node has none.  Each move is forced, so
+    a pattern that a perfect matching holds is never unmatchable."""
+    covered: set[int] = set()
+    cut: set[tuple[int, int]] = set()
+    todo: list[int] = []
+    for e, occupied in zip(edges, pattern):
+        ends = int(lat.i[e]), int(lat.j[e])
+        if not occupied:
+            cut.update((ends, ends[::-1]))
+            todo += ends
+        elif covered.intersection(ends):
+            return True
+        else:
+            covered.update(ends)
+            todo += _neighbours(lat, ends[0]) + _neighbours(lat, ends[1])
+    while todo:
+        node = todo.pop()
+        if node not in covered:
+            usable = [other for other in _neighbours(lat, node)
+                      if other not in covered and (node, other) not in cut]
+            if not usable:
+                return True
+            if len(usable) == 1:
+                covered.update((node, usable[0]))
+                todo += _neighbours(lat, node) + _neighbours(lat, usable[0])
+    return False
 
 
 def constrained_ratio(kast: KasteleynMatrix, constraints) -> float:
-    """Z^cons / Z_0 under the given edge occupation constraints.
-
-    An all-occupied set {(u_1,v_1) ... (u_k,v_k)} has the local Pfaffian
-    probability prod(-K(u_i,v_i)) Pf(K^-1[u_1,v_1,...,u_k,v_k]) (Kenyon,
-    "Local statistics of lattice dimers"), which is 0 when two edges share
-    a node.  Mixed sets are reduced to all-occupied ones by
-    inclusion-exclusion over the edges required to be empty; a sum whose
-    terms cancel to within its rounding returns exactly 0.  The terms come
-    from ``KasteleynMatrix.subset_terms`` of the sorted edge set: one solve
-    and one batched elimination per set, kept for the next call on it.
-    """
-    occ, emp = check_constraints(kast.lattice, constraints)
-    # sorted, so every occupation pattern on the same edges shares one table
-    edges = tuple(sorted(occ + emp))
-    terms = kast.subset_terms(edges)
-    bit = {e: 1 << b for b, e in enumerate(edges)}
-    required = sum(bit[e] for e in occ)
-    total = magnitude = 0.0
-    for t in range(1 << len(emp)):
-        chosen = [e for b, e in enumerate(emp) if (t >> b) & 1]
-        term = terms.get(required | sum(bit[e] for e in chosen))
-        if term is None:
-            continue  # two edges share a node: no matching holds both
-        total += (-1) ** len(chosen) * term
-        magnitude += abs(term)
-    if not math.isfinite(total):   # an overflow in K^-1 reaches the sum too
-        raise FieldOverflow(
-            "K^-1 or its Pfaffian sum overflows a double at this field")
-    if abs(total) <= _CANCELLATION_ULPS * np.finfo(float).eps * magnitude:
-        return 0.0
-    return float(total)
+    """Z^cons / Z_0 under the given edge occupation constraints, from
+    ``KasteleynMatrix.ratios`` with the edges sorted, so that the order they
+    come in does not reach the rounding."""
+    check_constraints(kast.lattice, constraints)
+    pairs = sorted((c.edge, c.occupied) for c in constraints)
+    return kast.ratios(tuple(e for e, _ in pairs),
+                       (tuple(o for _, o in pairs),))[0]
 
 
 # --- vertex-state constraints ------------------------------------------------
+
+#: the occupation of a site's W, E, N and S external edges in states 1-6,
+#: by sublattice: a line sits where the state's arrow opposes the reference
+#: ground state (state 6 on sublattice A, 5 on B)
+_STATE_LINES = {
+    sub: tuple(tuple(b != r for b, r in zip(STATE_BITS[s], STATE_BITS[ref]))
+               for s in VERTEX_STATES)
+    for sub, ref in ((Sublattice.A, 6), (Sublattice.B, 5))}
+
 
 def incident_external_edges(lat: DecoratedLattice, site: tuple[int, int]):
     """The W, E, N and S external edges of a site; BadInput unless the site
@@ -434,26 +458,11 @@ def incident_external_edges(lat: DecoratedLattice, site: tuple[int, int]):
             lat.external_v(r, c))       # S
 
 
-def vertex_state_constraints(lat: DecoratedLattice, site: tuple[int, int],
-                             state: int) -> list[EdgeConstraint]:
-    """Edge constraints pinning an interior vertex to a given state.
-
-    A line sits on an incident edge exactly where the state's arrow opposes
-    the reference ground state (state 6 on sublattice A, 5 on B).
-    """
-    r, c = site
-    ref = 6 if sublattice(r, c) is Sublattice.A else 5
-    bits = STATE_BITS[state]
-    ref_bits = STATE_BITS[ref]
-    edges = incident_external_edges(lat, site)
-    return [EdgeConstraint(e, bits[k] != ref_bits[k])
-            for k, e in enumerate(edges)]
-
-
 def vertex_constrained_ratio(kast: KasteleynMatrix, site: tuple[int, int],
                              state: int) -> float:
     """Z_site(state) / Z_0 for an interior site.  Every state constrains the
-    same four edges, so the six states of a site share one solve and one
-    elimination of the 16 subset Pfaffians."""
-    return constrained_ratio(
-        kast, vertex_state_constraints(kast.lattice, site, state))
+    same four edges, so the six states of a site come from one solve and
+    one elimination of six matrices of size 8."""
+    ratios = kast.ratios(incident_external_edges(kast.lattice, site),
+                         _STATE_LINES[sublattice(*site)])
+    return ratios[VERTEX_STATES.index(state)]

@@ -79,10 +79,6 @@ class RationalSeries:
         self.order = order
 
     @classmethod
-    def zero(cls, order: int) -> "RationalSeries":
-        return cls([], order)
-
-    @classmethod
     def monomial(cls, degree: int, coeff=1, order: int | None = None) -> "RationalSeries":
         if order is None:
             order = degree
@@ -165,9 +161,6 @@ class RationalSeries:
                          for j in range(1, n + 1)) / n
         return RationalSeries(out, k)
 
-    def as_json(self) -> list:
-        return [str(c) for c in self.coeffs]
-
     def __repr__(self):
         return f"RationalSeries({[str(c) for c in self.coeffs]}, order={self.order})"
 
@@ -189,11 +182,6 @@ class LogSeries:
     def coefficient(self, degree: int) -> PiRational:
         """Exact full coefficient (scale folded in) at the given degree."""
         return self.scale.scaled(self.singular[degree])
-
-    def as_json(self) -> dict:
-        return {"scale": self.scale.as_json(),
-                "bracket": self.singular.as_json(),
-                "log_factor": self.log_label}
 
 
 def bernoulli_numbers(k_max: int) -> list[Fraction]:

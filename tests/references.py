@@ -389,7 +389,7 @@ def paper_singular_t_series(K: int) -> LogSeries:
     singular part via :func:`u_p_singular`.  Stirling's series caps K at 17.
     """
     bracket = stirling_correction(max(K - 1, 0))
-    acc = RationalSeries.zero(K)
+    acc = RationalSeries([], K)
     for q in range(K):
         up = u_p_singular(q + 2)
         term = RationalSeries.monomial(q + 1, bracket[q] * up.singular[q + 1], K)

@@ -263,15 +263,12 @@ class TestPartition:
         assert rec["log_z_enumerate"] == log_z
         assert rec["log_z_pfaffian"] == pytest.approx(log_z, abs=1e-12)
 
-    @pytest.mark.parametrize("option", [["--tol", "-1"], ["--tol", "0"],
-                                        ["--tol", "nan"]])
-    def test_non_finite_or_non_positive_tol_is_usage_error(self, capsys,
-                                                           option):
+    def test_tol_is_not_an_option(self, capsys):
         code, out, err = run(capsys, "partition", "--rows", "2", "--cols",
-                             "2", *option)
+                             "2", "--tol", "1e-3")
         assert code == 2
         assert out == ""
-        assert "--tol" in err
+        assert "unrecognized arguments: --tol" in err
 
     @pytest.mark.parametrize("size", [
         ["--rows", "4", "--cols", "4"],            # 24 free edges
@@ -368,8 +365,6 @@ class TestConstrained:
 
     @pytest.mark.parametrize("option", [
         ["--site", "2", "2", "--beta-s", "1500"],    # weight e^750
-        ["--site", "2", "2", "--beta-s", "-400"],    # the Pfaffian sum
-        ["--edge", "3:1", "--edge", "7:1", "--beta-s", "720"],  # the same
         ["--edge", "40:0", "--beta-s", "1419"],      # a pivot of log det K
         # the weights and K pass, but K^-1 overflows on this odd lattice
         ["--edge", "3:1", "--edge", "5:0", "--beta-s", "-300"],
@@ -381,6 +376,20 @@ class TestConstrained:
         assert code == 2
         assert out == ""
         assert "overflows" in err
+
+    @pytest.mark.parametrize("option,ratios", [
+        # an mpmath-weighted sum over the 1322 ice configurations of 5x5
+        # gives P(5) = 1 and the other states below 1e-695
+        (["--site", "2", "2", "--beta-s", "-400"], [0, 0, 0, 0, 1, 0]),
+        # both frozen corner cities are line-free, and one of the two
+        # completions of each diamond holds its B-L edge
+        (["--edge", "3:1", "--edge", "7:1", "--beta-s", "720"], [0.25])])
+    def test_frozen_field_is_answered(self, capsys, option, ratios):
+        code, out, _ = run(capsys, "constrained", "--rows", "5", "--cols",
+                           "5", *option)
+        assert code == 0
+        assert [rec["ratio"] for rec in json_lines(out) if "ratio" in rec] == (
+            pytest.approx(ratios, rel=1e-14, abs=0.0))
 
     def test_inverse_below_the_overflow_is_accepted(self, capsys):
         code, out, _ = run(capsys, "constrained", "--rows", "5", "--cols", "5",
@@ -644,6 +653,27 @@ class TestVerify:
         assert any(line.startswith("FAIL [kasteleyn] mapping-equivalence")
                    for line in out.splitlines())
         assert out.strip().splitlines()[-1] == "FAILED"
+
+    def test_vertical_edges_out_of_order_fail_mapping_check(self, capsys,
+                                                            monkeypatch):
+        # the vertical free edges numbered column-major: 2x2 and 2x3 have
+        # one row of them and cannot tell, 3x3 has two
+        original = model._edge_layout
+
+        def column_major(params):
+            slots, fixed = original(params)
+            n, m = params.rows, params.cols
+            first = n * (m - 1)  # the vertical free edges come after these
+            vertical = slots >= first
+            row, col = divmod(slots[vertical] - first, m)
+            slots[vertical] = first + col * (n - 1) + row
+            return slots, fixed
+
+        monkeypatch.setattr(model, "_edge_layout", column_major)
+        code, out, _ = run(capsys, "verify", "--suite", "kasteleyn")
+        assert code == 1
+        assert any(line.startswith("FAIL [kasteleyn] mapping-equivalence 3x3")
+                   for line in out.splitlines())
 
 
 #: the packages the exact-arithmetic commands must not load

@@ -25,7 +25,6 @@ from vertex_expand.dimer import (
     partition_dimer,
     pfaffians,
     vertex_constrained_ratio,
-    vertex_state_constraints,
 )
 from vertex_expand.errors import (
     ConstraintConflict,
@@ -38,6 +37,7 @@ from vertex_expand.errors import (
 from vertex_expand.integrals import za_ratio, zb_ratio
 from vertex_expand.model import (
     FREE_FERMION_BETA_EPS,
+    STATE_BITS,
     Boundary,
     ModelParams,
     enumerate_partition,
@@ -96,13 +96,14 @@ class TestDecoration:
         lat = build_decorated(params)
         i, j, weight = decorated_edges(params)
         assert lat.i.dtype == lat.j.dtype == np.int64
-        assert lat.i.tolist() == i
-        assert lat.j.tolist() == j
-        assert lat.weight.tolist() == weight
+        assert np.array_equal(lat.i, i)
+        assert np.array_equal(lat.j, j)
+        assert np.array_equal(lat.weight, weight)
         assert not (lat.i.flags.writeable or lat.j.flags.writeable
                     or lat.weight.flags.writeable)
-        # the frozen dataclass compares its scalars, never its arrays
-        assert lat == build_decorated(params)
+        # a lattice equals only itself, so one at another field never does
+        assert lat == lat
+        assert lat != build_decorated(params_for(rows, cols, beta_s + 1.0))
 
     @pytest.mark.parametrize("kind,row,col", [
         ("h", 3, 0), ("h", -1, 0), ("h", 0, 2), ("h", 0, -1),
@@ -324,6 +325,35 @@ class TestConstrained:
         with pytest.raises(TooManyConstraints):
             constrained_ratio(kast22, cons)
 
+    def test_neighbours_in_closed_form(self):
+        for rows, cols in [(1, 1), (1, 3), (3, 1), (3, 4)]:
+            lat = build_decorated(params_for(rows, cols))
+            ends = list(zip(lat.i.tolist(), lat.j.tolist()))
+            for node in range(lat.n_nodes):
+                assert sorted(dimer._neighbours(lat, node)) == sorted(
+                    [j for i, j in ends if i == node]
+                    + [i for i, j in ends if j == node])
+
+    @pytest.mark.parametrize("rows,cols", [(1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("beta_s", [-3.0, 0.0, 3.0])
+    def test_every_one_or_two_edge_set(self, rows, cols, beta_s):
+        # a set no matching satisfies is exactly 0, never a rounding residue
+        lat = build_decorated(params_for(rows, cols, beta_s))
+        kast = kasteleyn_orientation(lat)
+        z0 = enumerate_matchings(lat)
+        for r in (1, 2):
+            for combo in itertools.combinations(range(len(lat.i)), r):
+                for occ in itertools.product((True, False), repeat=r):
+                    direct = enumerate_matchings(
+                        lat, tuple(e for e, o in zip(combo, occ) if o),
+                        tuple(e for e, o in zip(combo, occ) if not o)) / z0
+                    cons = [EdgeConstraint(e, o) for e, o in zip(combo, occ)]
+                    ratio = constrained_ratio(kast, cons)
+                    if direct == 0.0:
+                        assert ratio == 0.0, (combo, occ)
+                    else:
+                        assert ratio == pytest.approx(direct, abs=1e-13)
+
     @pytest.mark.parametrize("edge", [-1, 20, 9999])
     def test_edge_index_out_of_range(self, kast22, edge):
         # 2x2 has 20 edges; a negative index must not wrap to the last one
@@ -439,8 +469,9 @@ class TestPfaffians:
     @settings(max_examples=60, deadline=None)
     @given(drawn=skew_stacks(), data=st.data())
     def test_unit_pair_padding_leaves_the_pfaffian(self, drawn, data):
-        # the form the subset stacks take: an aligned unit 2x2 pair in
-        # place of an edge's rows leaves the other rows' Pfaffian, bit for bit
+        # the terms of KasteleynMatrix.ratios' expansion in its unit pairs:
+        # an aligned unit 2x2 pair in place of an edge's rows leaves the
+        # other rows' Pfaffian, bit for bit
         stack, _ = drawn
         n = stack.shape[-1]
         padded = []
@@ -492,17 +523,23 @@ class TestVertexStates:
         monkeypatch.setattr(kast, "_lu", CountingLU())
         monkeypatch.setattr(dimer, "pfaffians", counting_pfaffians)
         probs = [vertex_constrained_ratio(kast, (1, 2), s) for s in range(1, 7)]
-        # the four edges are node-disjoint: all 16 subsets in one stack
+        # one solve on the eight ends, one elimination of the six patterns
         assert solves == [8]
-        assert eliminations == [(16, 8, 8)]
-        edges = tuple(sorted(c.edge for c in
-                             vertex_state_constraints(kast.lattice, (1, 2), 1)))
+        assert eliminations == [(6, 8, 8)]
+        # site (1, 2) is on sublattice B: a line sits on each edge where a
+        # state's arrow differs from state 5's
+        edges = dimer.incident_external_edges(kast.lattice, (1, 2))
+        lines = tuple(
+            tuple(b != r for b, r in zip(STATE_BITS[s], STATE_BITS[5]))
+            for s in range(1, 7))
+        kept = kast.ratios(edges, lines)
+        assert kept == tuple(probs) and solves == [8]
         with pytest.raises(TypeError):
-            kast.subset_terms(edges)[0] = 0.0  # the kept table is read-only
+            kept[0] = 0.0  # the kept result is read-only
         # another edge set, even a subset of the last, is a new elimination
         constrained_ratio(kast, [EdgeConstraint(edges[0], False)])
         assert solves == [8, 2]
-        assert eliminations == [(16, 8, 8), (2, 2, 2)]
+        assert eliminations == [(6, 8, 8), (1, 2, 2)]
         fresh = kasteleyn_orientation(build_decorated(params_for(4, 4)))
         assert probs == [vertex_constrained_ratio(fresh, (1, 2), s)
                          for s in range(1, 7)]
