@@ -182,17 +182,22 @@ class EnumerationResult:
 
 
 def _ice_configurations(slots: np.ndarray, fixed: np.ndarray,
-                        energies: np.ndarray) -> list[tuple[int, float]]:
-    """Every ice-rule configuration as a (mask, H) pair, by backtracking.
+                        energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every ice-rule configuration as (masks, H) arrays, ascending in mask.
 
-    Vertices are visited in order; each assigns the free edges it touches
-    first, and only extensions that leave it two-in/two-out survive.  H
-    accumulates -energies[vertex, state] vertex by vertex from 0.
+    The frontier of partial configurations is a pair of arrays.  Vertices
+    are visited in order; each ORs every mask of the frontier with every
+    subset of the free edges it touches first, reads its incident-bit
+    pattern with array shifts and keeps the extensions that leave it
+    two-in/two-out.  H accumulates -energies[vertex, state] vertex by vertex
+    from 0.
     """
-    slots, fixed, energies = slots.tolist(), fixed.tolist(), energies.tolist()
-    partial = [(0, 0.0)]
+    pattern_to_state = np.array(PATTERN_TO_STATE)
+    masks = np.zeros(1, dtype=np.int64)
+    hams = np.zeros(1)
     assigned = 0
-    for vslots, vfixed, venergy in zip(slots, fixed, energies):
+    for vslots, vfixed, venergy in zip(slots.tolist(), fixed.tolist(),
+                                       energies):
         new = 0
         for s in vslots:
             if s >= 0 and not assigned >> s & 1:
@@ -201,18 +206,18 @@ def _ice_configurations(slots: np.ndarray, fixed: np.ndarray,
         extensions = [new]          # every subset of the new edges' bits
         while extensions[-1]:
             extensions.append((extensions[-1] - 1) & new)
-        grown = []
-        for mask, ham in partial:
-            for ext in extensions:
-                m = mask | ext
-                pattern = 0
-                for s, bit in zip(vslots, vfixed):
-                    pattern = pattern << 1 | (m >> s & 1 if s >= 0 else bit)
-                state = PATTERN_TO_STATE[pattern]
-                if state:
-                    grown.append((m, ham - venergy[state]))
-        partial = grown
-    return partial
+        masks = (masks[:, None] | np.array(extensions)).ravel()
+        hams = np.repeat(hams, len(extensions))
+        pattern = np.zeros(len(masks), dtype=np.int64)
+        for s, bit in zip(vslots, vfixed):
+            pattern <<= 1
+            pattern |= masks >> s & 1 if s >= 0 else bit
+        states = pattern_to_state[pattern]
+        ice = states != 0
+        with np.errstate(over="ignore", invalid="ignore"):  # checked later
+            masks, hams = masks[ice], hams[ice] - venergy[states[ice]]
+    order = np.argsort(masks)
+    return masks[order], hams[order]
 
 
 def enumerate_partition(params: ModelParams) -> EnumerationResult:
@@ -229,9 +234,7 @@ def enumerate_partition(params: ModelParams) -> EnumerationResult:
         raise TooLarge(f"{n}x{m} has {free} free edges, above the "
                        f"enumeration bound {ENUMERATION_EDGE_BOUND}")
     slots, fixed = _edge_layout(params)
-    configs = sorted(_ice_configurations(slots, fixed, _energy_table(params)))
-    masks = np.array([m for m, _ in configs], dtype=np.int64)
-    hams = np.array([h for _, h in configs])
+    masks, hams = _ice_configurations(slots, fixed, _energy_table(params))
     if not np.all(np.isfinite(hams)):
         raise FieldOverflow("a configuration energy overflows a double")
     log_z = hams.max() + math.log(math.fsum(np.exp(hams - hams.max())))
@@ -263,6 +266,33 @@ def _column_weights(params: ModelParams, log_scale: float = 0.0):
     return tuple(weights)
 
 
+def _column_row(state: np.ndarray, lo: int, weights: np.ndarray,
+                flip_buffer: np.ndarray) -> None:
+    """One row of a column, in place on state[entering bond, rest].
+
+    ``rest`` holds the periodic bond and the interface bits in some order,
+    the row's arrow bit at stride ``lo``.  The row rewrites only the
+    entering bond and that arrow bit: entries where the two bits differ are
+    scaled where they stand, and entries where they agree each sum two
+    products, so four ufunc calls do a row.
+    """
+    keep_unequal, keep_equal, flip_equal = weights
+    step = state.itemsize
+    bond = state.strides[0]
+    arrow = lo * step
+    shape = (2, state.shape[1] // (2 * lo), lo)
+    # entry k of each: entering bond k, arrow bit k (equal) or 1 - k
+    equal = np.ndarray(shape, buffer=state,
+                       strides=(bond + arrow, 2 * arrow, step))
+    unequal = np.ndarray(shape, buffer=state, offset=arrow,
+                         strides=(bond - arrow, 2 * arrow, step))
+    flip = flip_buffer.reshape(shape)
+    np.multiply(unequal, keep_unequal, out=unequal)
+    np.multiply(equal[::-1], flip_equal, out=flip)
+    np.multiply(equal, keep_equal, out=equal)
+    np.add(equal, flip, out=equal)
+
+
 def _apply_column(psi: np.ndarray, parity: int, wa: np.ndarray,
                   wb: np.ndarray, n_rows: int) -> np.ndarray:
     """One column of the transfer matrix applied to a 2^N interface vector.
@@ -270,34 +300,26 @@ def _apply_column(psi: np.ndarray, parity: int, wa: np.ndarray,
     The interface holds the horizontal arrow bits of the N rows (row 0 most
     significant).  The state puts two bits in front of it: the vertical bond
     entering the current row and, fixed until the trace at the end, the
-    periodic bond at the top of the column.  Row r rewrites only the
-    entering bond and its own arrow bit, in place: entries where the two
-    bits differ are scaled where they stand, and entries where they agree
-    each sum two products, so four ufunc calls do a row.
+    periodic bond at the top of the column.  The first N // 2 rows run on
+    that layout; one transpose then rotates the interface by N // 2 bits,
+    so the other rows' arrow bits are the high ones, and the result is
+    rotated back.  No row's arrow bit has a stride below 2^(N // 2).
     """
     dim = 1 << n_rows
+    half = n_rows // 2
+    high, low = 1 << half, 1 << (n_rows - half)
     state = np.zeros((2, 2 * dim))     # [entering bond, top bond + interface]
     state[0, :dim] = psi
     state[1, dim:] = psi
     flip_buffer = np.empty(2 * dim)
-    step = state.itemsize
-    bond = state.strides[0]
     for r in range(n_rows):
-        keep_unequal, keep_equal, flip_equal = wb if (r + parity) % 2 else wa
+        if r == half:
+            state = state.reshape(4, high, low).transpose(0, 2, 1).copy()
+            state = state.reshape(2, 2 * dim)
         lo = dim >> (r + 1)            # the stride of row r's arrow bit
-        shape = (2, 2 << r, lo)
-        arrow = lo * step
-        # entry k of each: entering bond k, arrow bit k (equal) or 1 - k
-        equal = np.ndarray(shape, buffer=state,
-                           strides=(bond + arrow, 2 * arrow, step))
-        unequal = np.ndarray(shape, buffer=state, offset=arrow,
-                             strides=(bond - arrow, 2 * arrow, step))
-        flip = flip_buffer.reshape(shape)
-        np.multiply(unequal, keep_unequal, out=unequal)
-        np.multiply(equal[::-1], flip_equal, out=flip)
-        np.multiply(equal, keep_equal, out=equal)
-        np.add(equal, flip, out=equal)
-    return state[0, :dim] + state[1, dim:]
+        _column_row(state, lo if r < half else lo * high,
+                    wb if (r + parity) % 2 else wa, flip_buffer)
+    return (state[0, :dim] + state[1, dim:]).reshape(low, high).T.ravel()
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,10 @@ enumeration mask) and the series helpers (term by term derivative,
 PiRational as a float) serve the tests only.  ``pinned_matchings`` weighs a
 line set by the matching sum with every external edge pinned.
 
+The enumeration reference backtracks one configuration at a time in
+Python, where the package grows the whole frontier of partial
+configurations as numpy arrays, one vertex per step.
+
 The infinite-lattice quantities are each an mpmath quadrature of a 1-D reduction of the defining double
 integral (cos t1 cos t2 = [cos(t1 + t2) + cos(t1 - t2)]/2 and
 <ln(x + cos b)>_b = arccosh x - ln 2), at 30 digits, with breakpoints where
@@ -46,6 +50,7 @@ import mpmath
 import numpy as np
 
 from vertex_expand import dimer, model
+from vertex_expand.errors import FieldOverflow
 from vertex_expand.series import (
     LogSeries,
     PiRational,
@@ -214,6 +219,52 @@ def config_from_mask(params, mask):
     if params.boundary is model.Boundary.PERIODIC:
         h[:, 0], v[0] = h[:, -1], v[-1]
     return h, v
+
+
+def enumerate_by_backtracking(params):
+    """``model.enumerate_partition`` by per-configuration backtracking.
+
+    Vertices are visited in order; each assigns the free edges it touches
+    first, and only extensions that leave it two-in/two-out survive, one
+    Python tuple (mask, H) at a time.  H accumulates -energy vertex by
+    vertex from 0, and Z and log Z are formed from the sorted H as the
+    package forms them, so every field of the result compares bitwise.
+    """
+    slots, fixed = model._edge_layout(params)
+    energies = model._energy_table(params).tolist()
+    partial = [(0, 0.0)]
+    assigned = 0
+    for vslots, vfixed, venergy in zip(slots.tolist(), fixed.tolist(),
+                                       energies):
+        new = 0
+        for s in vslots:
+            if s >= 0 and not assigned >> s & 1:
+                new |= 1 << s
+        assigned |= new
+        extensions = [new]          # every subset of the new edges' bits
+        while extensions[-1]:
+            extensions.append((extensions[-1] - 1) & new)
+        grown = []
+        for mask, ham in partial:
+            for ext in extensions:
+                m = mask | ext
+                pattern = 0
+                for s, bit in zip(vslots, vfixed):
+                    pattern = pattern << 1 | (m >> s & 1 if s >= 0 else bit)
+                state = model.PATTERN_TO_STATE[pattern]
+                if state:
+                    grown.append((m, ham - venergy[state]))
+        partial = grown
+    configs = sorted(partial)
+    masks = np.array([m for m, _ in configs], dtype=np.int64)
+    hams = np.array([h for _, h in configs])
+    if not np.all(np.isfinite(hams)):
+        raise FieldOverflow("a configuration energy overflows a double")
+    log_z = hams.max() + math.log(math.fsum(np.exp(hams - hams.max())))
+    with np.errstate(over="ignore"):
+        weights = np.exp(hams)
+        z = float(np.sum(weights))
+    return model.EnumerationResult(z, float(log_z), masks, weights)
 
 
 def pinned_matchings(lat, lines):

@@ -11,6 +11,7 @@ from references import (
     column_tensors,
     config_from_mask,
     dense_transfer,
+    enumerate_by_backtracking,
     ground_state_config,
     reduced_hamiltonian,
     reversed_config,
@@ -18,7 +19,7 @@ from references import (
 )
 
 from vertex_expand import dimer, model
-from vertex_expand.errors import BadInput, TooLarge
+from vertex_expand.errors import BadInput, FieldOverflow, TooLarge
 from vertex_expand.integrals import baxter_free_energy
 from vertex_expand.model import (
     ENUMERATION_EDGE_BOUND,
@@ -136,6 +137,21 @@ class TestGroundState:
         assert ground_state_mask(params) == mask
 
 
+#: every fixed lattice and torus within the enumeration bound
+ENUMERABLE = (
+    [(rows, cols, Boundary.FIXED_GROUND_STATE)
+     for rows in range(1, 26) for cols in range(1, 26)
+     if rows * (cols - 1) + (rows - 1) * cols <= ENUMERATION_EDGE_BOUND]
+    + [(rows, cols, Boundary.PERIODIC)
+       for rows in range(2, 13, 2) for cols in range(2, 13, 2)
+       if 2 * rows * cols <= ENUMERATION_EDGE_BOUND])
+
+
+def bits(x):
+    """The bytes of a float or an array, to compare results bitwise."""
+    return np.asarray(x).tobytes()
+
+
 class TestEnumeration:
     def test_state_counts(self):
         assert len(enumerate_partition(fixed(3, 3, 0.0)).masks) == 7
@@ -167,6 +183,32 @@ class TestEnumeration:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             enumerate_partition(periodic(4, 4))
+
+    @pytest.mark.parametrize("rows,cols,boundary", ENUMERABLE)
+    def test_bitwise_the_backtracking(self, rows, cols, boundary):
+        # the frontier arrays subtract the same energies in the same vertex
+        # order as the per-configuration backtracking
+        for beta_s in (-400.0, -0.7, 0.0, 0.3, 400.0):
+            for beta_eps in (FREE_FERMION_BETA_EPS, 0.1, 0.9):
+                params = ModelParams(beta_s=beta_s, rows=rows, cols=cols,
+                                     beta_eps=beta_eps, boundary=boundary)
+                got = enumerate_partition(params)
+                want = enumerate_by_backtracking(params)
+                assert got.masks.dtype == want.masks.dtype == np.int64
+                assert bits(got.masks) == bits(want.masks)
+                assert bits(got.weights) == bits(want.weights)
+                assert bits(got.z) == bits(want.z)
+                assert bits(got.log_z) == bits(want.log_z)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta_s", [1.7e308, -1.7e308])
+    @pytest.mark.parametrize("params", [fixed(2, 2), fixed(4, 4),
+                                        periodic(2, 6)])
+    def test_overflowing_energy_raises_without_warning(self, params, beta_s):
+        params = ModelParams(beta_s=beta_s, rows=params.rows,
+                             cols=params.cols, boundary=params.boundary)
+        with pytest.raises(FieldOverflow):
+            enumerate_partition(params)
 
     def test_pattern_table_matches_state_bits(self):
         for state, (w, e, n, s) in STATE_BITS.items():
@@ -276,21 +318,23 @@ class TestTransferMatrix:
             self, rows, beta_s, u):
         self.assert_matches_dense(periodic(rows, rows, beta_s, u))
 
-    @pytest.mark.parametrize("rows", range(2, 13))
+    @pytest.mark.parametrize("rows", range(2, 17))
     def test_column_kernel_is_bitwise_the_einsum(self, rows):
-        # every output sums at most two nonzero products, as the einsum does
+        # every output sums at most two nonzero products, as the einsum does;
+        # from 13 rows on, one field pair keeps the einsum's time down
         rng = np.random.default_rng(rows)
-        for beta_s in (-0.7, 0.0, 0.3, 0.9):
-            for beta_eps in (FREE_FERMION_BETA_EPS, 0.1, 0.9):
-                params = ModelParams(beta_s=beta_s, rows=rows, cols=2,
-                                     beta_eps=beta_eps)
-                weights = model._column_weights(params)
-                tensors = column_tensors(params)
-                psi = rng.standard_normal(1 << rows)
-                for parity in (0, 1):
-                    assert np.array_equal(
-                        model._apply_column(psi, parity, *weights, rows),
-                        apply_column(psi, parity, *tensors, rows))
+        pairs = [(beta_s, beta_eps) for beta_s in (-0.7, 0.0, 0.3, 0.9)
+                 for beta_eps in (FREE_FERMION_BETA_EPS, 0.1, 0.9)]
+        for beta_s, beta_eps in pairs if rows <= 12 else [(-0.7, 0.9)]:
+            params = ModelParams(beta_s=beta_s, rows=rows, cols=2,
+                                 beta_eps=beta_eps)
+            weights = model._column_weights(params)
+            tensors = column_tensors(params)
+            psi = rng.standard_normal(1 << rows)
+            for parity in (0, 1):
+                assert np.array_equal(
+                    model._apply_column(psi, parity, *weights, rows),
+                    apply_column(psi, parity, *tensors, rows))
 
     @pytest.mark.parametrize("rows", range(2, 11))
     @pytest.mark.parametrize("beta_s", [-0.7, 0.0, 0.3, 5.0])
