@@ -217,21 +217,21 @@ def cmd_constrained(args) -> int:
     lat = dimer.build_decorated(model.ModelParams(
         beta_s=args.beta_s, rows=args.rows, cols=args.cols))
     cons = [dimer.EdgeConstraint(*edge) for edge in args.edge]
-    # the site and the constraints are checked before K is factored
+    # the site and the constraints are checked before B is factored
     if args.site is not None:
         dimer.incident_external_edges(lat, args.site)
     dimer.check_constraints(lat, cons)
     kast = dimer.kasteleyn_orientation(lat)
     records = []
     if args.edge:
-        # log det K comes first: where its pivots overflow, so that the
-        # ratio rounds to 0, the field is at fault and not the constraints
         log_z = dimer.partition_dimer(kast)
         ratio = dimer.constrained_ratio(kast, cons)
+        # a ratio is accurate to about 1e-16 absolute: one far below that
+        # reads as its rounding, and a non-positive one has no log
         if ratio <= 0.0:
             return _usage_error(
                 "no matching satisfies the --edge constraints, or their "
-                "ratio is below the rounding of the Pfaffian")
+                "ratio is below the rounding of the determinant")
         records.append({
             "quantity": "constrained_ratio", "rows": args.rows,
             "cols": args.cols, "beta_s": args.beta_s,

@@ -4,11 +4,10 @@ Each vertex of the original lattice becomes a "city" of four nodes (left,
 top, right, bottom) joined by a diamond of internal edges of weight u;
 adjacent cities are joined by external edges of weight C.  At the solvable
 point the close-packed dimer model on this lattice reproduces the six-vertex
-partition function, and the signed adjacency matrix R of a face-parity
-(Pfaffian) orientation gives Z^2 = det R.  The lattice has two kinds of
-bounded face, the diamond inside each city and the octagon between four
-cities, so one fixed sign rule orients every lattice, as Kasteleyn's rule
-does the square lattice (see ``kasteleyn_orientation``).
+partition function.  Its bounded faces, the diamond inside each city and
+the octagon between four cities, are even: the lattice is bipartite, one
+sign rule orients every lattice (``kasteleyn_orientation``), and
+Z = |det B| for the black-white block B of the signed adjacency matrix.
 
 Node indexing is city-major: node = 4*(row*cols + col) + k with
 k = 0 left, 1 top, 2 right, 3 bottom.  The edge list order is fixed
@@ -25,15 +24,14 @@ lines on two adjacent sides or on all four, none otherwise (the ice rule).
 So one configuration's weight is ``enumerate_matchings`` with every
 external edge pinned, which is how the mapping is checked.
 
-A constrained ratio Z^cons / Z_0 is one Pfaffian of a block of K^-1 per
-occupation pattern, with the inclusion-exclusion over the empty edges
-folded in (``KasteleynMatrix.ratios``); a pattern that forced moves rule
-out is exactly 0.
+A constrained ratio Z^cons / Z_0 is one small determinant of entries of
+B^-1 per occupation pattern (``KasteleynMatrix.ratios``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,11 +44,12 @@ from .errors import (BadInput, ConstraintConflict, EdgeOutOfRange,
 from .model import (FREE_FERMION_BETA_EPS, STATE_BITS, VERTEX_STATES, Boundary,
                     ModelParams, sublattice, Sublattice)
 
+LN2 = math.log(2.0)
 MATCHING_NODE_BOUND = 36
 CONSTRAINT_BOUND = 5
 
 #: most cities (rows * cols) of a decorated lattice: 512x512, the largest
-#: measured to finish, took 12.6 s and 2.3 GB to factor K on a 2-core Xeon
+#: measured to finish, took 7.2 s and 1.2 GB to factor B on a 2-core Xeon
 CITY_BOUND = 512 * 512
 
 
@@ -63,11 +62,12 @@ class EdgeConstraint:
 @dataclass(frozen=True, eq=False)
 class DecoratedLattice:
     """Edge e joins nodes i[e] and j[e] with weight[e], in the module's edge
-    order; the three arrays are read-only.  Two lattices are equal only when
-    they are the same object."""
+    order, at the field beta_s; the three arrays are read-only.  Two
+    lattices are equal only when they are the same object."""
 
     rows: int
     cols: int
+    beta_s: float
     i: np.ndarray = field(repr=False)
     j: np.ndarray = field(repr=False)
     weight: np.ndarray = field(repr=False)
@@ -128,113 +128,121 @@ def build_decorated(params: ModelParams) -> DecoratedLattice:
     weight = np.repeat([u_w, c_w], [4 * n * m, len(i) - 4 * n * m])
     for a in (i, j, weight):
         a.flags.writeable = False
-    return DecoratedLattice(n, m, i, j, weight)
+    return DecoratedLattice(n, m, params.beta_s, i, j, weight)
 
 
 # --- the Kasteleyn matrix ----------------------------------------------------
 
 class KasteleynMatrix:
-    """Signed anti-symmetric adjacency matrix K of a Pfaffian orientation.
+    """The black-white block B of the signed adjacency matrix K of a
+    Pfaffian orientation, scaled so that its sparse LU is exact at any field.
 
     ``signs[e]`` is +1 when edge e is oriented i -> j in edge-list order.
-    K is held as a sparse CSC matrix and factored once, by a sparse LU,
-    when the object is built; log det K and any block of K^-1 come from
-    that one factorization.  The ratios of the last edge set and patterns
-    asked for are kept (``ratios``), so the six states of one site, which
-    constrain the same four edges, share one solve and one batched
-    elimination.  The fixed boundary always leaves one perfect matching,
-    the ground state's completion, so K is never singular: a failed
-    factorization or a non-positive det K means the field has swamped a
-    double's precision.
+    L and R are black in the cities with row + col even, T and B in the
+    others, so every edge joins black to white, Pf K = +-det B with
+    B = K[black, white] of size 2nm (Percus, J. Math. Phys. 10, 1881, 1969)
+    and Z = |det B|.  B's entry on edge e is ``signs[e] * weight[e]``,
+    negated where i[e] is the white end.  A matching with x external edges
+    weighs u^(2nm) e^(x Delta), Delta = ln(C/u) = ln(2)/2 - beta_s; the
+    rows and columns of B_s are B's divided by sqrt(u) e^(k Delta) with the
+    integer duals k of ``_duals`` (Olschowka and Neumaier, Linear Algebra
+    Appl. 240, 1996), so every entry of B_s is at most 1 and those of a
+    dominant matching are 1.  B_s is factored once, when the object is
+    built; the last ``ratios`` call is kept for the next with the same
+    arguments, so the six states of one site share one solve.
     """
 
     def __init__(self, lattice: DecoratedLattice, signs: np.ndarray):
-        self.lattice = lattice
-        self.signs = signs
-        n, i, j = lattice.n_nodes, lattice.i, lattice.j
-        k = signs * lattice.weight
-        self.sparse = sp.csc_matrix(
-            (np.concatenate([k, -k]),
-             (np.concatenate([i, j]), np.concatenate([j, i]))), shape=(n, n))
+        self.lattice, self.signs = lattice, signs
+        lat, n_half = lattice, 2 * lattice.rows * lattice.cols
+        city = lat.i // 4
+        i_black = lat.i % 2 == (city // lat.cols + city % lat.cols) % 2
+        # each city's L and T are row or column 2 city of B, R and B 2 city + 1
+        ends = [2 * (e // 4) + e % 4 // 2 for e in (lat.i, lat.j)]
+        self._black = np.where(i_black, *ends)
+        self._white = np.where(i_black, *ends[::-1])
+        ext = (np.arange(len(lat.i)) >= 2 * n_half).astype(np.int64)
+        delta = 0.5 * LN2 - lat.beta_s
+        # where Delta <= 0 the all-diamond matching is dominant and k = 0
+        self.duals = (_duals(n_half, self._black, self._white, ext,
+                             np.where(ext, 2, ~i_black))
+                      if delta > 0.0 else (np.zeros(n_half, np.int64),) * 2)
+        self._entries = np.where(i_black, signs, -signs) * np.exp(delta * (
+            ext - self.duals[0][self._black] - self.duals[1][self._white]))
+        self.scaled = sp.csc_matrix((self._entries, (self._black, self._white)),
+                                    shape=(n_half, n_half))
         try:
-            self._lu = spla.splu(self.sparse)
+            self._lu = spla.splu(self.scaled)
         except RuntimeError as exc:
             raise FieldOverflow(
-                "the sparse LU of K loses its pivots at this field") from exc
+                "the sparse LU of B loses its pivots at this field") from exc
         self._last: tuple[tuple, tuple[float, ...]] | None = None
-
-    def log_det(self) -> float:
-        """log det K from the diagonal of U; det K = Pf(K)^2 must be > 0."""
-        diag = self._lu.U.diagonal()
-        sign = (_parity(self._lu.perm_r) * _parity(self._lu.perm_c)
-                * np.prod(np.sign(diag)))
-        if sign <= 0:
-            raise FieldOverflow(
-                "det K = Pf(K)^2 comes out non-positive at this field")
-        log_det = float(np.sum(np.log(np.abs(diag))))
-        if not math.isfinite(log_det):
-            raise FieldOverflow("a pivot of log det K overflows a double")
-        return log_det
-
-    def inverse_block(self, nodes: list[int]) -> np.ndarray:
-        """K^-1[I, I] for the node list I, from one solve on its unit vectors."""
-        rhs = np.zeros((self.lattice.n_nodes, len(nodes)))
-        rhs[nodes, np.arange(len(nodes))] = 1.0
-        return self._lu.solve(rhs)[nodes, :]
 
     def ratios(self, edges: tuple[int, ...],
                patterns: tuple[tuple[bool, ...], ...]) -> tuple[float, ...]:
         """Z^cons / Z_0 for each occupation pattern (True where occupied) of
         the edge tuple.
 
-        One solve gives B = K^-1 on the edges' ends, rows (i_e, j_e) edge by
-        edge.  A pattern's matrix is B with row and column i_e scaled by
-        -K_e where e is occupied and by K_e where it is empty, plus a unit
-        pair at (i_e, j_e) of each empty edge.  Expanded in the unit pairs,
-        its Pfaffian is sum_{T in empty} (-1)^|T| P(occupied + T), the
-        inclusion-exclusion over the local Pfaffians P(S) =
-        prod_{e in S} (-K_e) Pf(B[S]) (Kenyon, "Local statistics of lattice
-        dimers"), so one batched elimination gives every pattern.  A
-        pattern that forced moves show no matching holds (``_unmatchable``)
-        is exactly 0.  The result of the last call is kept for the next
-        call with the same arguments.
+        One solve of B_s on the edges' black ends gives
+        A_ij = B_s(b_i, w_i) B_s^-1(w_i, b_j), and det A[S, S] is the chance
+        that every edge of S is occupied (Kenyon, "Local statistics of
+        lattice dimers"); the scalings cancel.  A pattern's ratio is the
+        determinant with row A_i where edge i is occupied and e_i - A_i
+        where it is empty, the inclusion-exclusion over the empty edges, or
+        exactly 0 where forced moves rule it out (``_unmatchable``).
         """
         if self._last is not None and self._last[0] == (edges, patterns):
             return self._last[1]
-        lat, index, k = self.lattice, list(edges), len(edges)
-        ends = np.stack([lat.i[index], lat.j[index]], axis=1).ravel()
-        block = self.inverse_block(ends.tolist())
-        block = 0.5 * (block - block.T)  # the solve is anti-symmetric to rounding
+        index, k = list(edges), len(edges)
+        rhs = np.zeros((self.scaled.shape[0], k))
+        rhs[self._black[index], np.arange(k)] = 1.0
+        a = self._entries[index, None] * self._lu.solve(rhs)[self._white[index]]
         occupied = np.array(patterns, dtype=bool).reshape(len(patterns), k)
-        k_e = self.signs[index] * lat.weight[index]
-        scale = np.ones((len(patterns), 2 * k))
-        scale[:, 0::2] = np.where(occupied, -k_e, k_e)
-        pairs = np.zeros((len(patterns), 2 * k, 2 * k))
-        pairs[:, 0::2, 1::2] = ~occupied[:, :, None] * np.eye(k)
-        pairs -= pairs.transpose(0, 2, 1)
-        pf = pfaffians(scale[:, :, None] * block * scale[:, None, :] + pairs)
-        zero = [_unmatchable(lat, edges, pattern) for pattern in patterns]
-        pf = np.where(zero, 0.0, pf) + 0.0  # never -0.0
-        if not np.all(np.isfinite(pf)):
-            raise FieldOverflow(
-                "K^-1 or its Pfaffian overflows a double at this field")
-        self._last = (edges, patterns), tuple(pf.tolist())
+        ratio = np.linalg.det(np.where(occupied[:, :, None], a, np.eye(k) - a))
+        zero = [_unmatchable(self.lattice, edges, p) for p in patterns]
+        ratio = np.where(zero, 0.0, ratio) + 0.0  # never -0.0
+        if not np.all(np.isfinite(ratio)):
+            raise FieldOverflow("B^-1 or a ratio overflows a double at this field")
+        self._last = (edges, patterns), tuple(ratio.tolist())
         return self._last[1]
 
 
-def _parity(perm: np.ndarray) -> int:
-    """+1 for an even permutation, -1 for an odd one."""
-    perm = perm.tolist()
-    seen = [False] * len(perm)
-    cycles = 0
-    for start in range(len(perm)):
-        if not seen[start]:
-            cycles += 1
-            node = start
-            while not seen[node]:
-                seen[node] = True
-                node = perm[node]
-    return -1 if (len(perm) - cycles) % 2 else 1
+def _duals(n_half: int, black: np.ndarray, white: np.ndarray,
+           ext: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer duals (k_black, k_white) with ext_e <= k_b + k_w on every
+    edge (b, w), and equality on a perfect matching with the most external
+    edges, from scipy's sparse assignment solver.
+
+    With k_w = ext(w's matched edge) - k_b' for w's partner b', each edge
+    (b, w) asks k_b' <= k_b + ext(b', w) - ext(b, w), so k_black is a
+    shortest-path distance over the arcs b -> b', from 0 at every node
+    (the matched edge is a 0-length loop).  Each Bellman-Ford sweep relaxes
+    only the arcs leaving the nodes whose distance fell in the last one.
+    ``slot`` numbers each black node's edges: 0 where it is the i end of an
+    internal edge, 1 the j end, 2 for an external edge.
+    """
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+    _, mate = min_weight_full_bipartite_matching(
+        sp.csr_matrix((1.0 + ext, (black, white)), shape=(n_half, n_half)),
+        maximize=True)
+    partner = np.argsort(mate)  # the black end of each white's matched edge
+    tight, matched_ext = mate[black] == white, np.zeros(n_half, dtype=np.int64)
+    matched_ext[white[tight]] = ext[tight]
+    # an empty slot, on the boundary, is a 0-length loop
+    target = np.repeat(np.arange(n_half)[:, None], 3, axis=1)
+    length = np.zeros((n_half, 3), dtype=np.int64)
+    target[black, slot] = partner[white]
+    length[black, slot] = matched_ext[white] - ext
+    dist, active = np.zeros(n_half, dtype=np.int64), np.arange(n_half)
+    for _ in range(n_half + 1):
+        if not active.size:
+            return dist, matched_ext - dist[partner]
+        to = target[active].ravel()
+        cand = (dist[active, None] + length[active]).ravel()
+        better = cand < dist[to]
+        np.minimum.at(dist, to[better], cand[better])
+        active = np.unique(to[better])
+    raise OrientationFailure("the matching duals do not settle")
 
 
 def kasteleyn_orientation(lat: DecoratedLattice) -> KasteleynMatrix:
@@ -254,15 +262,13 @@ def kasteleyn_orientation(lat: DecoratedLattice) -> KasteleynMatrix:
 
 
 def audit_faces(kast: KasteleynMatrix) -> None:
-    """Re-check anti-symmetry and odd-clockwise parity on every bounded face.
+    """Re-check odd-clockwise parity on every bounded face.
 
     An edge oriented i -> j runs clockwise around its diamond, and around
     the octagon between cities (r, c), (r, c+1), (r+1, c) and (r+1, c+1)
     exactly when it is that octagon's top or right external edge; the
     octagon's other six edges then run counterclockwise.
     """
-    if (kast.sparse + kast.sparse.T).count_nonzero() != 0:
-        raise OrientationFailure("matrix is not anti-symmetric")
     n, m = kast.lattice.rows, kast.lattice.cols
     along = (kast.signs > 0).astype(np.int64)
     internal = along[:4 * n * m].reshape(n, m, 4)
@@ -278,8 +284,13 @@ def audit_faces(kast: KasteleynMatrix) -> None:
 
 
 def partition_dimer(kast: KasteleynMatrix) -> float:
-    """log Z of the close-packed dimer model, from Z^2 = det R."""
-    return 0.5 * kast.log_det()
+    """log Z = log |det B_s| + 2nm ln u + Delta sum(k): with
+    ln u = beta_s/2 - ln(2)/2 and x = sum(k), the external edges of a
+    dominant matching, (nm - x) beta_s - (nm - x/2) ln 2 after the first."""
+    lat, x = kast.lattice, int(kast.duals[0].sum() + kast.duals[1].sum())
+    log_det = float(np.sum(np.log(np.abs(kast._lu.U.diagonal()))))
+    nm = lat.rows * lat.cols
+    return (log_det - (nm - 0.5 * x) * LN2) + (nm - x) * lat.beta_s
 
 
 # --- exhaustive matching oracle ----------------------------------------------
@@ -287,21 +298,27 @@ def partition_dimer(kast: KasteleynMatrix) -> float:
 def enumerate_matchings(lat: DecoratedLattice,
                         forced_present: tuple[int, ...] = (),
                         forced_absent: tuple[int, ...] = ()) -> float:
-    """Weighted perfect-matching sum by branching on the lowest open node."""
-    if lat.n_nodes > MATCHING_NODE_BOUND:
-        raise TooLarge(f"{lat.n_nodes} nodes exceeds {MATCHING_NODE_BOUND}")
+    """Weighted perfect-matching sum by branching on the lowest open node.
+
+    Each branch's sum is formed in log space, shifted by its largest term,
+    so that no partial product underflows or overflows before the terms
+    meet; FieldOverflow where the sum is nonzero but not a normal double.
+    """
+    n = lat.n_nodes
+    if n > MATCHING_NODE_BOUND:
+        raise TooLarge(f"{n} nodes exceeds {MATCHING_NODE_BOUND}")
     absent = set(forced_absent)
     ends = list(zip(lat.i.tolist(), lat.j.tolist()))
-    weights = lat.weight.tolist()
-    adj: dict[int, list[tuple[int, float]]] = {i: [] for i in range(lat.n_nodes)}
+    log_w = np.log(lat.weight).tolist()
+    adj: dict[int, list[tuple[int, float]]] = {i: [] for i in range(n)}
     for e_idx, (i, j) in enumerate(ends):
         if e_idx in absent or e_idx in forced_present:
             continue
-        adj[i].append((j, weights[e_idx]))
-        adj[j].append((i, weights[e_idx]))
+        adj[i].append((j, log_w[e_idx]))
+        adj[j].append((i, log_w[e_idx]))
 
-    covered = [False] * lat.n_nodes
-    prefactor = 1.0
+    covered = [False] * n
+    log_prefactor = 0.0
     for e_idx in forced_present:
         if e_idx in absent:
             return 0.0
@@ -309,57 +326,39 @@ def enumerate_matchings(lat: DecoratedLattice,
         if covered[i] or covered[j]:
             return 0.0
         covered[i] = covered[j] = True
-        prefactor *= weights[e_idx]
+        log_prefactor += log_w[e_idx]
 
     def recurse(start: int) -> float:
+        """log of the sum over the matchings of the open nodes, -inf if none"""
         node = start
-        while node < lat.n_nodes and covered[node]:
+        while node < n and covered[node]:
             node += 1
-        if node == lat.n_nodes:
-            return 1.0
-        total = 0.0
+        if node == n:
+            return 0.0
+        terms = []
         covered[node] = True
-        for other, w in adj[node]:
+        for other, lw in adj[node]:
             if not covered[other]:
                 covered[other] = True
-                total += w * recurse(node + 1)
+                rest = recurse(node + 1)
+                if rest > -math.inf:
+                    terms.append(lw + rest)
                 covered[other] = False
         covered[node] = False
-        return total
+        if len(terms) < 2:
+            return terms[0] if terms else -math.inf
+        top = max(terms)
+        return top + math.log(sum([math.exp(t - top) for t in terms]))
 
-    return prefactor * recurse(0)
+    log_z = log_prefactor + recurse(0)
+    if (-math.inf < log_z < math.log(sys.float_info.min)
+            or log_z > math.log(sys.float_info.max)):
+        raise FieldOverflow(f"the matching sum e^{log_z:.6g} is not a "
+                            "normal double")
+    return math.exp(log_z)
 
 
 # --- constrained partition functions -----------------------------------------
-
-def pfaffians(a: np.ndarray) -> np.ndarray:
-    """Pfaffians of a stack of anti-symmetric matrices of one even size.
-
-    Skew Gaussian elimination over the leading axis: each step brings the
-    largest entry of the next row into the pivot position, takes the 2x2
-    block out and updates the rest by a skew rank-2 correction.  A zero
-    pivot means the rest of its row is zero, and that Pfaffian is 0.
-    """
-    a = np.array(a, dtype=float)
-    stack, n = np.arange(len(a)), a.shape[-1]
-    pf = np.ones(len(a))
-    for k in range(0, n - 1, 2):
-        p = k + 1 + np.argmax(np.abs(a[:, k, k + 1:]), axis=1)
-        row = a[stack, p].copy()
-        a[stack, p] = a[:, k + 1]
-        a[:, k + 1] = row
-        col = a[stack, :, p].copy()
-        a[stack, :, p] = a[:, :, k + 1]
-        a[:, :, k + 1] = col
-        pivot = a[:, k, k + 1]
-        pf = np.where(p != k + 1, -pf, pf) * pivot
-        if k + 2 < n:
-            tau = a[:, k, k + 2:] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
-            col = a[:, k + 2:, k + 1]
-            a[:, k + 2:, k + 2:] += (tau[:, :, None] * col[:, None, :]
-                                     - col[:, :, None] * tau[:, None, :])
-    return pf
-
 
 def check_constraints(lat: DecoratedLattice, constraints) -> None:
     """BadInput for more than CONSTRAINT_BOUND constraints, an edge outside
@@ -462,7 +461,7 @@ def vertex_constrained_ratio(kast: KasteleynMatrix, site: tuple[int, int],
                              state: int) -> float:
     """Z_site(state) / Z_0 for an interior site.  Every state constrains the
     same four edges, so the six states of a site come from one solve and
-    one elimination of six matrices of size 8."""
+    one stack of six 4x4 determinants."""
     ratios = kast.ratios(incident_external_edges(kast.lattice, site),
                          _STATE_LINES[sublattice(*site)])
     return ratios[VERTEX_STATES.index(state)]

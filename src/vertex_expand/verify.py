@@ -42,6 +42,16 @@ def suite_kasteleyn() -> list[Check]:
                 f"pfaffian-vs-matchings {rows}x{cols} beta_s={beta_s}",
                 rel < 1e-10, f"rel={rel:.3e}"))
 
+    # C/u = e^400: only B scaled by the matching duals keeps log Z exact
+    params = model.ModelParams(beta_s=-400.0, rows=3, cols=4)
+    log_pf = dimer.partition_dimer(
+        dimer.kasteleyn_orientation(dimer.build_decorated(params)))
+    log_enum = model.enumerate_partition(params).log_z
+    diff = abs(log_pf - log_enum)
+    checks.append(("pfaffian-vs-enumeration 3x4 beta_s=-400",
+                   diff < 1e-11 * max(1.0, abs(log_enum)),
+                   f"diff={diff:.3e}"))
+
     # 3x3 has two rows of vertical free edges, so it sees their order
     for rows, cols in [(2, 2), (2, 3), (3, 3)]:
         params = model.ModelParams(beta_s=0.3, rows=rows, cols=cols)

@@ -32,10 +32,6 @@ operator densely from that contraction on unit vectors and diagonalises it
 with LAPACK's general (non-symmetric) eigensolver, where the package runs a
 symmetric Lanczos iteration on the matrix-free operator.
 
-The Pfaffian reference expands along the first row over every perfect
-matching, where the package eliminates a stack of matrices at once with
-pivoting.
-
 The singular series are the paper's own assembly: Stirling's series for the
 central binomial ratio (``stirling_correction``), then the singular part of
 each sum_n e^{-n t}/n^p, then the map t = 2 ln cosh(2 beta_s).  The package
@@ -320,27 +316,6 @@ def dense_transfer(params):
         for col in eye.T])
     evals = np.sort(np.abs(np.linalg.eigvals(dense)))[::-1]
     return math.log(evals[0]) / (2 * n), evals[1] / evals[0]
-
-
-def pfaffian_by_expansion(a) -> float:
-    """Pfaffian of an anti-symmetric matrix of even size by expansion along
-    the first row, Pf(A) = sum_j (-1)^(j+1) a_0j Pf(A without rows and
-    columns 0 and j): a sum over the (n-1)!! perfect matchings, with no
-    elimination and no pivot.  Integer entries give an exact integer."""
-    rows = np.asarray(a, dtype=float).tolist()
-
-    def expand(idx):
-        if not idx:
-            return 1.0
-        first, rest = idx[0], idx[1:]
-        total = 0.0
-        for k, j in enumerate(rest):
-            if rows[first][j] != 0.0:
-                total += ((-1) ** k * rows[first][j]
-                          * expand(rest[:k] + rest[k + 1:]))
-        return total
-
-    return expand(tuple(range(len(rows))))
 
 
 def _mean_near_pi(f, width):

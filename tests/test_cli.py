@@ -221,19 +221,23 @@ class TestPartition:
         assert rec["log_z_enumerate"] == pytest.approx(log_z, rel=1e-15)
         assert rec.get("log_z_pfaffian", log_z) == log_z
 
-    @pytest.mark.parametrize("size,beta_s", [
-        (["--rows", "1", "--cols", "2"], "-700"),
-        (["--rows", "5", "--cols", "5"], "-480"),
-        (["--rows", "2", "--cols", "2"], "-1419")])
-    def test_field_that_loses_the_pivots_is_usage_error(self, capsys, size,
-                                                        beta_s):
-        # the fixed boundary always has a perfect matching, so a singular
-        # or negative det K is the field's doing
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("size,beta_s,log_z", [
+        (["--rows", "1", "--cols", "2"], "-700", -1400.0),
+        # enumerate_by_backtracking over the 1322 configurations of 5x5
+        (["--rows", "5", "--cols", "5"], "-480", 3355.84111691664),
+        (["--rows", "2", "--cols", "2"], "-1419", -2.0 * math.log(2.0)),
+        (["--rows", "3", "--cols", "4"], "-400", -3.0 * math.log(2.0))])
+    def test_large_negative_field_is_answered(self, capsys, size, beta_s,
+                                              log_z):
+        # B scaled by the matching duals keeps its LU exact where the
+        # weights C and u lie hundreds of orders of magnitude apart
         code, out, err = run(capsys, "partition", *size, "--beta-s", beta_s,
                              "--oracle", "pfaffian")
-        assert code == 2
-        assert out == ""
-        assert "--beta-s is too large" in err
+        assert (code, err) == (0, "")
+        (rec,) = json_lines(out)
+        assert rec["log_z_pfaffian"] == pytest.approx(
+            log_z, rel=1e-14, abs=1e-13)
 
     @pytest.mark.parametrize("option", [
         ["--beta-s", "177.4"],       # Z = e^709.6, just below DBL_MAX
@@ -364,11 +368,7 @@ class TestConstrained:
         assert "twice" in err
 
     @pytest.mark.parametrize("option", [
-        ["--site", "2", "2", "--beta-s", "1500"],    # weight e^750
-        ["--edge", "40:0", "--beta-s", "1419"],      # a pivot of log det K
-        # the weights and K pass, but K^-1 overflows on this odd lattice
-        ["--edge", "3:1", "--edge", "5:0", "--beta-s", "-300"],
-        ["--edge", "3:1", "--edge", "5:0", "--beta-s", "-355"]])
+        ["--site", "2", "2", "--beta-s", "1500"]])   # weight e^750
     def test_field_overflowing_the_weights_is_usage_error(self, capsys,
                                                           option):
         code, out, err = run(capsys, "constrained", "--rows", "5", "--cols",
@@ -383,7 +383,13 @@ class TestConstrained:
         (["--site", "2", "2", "--beta-s", "-400"], [0, 0, 0, 0, 1, 0]),
         # both frozen corner cities are line-free, and one of the two
         # completions of each diamond holds its B-L edge
-        (["--edge", "3:1", "--edge", "7:1", "--beta-s", "720"], [0.25])])
+        (["--edge", "3:1", "--edge", "7:1", "--beta-s", "720"], [0.25]),
+        # one of the two completions of the diamond, each u^2
+        (["--edge", "40:0", "--beta-s", "1419"], [0.5]),
+        # a sum over the ice configurations of 5x5, each city's diamond
+        # completing its lines, gives 0.25 at beta_s = -20 and -90 alike
+        (["--edge", "3:1", "--edge", "5:0", "--beta-s", "-300"], [0.25]),
+        (["--edge", "3:1", "--edge", "5:0", "--beta-s", "-355"], [0.25])])
     def test_frozen_field_is_answered(self, capsys, option, ratios):
         code, out, _ = run(capsys, "constrained", "--rows", "5", "--cols",
                            "5", *option)

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from references import (config_from_mask, decorated_edges, free_edges,
-                        ground_state_config, odd_clockwise,
-                        pfaffian_by_expansion, pinned_matchings, planar_faces)
+                        ground_state_config, odd_clockwise, pinned_matchings,
+                        planar_faces)
 from vertex_expand import dimer
 from vertex_expand.dimer import (
     MATCHING_NODE_BOUND,
@@ -23,12 +25,12 @@ from vertex_expand.dimer import (
     enumerate_matchings,
     kasteleyn_orientation,
     partition_dimer,
-    pfaffians,
     vertex_constrained_ratio,
 )
 from vertex_expand.errors import (
     ConstraintConflict,
     EdgeOutOfRange,
+    FieldOverflow,
     NotFreeFermion,
     OrientationFailure,
     TooLarge,
@@ -36,6 +38,7 @@ from vertex_expand.errors import (
 )
 from vertex_expand.integrals import za_ratio, zb_ratio
 from vertex_expand.model import (
+    ENUMERATION_EDGE_BOUND,
     FREE_FERMION_BETA_EPS,
     STATE_BITS,
     Boundary,
@@ -58,10 +61,18 @@ def params_for(rows, cols, beta_s=0.3):
 
 def reoriented(kast, signs):
     """``kast`` with other edge signs, for the face-parity audit alone: a
-    mis-oriented K can be singular, so none is built or factored, and the
-    anti-symmetry check sees the valid matrix."""
-    return SimpleNamespace(lattice=kast.lattice, signs=signs,
-                           sparse=kast.sparse)
+    mis-oriented B can be singular, so none is built or factored."""
+    return SimpleNamespace(lattice=kast.lattice, signs=signs)
+
+
+def dense_k(kast):
+    """The anti-symmetric K of the orientation, from the lattice's edge
+    arrays and the signs alone."""
+    lat = kast.lattice
+    k = np.zeros((lat.n_nodes, lat.n_nodes))
+    k[lat.i, lat.j] = kast.signs * lat.weight
+    k[lat.j, lat.i] = -kast.signs * lat.weight
+    return k
 
 
 @pytest.fixture(scope="module")
@@ -199,13 +210,22 @@ class TestKasteleyn:
             with pytest.raises(OrientationFailure):
                 audit_faces(reoriented(kast, signs))
 
-    def test_audit_rejects_asymmetric_matrix(self, kast22):
-        sparse = kast22.sparse.tolil()
-        sparse[0, 1] = 2.0 * sparse[0, 1]
-        broken = SimpleNamespace(lattice=kast22.lattice, signs=kast22.signs,
-                                 sparse=sparse.tocsc())
-        with pytest.raises(OrientationFailure, match="anti-symmetric"):
-            audit_faces(broken)
+    def test_b_is_the_black_white_block_of_k(self, kast22):
+        # L and R are black in the cities with row + col even, T and B in
+        # the others; no edge joins two nodes of one colour, so
+        # det K = (det B)^2 for B = K[black, white], and Z = |det B|
+        lat = kast22.lattice
+        k = dense_k(kast22)
+        node = np.arange(lat.n_nodes)
+        row, col = divmod(node // 4, lat.cols)
+        black = node % 2 == (row + col) % 2
+        assert not k[np.ix_(black, black)].any()
+        assert not k[np.ix_(~black, ~black)].any()
+        b = k[np.ix_(black, ~black)]
+        assert np.linalg.det(k) == pytest.approx(np.linalg.det(b) ** 2,
+                                                 rel=1e-12)
+        assert partition_dimer(kast22) == pytest.approx(
+            math.log(abs(np.linalg.det(b))), rel=1e-13)
 
     def test_matching_enumeration_bound(self):
         with pytest.raises(TooLarge):
@@ -280,15 +300,15 @@ class TestConstrained:
                 0.535012858879755, rel=1e-13)
 
     def test_occupied_plus_empty_is_total(self, kast22):
-        k_inv = np.linalg.inv(kast22.sparse.toarray())
+        k = dense_k(kast22)
+        k_inv = np.linalg.inv(k)
         for edge in (0, 7, 16):
             occ = constrained_ratio(kast22, [EdgeConstraint(edge, True)])
             emp = constrained_ratio(kast22, [EdgeConstraint(edge, False)])
             assert occ + emp == pytest.approx(1.0, rel=1e-12)
             # one edge's occupation is K(i,j) K^-1(j,i), here from a dense inverse
             i, j = kast22.lattice.i[edge], kast22.lattice.j[edge]
-            assert occ == pytest.approx(kast22.sparse[i, j] * k_inv[j, i],
-                                        rel=1e-12)
+            assert occ == pytest.approx(k[i, j] * k_inv[j, i], rel=1e-12)
 
     def test_against_direct_enumeration(self, kast22):
         lat = build_decorated(params_for(2, 2))
@@ -413,81 +433,85 @@ class TestConstrained:
                                       abs=1e-12)
 
 
-@st.composite
-def skew_stacks(draw):
-    """(stack, zero_rows): anti-symmetric matrices of one even size 2-10
-    with integer entries in [-3, 3], so their Pfaffians are exact integers
-    and rows hold ties of equal magnitude; some have a zero row."""
-    n = draw(st.sampled_from([2, 4, 6, 8, 10]))
-    upper = st.lists(st.integers(-3, 3), min_size=n * (n - 1) // 2,
-                     max_size=n * (n - 1) // 2)
-    stack, zero_rows = [], []
-    for _ in range(draw(st.integers(1, 4))):
-        a = np.zeros((n, n))
-        a[np.triu_indices(n, 1)] = draw(upper)
-        a -= a.T
-        zero = draw(st.none() | st.integers(0, n - 1))
-        if zero is not None:
-            a[zero, :] = a[:, zero] = 0.0
-        stack.append(a)
-        zero_rows.append(zero is not None)
-    return np.array(stack), zero_rows
-
-
-class TestPfaffians:
-    """The batched elimination against an expansion over all matchings."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(drawn=skew_stacks(), data=st.data())
-    def test_against_expansion(self, drawn, data):
-        stack, zero_rows = drawn
-        n = stack.shape[-1]
-        exact = [pfaffian_by_expansion(a) for a in stack]
-        got = pfaffians(stack)
-        # (n-1)!! matchings, each a product of n/2 entries of size <= 3
-        tol = 1e-12 * math.prod(range(n - 1, 0, -2)) * 3 ** (n // 2)
-        for pf, want, zero in zip(got, exact, zero_rows):
-            assert abs(pf - want) <= tol
-            if zero:
-                assert pf == 0.0 == want  # a zero pivot gives exactly 0
-        # D A D with power-of-two d_i in pairs +-s: entries span 2^+-498,
-        # about 1e+-150, and Pf(D A D) = det D Pf(A) = Pf(A)
-        scaled = []
-        for a in stack:
-            s = data.draw(st.lists(st.integers(-249, 249), min_size=n // 2,
-                                   max_size=n // 2))
-            order = data.draw(st.permutations(range(n)))
-            d = np.ldexp(1.0, np.array(s + [-x for x in s])[order])
-            scaled.append(d[:, None] * a * d[None, :])
-        for pf, want in zip(pfaffians(np.array(scaled)), exact):
-            assert abs(pf - want) <= tol
-        # Pf^2 = det wherever the determinant can be trusted to 1e-12
-        for a, pf in zip(stack, got):
-            if np.linalg.cond(a) < 1e3:
-                assert pf * pf == pytest.approx(np.linalg.det(a), rel=1e-12)
-
-    @settings(max_examples=60, deadline=None)
-    @given(drawn=skew_stacks(), data=st.data())
-    def test_unit_pair_padding_leaves_the_pfaffian(self, drawn, data):
-        # the terms of KasteleynMatrix.ratios' expansion in its unit pairs:
-        # an aligned unit 2x2 pair in place of an edge's rows leaves the
-        # other rows' Pfaffian, bit for bit
-        stack, _ = drawn
-        n = stack.shape[-1]
-        padded = []
-        for a in stack:
-            at = 2 * data.draw(st.integers(0, n // 2))
-            keep = np.r_[0:at, at + 2:n + 2]
-            p = np.zeros((n + 2, n + 2))
-            p[np.ix_(keep, keep)] = a
-            p[at, at + 1], p[at + 1, at] = 1.0, -1.0
-            padded.append(p)
-        assert pfaffians(np.array(padded)).tolist() == pfaffians(stack).tolist()
-
-
 @pytest.fixture(scope="module")
 def kast33():
     return kasteleyn_orientation(build_decorated(params_for(3, 3)))
+
+
+#: every fixed lattice the enumeration takes
+ENUMERABLE_SHAPES = [(rows, cols) for rows in range(1, 26)
+                     for cols in range(1, 26)
+                     if rows * (cols - 1) + (rows - 1) * cols
+                     <= ENUMERATION_EDGE_BOUND]
+
+#: fields from the edge of the weights' range (C or u near DBL_MAX) to the
+#: all-diamond point beta_s = ln(2)/2 = 0.3466
+GRID_FIELDS = [1418.0, -1418.0, -1000.0, 700.0, -700.0, -480.0, 400.0,
+               -400.0, 50.0, -50.0, 3.0, -3.0, 1.0, -1.0, -0.7, 0.0, 0.3,
+               0.35]
+
+
+class TestScaledDeterminant:
+    """B scaled by the integer matching duals: log Z and ratios at any
+    field the weights allow."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 16), cols=st.integers(1, 16))
+    @example(rows=15, cols=16)
+    @example(rows=1, cols=16)
+    def test_scaled_entries_hold_a_unit_matching(self, rows, cols):
+        # Delta = ln(C/u) > 0 at both fields, so the duals are the
+        # matching's, and they do not depend on the field
+        kasts = [kasteleyn_orientation(build_decorated(
+            params_for(rows, cols, beta_s))) for beta_s in (-0.1, -400.0)]
+        for kast in kasts:
+            b = kast.scaled.tocoo()
+            assert np.abs(b.data).max() <= 1.0
+            unit = np.abs(b.data) == 1.0
+            pattern = csr_matrix((np.ones(unit.sum()),
+                                  (b.row[unit], b.col[unit])), shape=b.shape)
+            mate = maximum_bipartite_matching(pattern, perm_type="column")
+            assert (mate >= 0).all()
+        for k_low, k_high in zip(kasts[0].duals, kasts[1].duals):
+            assert np.array_equal(k_low, k_high)
+
+    @pytest.mark.parametrize("rows,cols", ENUMERABLE_SHAPES)
+    def test_log_z_against_enumeration(self, rows, cols):
+        for beta_s in GRID_FIELDS:
+            params = params_for(rows, cols, beta_s)
+            want = enumerate_partition(params).log_z
+            got = partition_dimer(kasteleyn_orientation(build_decorated(params)))
+            assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), beta_s
+
+    def test_matching_sum_at_a_frozen_field(self):
+        # 3x3 at beta_s = -400: the sum stays in log space until the end,
+        # so no partial product of e^(+-200) weights underflows
+        params = params_for(3, 3, -400.0)
+        lat = build_decorated(params)
+        z = enumerate_matchings(lat)
+        assert math.log(z) == pytest.approx(-401.3862943611198, abs=1e-12)
+        assert math.log(z) == pytest.approx(enumerate_partition(params).log_z,
+                                            abs=1e-12)
+        assert enumerate_matchings(lat, (), (40,)) / z == pytest.approx(
+            0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("beta_s", [400.0, -750.0])
+    def test_matching_sum_out_of_range_raises(self, beta_s):
+        # 2x2 at 400: Z = e^1600; 1x1 at -750: Z = e^-750
+        size = 2 if beta_s > 0 else 1
+        lat = build_decorated(params_for(size, size, beta_s))
+        with pytest.raises(FieldOverflow):
+            enumerate_matchings(lat)
+
+    @pytest.mark.parametrize("beta_s", [-300.0, -400.0])
+    @pytest.mark.parametrize("edge", [40, 31])
+    def test_frozen_ratio_against_matchings(self, edge, beta_s):
+        lat = build_decorated(params_for(3, 3, beta_s))
+        ratio = constrained_ratio(kasteleyn_orientation(lat),
+                                  [EdgeConstraint(edge, False)])
+        direct = enumerate_matchings(lat, (), (edge,)) / enumerate_matchings(lat)
+        assert ratio == pytest.approx(0.5, rel=1e-12)
+        assert ratio == pytest.approx(direct, rel=1e-12)
 
 
 class TestVertexStates:
@@ -509,23 +533,24 @@ class TestVertexStates:
 
     def test_six_states_share_one_solve(self, monkeypatch):
         kast = kasteleyn_orientation(build_decorated(params_for(4, 4)))
-        lu, solves, eliminations = kast._lu, [], []
+        lu, solves, dets = kast._lu, [], []
+        det = np.linalg.det
 
         class CountingLU:
             def solve(self, rhs):
                 solves.append(rhs.shape[1])
                 return lu.solve(rhs)
 
-        def counting_pfaffians(a):
-            eliminations.append(a.shape)
-            return pfaffians(a)
+        def counting_det(a):
+            dets.append(a.shape)
+            return det(a)
 
         monkeypatch.setattr(kast, "_lu", CountingLU())
-        monkeypatch.setattr(dimer, "pfaffians", counting_pfaffians)
+        monkeypatch.setattr(np.linalg, "det", counting_det)
         probs = [vertex_constrained_ratio(kast, (1, 2), s) for s in range(1, 7)]
-        # one solve on the eight ends, one elimination of the six patterns
-        assert solves == [8]
-        assert eliminations == [(6, 8, 8)]
+        # one solve on the four black ends, one determinant per pattern
+        assert solves == [4]
+        assert dets == [(6, 4, 4)]
         # site (1, 2) is on sublattice B: a line sits on each edge where a
         # state's arrow differs from state 5's
         edges = dimer.incident_external_edges(kast.lattice, (1, 2))
@@ -533,27 +558,33 @@ class TestVertexStates:
             tuple(b != r for b, r in zip(STATE_BITS[s], STATE_BITS[5]))
             for s in range(1, 7))
         kept = kast.ratios(edges, lines)
-        assert kept == tuple(probs) and solves == [8]
+        assert kept == tuple(probs) and solves == [4]
         with pytest.raises(TypeError):
             kept[0] = 0.0  # the kept result is read-only
-        # another edge set, even a subset of the last, is a new elimination
+        # another edge set, even a subset of the last, is a new solve
         constrained_ratio(kast, [EdgeConstraint(edges[0], False)])
-        assert solves == [8, 2]
-        assert eliminations == [(6, 8, 8), (1, 2, 2)]
+        assert solves == [4, 1]
+        assert dets == [(6, 4, 4), (1, 1, 1)]
         fresh = kasteleyn_orientation(build_decorated(params_for(4, 4)))
         assert probs == [vertex_constrained_ratio(fresh, (1, 2), s)
                          for s in range(1, 7)]
 
-    def test_kept_block_is_never_handed_out(self, kast33):
-        nodes = [5, 9, 20]
-        first = kast33.inverse_block(nodes)
-        expected = first.copy()
-        first[:] = 0.0
-        again = kast33.inverse_block(nodes)
-        assert (again == expected).all()
-        other = kast33.inverse_block([9, 5])
-        assert other == pytest.approx(expected[[1, 0]][:, [1, 0]],
-                                      rel=1e-14, abs=1e-15)
+    def test_kept_ratios_follow_their_arguments(self, kast33):
+        # every pattern of three edges against the matching sums, and the
+        # same edges in another order give the same ratios
+        lat = kast33.lattice
+        z0 = enumerate_matchings(lat)
+        edges = (5, 9, 20)
+        patterns = tuple(itertools.product((True, False), repeat=3))
+        first = kast33.ratios(edges, patterns)
+        for pattern, ratio in zip(patterns, first):
+            direct = enumerate_matchings(
+                lat, tuple(e for e, o in zip(edges, pattern) if o),
+                tuple(e for e, o in zip(edges, pattern) if not o)) / z0
+            assert ratio == pytest.approx(direct, abs=1e-13)
+        other = kast33.ratios(edges[::-1], tuple(p[::-1] for p in patterns))
+        assert other == pytest.approx(first, rel=1e-14, abs=1e-15)
+        assert kast33.ratios(edges, patterns) == first
 
     @settings(max_examples=25, deadline=None)
     @given(rows=st.integers(3, 16), cols=st.integers(3, 16), data=st.data(),
