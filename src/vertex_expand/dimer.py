@@ -13,7 +13,8 @@ Node indexing is city-major: node = 4*(row*cols + col) + k with
 k = 0 left, 1 top, 2 right, 3 bottom.  The edge list order is fixed
 (internal diamonds city by city, then horizontal externals, then vertical
 externals) so edge indices are reproducible across runs; the lattice holds
-it as three arrays, edge e joining nodes i[e] and j[e] with weight[e].
+it as three arrays, edge e joining nodes i[e] and j[e] with weight
+e^log_weight[e].
 
 The external edges come in the order of ``model.enumerate_partition``'s
 free edges, so a vertex configuration with mask ``mask`` has its dimers on
@@ -61,16 +62,16 @@ class EdgeConstraint:
 
 @dataclass(frozen=True, eq=False)
 class DecoratedLattice:
-    """Edge e joins nodes i[e] and j[e] with weight[e], in the module's edge
-    order, at the field beta_s; the three arrays are read-only.  Two
-    lattices are equal only when they are the same object."""
+    """Edge e joins nodes i[e] and j[e] with weight e^log_weight[e], in
+    the module's edge order, at the field beta_s; the three arrays are
+    read-only.  Two lattices are equal only when they are the same object."""
 
     rows: int
     cols: int
     beta_s: float
     i: np.ndarray = field(repr=False)
     j: np.ndarray = field(repr=False)
-    weight: np.ndarray = field(repr=False)
+    log_weight: np.ndarray = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -96,10 +97,12 @@ def build_decorated(params: ModelParams) -> DecoratedLattice:
     """City decoration of the lattice at the solvable point.
 
     Weights: C = exp(-beta_s/2) on external edges, u = (sqrt2/2)
-    exp(beta_s/2) on internal ones; requires beta_eps = ln(2)/2, the
-    fixed ground-state boundary (lines cannot cross the boundary, so no
-    external stubs are needed and the graph stays planar-with-boundary)
-    and at most CITY_BOUND cities, checked before any array is allocated.
+    exp(beta_s/2) on internal ones, held as their logs -beta_s/2 and
+    beta_s/2 - ln(2)/2, which are finite at every finite field;
+    requires beta_eps = ln(2)/2, the fixed ground-state boundary (lines
+    cannot cross the boundary, so no external stubs are needed and the
+    graph stays planar-with-boundary) and at most CITY_BOUND cities,
+    checked before any array is allocated.
     """
     if abs(params.beta_eps - FREE_FERMION_BETA_EPS) > 1e-12:
         raise NotFreeFermion(
@@ -110,12 +113,6 @@ def build_decorated(params: ModelParams) -> DecoratedLattice:
     if n * m > CITY_BOUND:
         raise TooLarge(f"{n}x{m} has {n * m} cities, above the Kasteleyn "
                        f"bound {CITY_BOUND}")
-    try:
-        c_w = math.exp(-0.5 * params.beta_s)
-        u_w = 0.5 * math.sqrt(2.0) * math.exp(0.5 * params.beta_s)
-    except OverflowError:
-        raise FieldOverflow("a Kasteleyn weight e^(|beta_s|/2) overflows "
-                            "a double") from None
     city = 4 * np.arange(n * m, dtype=np.int64).reshape(n, m)
     i = np.concatenate([
         (city[:, :, None] + np.arange(4)).ravel(),  # L-T, T-R, R-B, B-L
@@ -125,10 +122,12 @@ def build_decorated(params: ModelParams) -> DecoratedLattice:
         (city[:, :, None] + (np.arange(4) + 1) % 4).ravel(),
         city[:, 1:].ravel(),
         (city[1:, :] + 1).ravel()])
-    weight = np.repeat([u_w, c_w], [4 * n * m, len(i) - 4 * n * m])
-    for a in (i, j, weight):
+    log_weight = np.repeat(
+        [0.5 * params.beta_s - 0.5 * LN2, -0.5 * params.beta_s],
+        [4 * n * m, len(i) - 4 * n * m])
+    for a in (i, j, log_weight):
         a.flags.writeable = False
-    return DecoratedLattice(n, m, params.beta_s, i, j, weight)
+    return DecoratedLattice(n, m, params.beta_s, i, j, log_weight)
 
 
 # --- the Kasteleyn matrix ----------------------------------------------------
@@ -141,7 +140,7 @@ class KasteleynMatrix:
     L and R are black in the cities with row + col even, T and B in the
     others, so every edge joins black to white, Pf K = +-det B with
     B = K[black, white] of size 2nm (Percus, J. Math. Phys. 10, 1881, 1969)
-    and Z = |det B|.  B's entry on edge e is ``signs[e] * weight[e]``,
+    and Z = |det B|.  B's entry on edge e is ``signs[e]`` times its weight,
     negated where i[e] is the white end.  A matching with x external edges
     weighs u^(2nm) e^(x Delta), Delta = ln(C/u) = ln(2)/2 - beta_s; the
     rows and columns of B_s are B's divided by sqrt(u) e^(k Delta) with the
@@ -167,8 +166,11 @@ class KasteleynMatrix:
         self.duals = (_duals(n_half, self._black, self._white, ext,
                              np.where(ext, 2, ~i_black))
                       if delta > 0.0 else (np.zeros(n_half, np.int64),) * 2)
-        self._entries = np.where(i_black, signs, -signs) * np.exp(delta * (
-            ext - self.duals[0][self._black] - self.duals[1][self._white]))
+        # the exponent is never positive; where it overflows to -inf, e^-inf
+        # = 0 is the entry rounded
+        with np.errstate(over="ignore"):
+            self._entries = np.where(i_black, signs, -signs) * np.exp(delta * (
+                ext - self.duals[0][self._black] - self.duals[1][self._white]))
         self.scaled = sp.csc_matrix((self._entries, (self._black, self._white)),
                                     shape=(n_half, n_half))
         try:
@@ -286,11 +288,15 @@ def audit_faces(kast: KasteleynMatrix) -> None:
 def partition_dimer(kast: KasteleynMatrix) -> float:
     """log Z = log |det B_s| + 2nm ln u + Delta sum(k): with
     ln u = beta_s/2 - ln(2)/2 and x = sum(k), the external edges of a
-    dominant matching, (nm - x) beta_s - (nm - x/2) ln 2 after the first."""
+    dominant matching, (nm - x) beta_s - (nm - x/2) ln 2 after the first;
+    FieldOverflow where that is not a finite double."""
     lat, x = kast.lattice, int(kast.duals[0].sum() + kast.duals[1].sum())
     log_det = float(np.sum(np.log(np.abs(kast._lu.U.diagonal()))))
     nm = lat.rows * lat.cols
-    return (log_det - (nm - 0.5 * x) * LN2) + (nm - x) * lat.beta_s
+    log_z = (log_det - (nm - 0.5 * x) * LN2) + (nm - x) * lat.beta_s
+    if not math.isfinite(log_z):
+        raise FieldOverflow(f"log Z = {log_z} is not a finite double")
+    return log_z
 
 
 # --- exhaustive matching oracle ----------------------------------------------
@@ -309,7 +315,7 @@ def enumerate_matchings(lat: DecoratedLattice,
         raise TooLarge(f"{n} nodes exceeds {MATCHING_NODE_BOUND}")
     absent = set(forced_absent)
     ends = list(zip(lat.i.tolist(), lat.j.tolist()))
-    log_w = np.log(lat.weight).tolist()
+    log_w = lat.log_weight.tolist()
     adj: dict[int, list[tuple[int, float]]] = {i: [] for i in range(n)}
     for e_idx, (i, j) in enumerate(ends):
         if e_idx in absent or e_idx in forced_present:

@@ -183,7 +183,8 @@ class EnumerationResult:
 
 def _ice_configurations(slots: np.ndarray, fixed: np.ndarray,
                         energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every ice-rule configuration as (masks, H) arrays, ascending in mask.
+    """Every ice-rule configuration as (masks, H) arrays, ascending in mask;
+    the masks are int32, which holds the ENUMERATION_EDGE_BOUND free bits.
 
     The frontier of partial configurations is a pair of arrays.  Vertices
     are visited in order; each ORs every mask of the frontier with every
@@ -193,7 +194,7 @@ def _ice_configurations(slots: np.ndarray, fixed: np.ndarray,
     from 0.
     """
     pattern_to_state = np.array(PATTERN_TO_STATE)
-    masks = np.zeros(1, dtype=np.int64)
+    masks = np.zeros(1, dtype=np.int32)
     hams = np.zeros(1)
     assigned = 0
     for vslots, vfixed, venergy in zip(slots.tolist(), fixed.tolist(),
@@ -206,7 +207,7 @@ def _ice_configurations(slots: np.ndarray, fixed: np.ndarray,
         extensions = [new]          # every subset of the new edges' bits
         while extensions[-1]:
             extensions.append((extensions[-1] - 1) & new)
-        masks = (masks[:, None] | np.array(extensions)).ravel()
+        masks = (masks[:, None] | np.array(extensions, np.int32)).ravel()
         hams = np.repeat(hams, len(extensions))
         pattern = np.zeros(len(masks), dtype=np.int64)
         for s, bit in zip(vslots, vfixed):
@@ -246,86 +247,82 @@ def enumerate_partition(params: ModelParams) -> EnumerationResult:
 
 # --- transfer-matrix oracle --------------------------------------------------
 
-#: the ice-rule vertices by what a row does to its (vertical bond, arrow
-#: bit) pair, listed by the bond bit: states 3 and 4 keep an unequal pair,
-#: states 2 and 1 keep an equal pair, and states 5 and 6 turn an equal pair
-#: into its complement
-_KEEP_UNEQUAL, _KEEP_EQUAL, _FLIP_EQUAL = (3, 4), (2, 1), (5, 6)
+#: rows of a column that one dense group matrix applies; the last group of
+#: a column takes the rows that are left
+GROUP_ROWS = 4
+
+
+def _group_matrix(row_weights: list[np.ndarray]) -> np.ndarray:
+    """The 2^(s+1) square matrix by which s consecutive rows act on
+    (entering vertical bond, their s arrow bits, the first row's most
+    significant), from each row's w[south, east, north, west] weights.
+
+    Every entry is one path's product of row weights, multiplied in row
+    order: the vertical bond leaving a row follows from its other three
+    arrows, so each einsum sum has one nonzero term.
+    """
+    s = len(row_weights)
+    g = np.eye(2 << s)
+    for k, w in enumerate(row_weights):
+        g = np.einsum("yebh,bahrc->yaerc", w,
+                      g.reshape(2, 1 << k, 2, 1 << (s - 1 - k), 2 << s))
+    return g.reshape(2 << s, 2 << s)
 
 
 def _column_weights(params: ModelParams, log_scale: float = 0.0):
-    """Per-sublattice vertex weights e^(-E - log_scale) of _KEEP_UNEQUAL,
-    _KEEP_EQUAL and _FLIP_EQUAL, shaped (3, 2, 1, 1) to broadcast over a
-    row's bit pairs."""
-    weights = []
-    for sub in (Sublattice.A, Sublattice.B):
-        w = [[math.exp(-vertex_energy(state, sub, params) - log_scale)
-              for state in pair]
-             for pair in (_KEEP_UNEQUAL, _KEEP_EQUAL, _FLIP_EQUAL)]
-        weights.append(np.array(w).reshape(3, 2, 1, 1))
-    return tuple(weights)
+    """The group matrices of the two columns of ``params.rows`` rows, in
+    row order, with vertex weights e^(-E - log_scale).
 
-
-def _column_row(state: np.ndarray, lo: int, weights: np.ndarray,
-                flip_buffer: np.ndarray) -> None:
-    """One row of a column, in place on state[entering bond, rest].
-
-    ``rest`` holds the periodic bond and the interface bits in some order,
-    the row's arrow bit at stride ``lo``.  The row rewrites only the
-    entering bond and that arrow bit: entries where the two bits differ are
-    scaled where they stand, and entries where they agree each sum two
-    products, so four ufunc calls do a row.
+    Row r of the parity-p column sits on sublattice A when r + p is even.
+    Groups of GROUP_ROWS start at even rows, so every full group of a
+    column shares one matrix, built once with the last, shorter one.
     """
-    keep_unequal, keep_equal, flip_equal = weights
-    step = state.itemsize
-    bond = state.strides[0]
-    arrow = lo * step
-    shape = (2, state.shape[1] // (2 * lo), lo)
-    # entry k of each: entering bond k, arrow bit k (equal) or 1 - k
-    equal = np.ndarray(shape, buffer=state,
-                       strides=(bond + arrow, 2 * arrow, step))
-    unequal = np.ndarray(shape, buffer=state, offset=arrow,
-                         strides=(bond - arrow, 2 * arrow, step))
-    flip = flip_buffer.reshape(shape)
-    np.multiply(unequal, keep_unequal, out=unequal)
-    np.multiply(equal[::-1], flip_equal, out=flip)
-    np.multiply(equal, keep_equal, out=equal)
-    np.add(equal, flip, out=equal)
+    rows = []
+    for sub in (Sublattice.A, Sublattice.B):
+        w = np.zeros((2, 2, 2, 2))
+        for state, (w_bit, e_bit, n_bit, s_bit) in STATE_BITS.items():
+            w[s_bit, e_bit, n_bit, w_bit] = math.exp(
+                -vertex_energy(state, sub, params) - log_scale)
+        rows.append(w)
+    n = params.rows
+    sizes = [min(GROUP_ROWS, n - r) for r in range(0, n, GROUP_ROWS)]
+    columns = []
+    for parity in (0, 1):
+        groups = {s: _group_matrix([rows[(r + parity) % 2] for r in range(s)])
+                  for s in set(sizes)}
+        columns.append([groups[s] for s in sizes])
+    return tuple(columns)
 
 
-def _apply_column(psi: np.ndarray, parity: int, wa: np.ndarray,
-                  wb: np.ndarray, n_rows: int) -> np.ndarray:
-    """One column of the transfer matrix applied to a 2^N interface vector.
+def _apply_column(psi: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
+    """One column of the transfer matrix, as its group matrices, applied
+    to a 2^N interface vector.
 
     The interface holds the horizontal arrow bits of the N rows (row 0 most
-    significant).  The state puts two bits in front of it: the vertical bond
-    entering the current row and, fixed until the trace at the end, the
-    periodic bond at the top of the column.  The first N // 2 rows run on
-    that layout; one transpose then rotates the interface by N // 2 bits,
-    so the other rows' arrow bits are the high ones, and the result is
-    rotated back.  No row's arrow bit has a stride below 2^(N // 2).
+    significant).  The state is [entering bond, interface, periodic bond at
+    the top of the column], so the bond and the first group's arrow bits
+    lead: each group is one matmul over them, and one transpose moves its
+    bits to the back, behind the top bond.  After the last group the state
+    is [bond, top bond, interface] in row order, and the trace over the
+    periodic bond is two of its rows.
     """
-    dim = 1 << n_rows
-    half = n_rows // 2
-    high, low = 1 << half, 1 << (n_rows - half)
-    state = np.zeros((2, 2 * dim))     # [entering bond, top bond + interface]
-    state[0, :dim] = psi
-    state[1, dim:] = psi
-    flip_buffer = np.empty(2 * dim)
-    for r in range(n_rows):
-        if r == half:
-            state = state.reshape(4, high, low).transpose(0, 2, 1).copy()
-            state = state.reshape(2, 2 * dim)
-        lo = dim >> (r + 1)            # the stride of row r's arrow bit
-        _column_row(state, lo if r < half else lo * high,
-                    wb if (r + parity) % 2 else wa, flip_buffer)
-    return (state[0, :dim] + state[1, dim:]).reshape(low, high).T.ravel()
+    x = np.zeros((2, len(psi), 2))
+    x[0, :, 0] = x[1, :, 1] = psi
+    for g in groups:
+        x = g @ x.reshape(len(g), -1)
+        x = x.reshape(2, len(g) // 2, -1).transpose(0, 2, 1)
+    x = x.reshape(2, 2, -1)
+    return x[0, 0] + x[1, 1]
 
 
 @dataclass(frozen=True)
 class TransferResult:
+    """Free energy per vertex, relative gap lambda_2 / lambda_1 and the
+    Lanczos steps taken, one two-column operator call each."""
+
     free_energy: float
     gap: float
+    steps: int
 
 
 def transfer_matrix_free_energy(params: ModelParams) -> TransferResult:
@@ -338,9 +335,10 @@ def transfer_matrix_free_energy(params: ModelParams) -> TransferResult:
     Ritz residuals of the top two values are within EIGEN_TOL of the
     largest; the weights are formed relative to the largest, in log space,
     so none overflows at any finite field, and f gets that log scale back.
-    Returns f = ln(lambda_max) / (2 N) and the relative gap lambda_2 /
+    Returns f = ln(lambda_max) / (2 N), the relative gap lambda_2 /
     lambda_1 as a convergence diagnostic, good to about EIGEN_TOL absolute
-    (a smaller gap, as at |beta_s| >= 10, is rounding and may read 0).
+    (a smaller gap, as at |beta_s| >= 10, is rounding and may read 0), and
+    the number of Lanczos steps.
     lambda_2 is the second level the uniform vector reaches: a level of
     another symmetry sector stays unseen (at beta_s = 0 and beta_eps = 0.9
     one lies above it from N = 2 on).
@@ -353,13 +351,13 @@ def transfer_matrix_free_energy(params: ModelParams) -> TransferResult:
                        f"not {n}")
     log_scale = max(-vertex_energy(state, sub, params)
                     for state in VERTEX_STATES for sub in Sublattice)
-    wa, wb = _column_weights(params, log_scale)
+    first, second = _column_weights(params, log_scale)
     dim = 1 << n
     basis = np.empty((min(dim, LANCZOS_STEP_CAP), dim))
     basis[0] = 1.0 / math.sqrt(dim)
     alpha, beta = [], []
     for m in range(len(basis)):
-        w = _apply_column(_apply_column(basis[m], 0, wa, wb, n), 1, wa, wb, n)
+        w = _apply_column(_apply_column(basis[m], first), second)
         alpha.append(float(basis[m] @ w))
         for _ in range(2):
             w -= basis[:m + 1].T @ (basis[:m + 1] @ w)
@@ -379,24 +377,26 @@ def transfer_matrix_free_energy(params: ModelParams) -> TransferResult:
     if not np.isfinite(lam1) or lam1 <= 0:
         raise NonConvergence("non-positive leading eigenvalue")
     return TransferResult(math.log(lam1) / (2 * n) + log_scale,
-                          lam2 / lam1)
+                          lam2 / lam1, len(alpha))
 
 
 def transfer_partition(params: ModelParams, n_cols: int | None = None) -> float:
-    """Finite-torus Z via the trace of the column-operator product."""
+    """Finite-torus Z, the trace of the product of ``n_cols`` columns
+    (default ``params.cols``), summed one basis vector at a time through
+    the group matrices that transfer_matrix_free_energy uses, with the
+    weights unscaled."""
     if params.boundary is not Boundary.PERIODIC:
         raise BadInput("transfer partition requires periodic boundary")
     m = params.cols if n_cols is None else n_cols
     if m % 2:
         raise BadInput("column count must be even")
-    n = params.rows
-    wa, wb = _column_weights(params)
-    dim = 1 << n
+    columns = _column_weights(params)
+    dim = 1 << params.rows
     total = 0.0
     for j in range(dim):
         psi = np.zeros(dim)
         psi[j] = 1.0
         for c in range(m):
-            psi = _apply_column(psi, c % 2, wa, wb, n)
+            psi = _apply_column(psi, columns[c % 2])
         total += psi[j]
     return total

@@ -58,13 +58,13 @@ DPS = 30
 
 
 def decorated_edges(params):
-    """(i, j, weight) lists of the decorated lattice, edge by edge: each
+    """(i, j, log weight) lists of the decorated lattice, edge by edge: each
     city's diamond L-T, T-R, R-B, B-L, then the horizontal externals (R of
     a city to L of its east neighbour), then the vertical ones (B to T of
     its south neighbour)."""
     n, m = params.rows, params.cols
-    c_w = math.exp(-0.5 * params.beta_s)
-    u_w = 0.5 * math.sqrt(2.0) * math.exp(0.5 * params.beta_s)
+    log_c = -0.5 * params.beta_s
+    log_u = 0.5 * params.beta_s - 0.5 * math.log(2.0)
 
     def node(r, c, k):
         return 4 * (r * m + c) + k
@@ -73,13 +73,13 @@ def decorated_edges(params):
     for r in range(n):
         for c in range(m):
             for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
-                edges.append((node(r, c, a), node(r, c, b), u_w))
+                edges.append((node(r, c, a), node(r, c, b), log_u))
     for r in range(n):
         for c in range(m - 1):
-            edges.append((node(r, c, 2), node(r, c + 1, 0), c_w))
+            edges.append((node(r, c, 2), node(r, c + 1, 0), log_c))
     for r in range(n - 1):
         for c in range(m):
-            edges.append((node(r, c, 3), node(r + 1, c, 1), c_w))
+            edges.append((node(r, c, 3), node(r + 1, c, 1), log_c))
     return tuple(list(col) for col in zip(*edges))
 
 
@@ -252,7 +252,7 @@ def enumerate_by_backtracking(params):
                     grown.append((m, ham - venergy[state]))
         partial = grown
     configs = sorted(partial)
-    masks = np.array([m for m, _ in configs], dtype=np.int64)
+    masks = np.array([m for m, _ in configs], dtype=np.int32)
     hams = np.array([h for _, h in configs])
     if not np.all(np.isfinite(hams)):
         raise FieldOverflow("a configuration energy overflows a double")

@@ -193,15 +193,27 @@ class TestPartition:
         assert code == 2
         assert out == ""
 
-    @pytest.mark.parametrize("option", [
-        ["--beta-s", "1500", "--oracle", "pfaffian"]])  # weight e^750
-    def test_field_overflowing_the_weights_is_usage_error(self, capsys,
-                                                          option):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta_s,log_z", [
+        ("1500", 6000.0),                   # weight e^750
+        ("-1500", -2.0 * math.log(2.0)),
+        ("1e300", 4e300)])
+    def test_field_past_the_double_weights_is_answered(self, capsys, beta_s,
+                                                       log_z):
+        # the lattice holds its log weights; only log Z must be a double
         code, out, err = run(capsys, "partition", "--rows", "2", "--cols",
-                             "2", *option)
+                             "2", "--beta-s", beta_s, "--oracle", "pfaffian")
+        assert (code, err) == (0, "")
+        (rec,) = json_lines(out)
+        assert rec["log_z_pfaffian"] == log_z
+
+    def test_log_z_past_a_double_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "partition", "--rows", "2", "--cols",
+                             "2", "--beta-s", "1.7e308", "--oracle",
+                             "pfaffian")
         assert code == 2
         assert out == ""
-        assert "overflows" in err
+        assert "log Z = inf" in err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("option,log_z", [
@@ -367,20 +379,13 @@ class TestConstrained:
         assert out == ""
         assert "twice" in err
 
-    @pytest.mark.parametrize("option", [
-        ["--site", "2", "2", "--beta-s", "1500"]])   # weight e^750
-    def test_field_overflowing_the_weights_is_usage_error(self, capsys,
-                                                          option):
-        code, out, err = run(capsys, "constrained", "--rows", "5", "--cols",
-                             "5", *option)
-        assert code == 2
-        assert out == ""
-        assert "overflows" in err
-
     @pytest.mark.parametrize("option,ratios", [
         # an mpmath-weighted sum over the 1322 ice configurations of 5x5
         # gives P(5) = 1 and the other states below 1e-695
         (["--site", "2", "2", "--beta-s", "-400"], [0, 0, 0, 0, 1, 0]),
+        # the weights e^(+-750) are past a double; their logs are not
+        (["--site", "2", "2", "--beta-s", "-1500"], [0, 0, 0, 0, 1, 0]),
+        (["--site", "2", "2", "--beta-s", "1500"], [0, 0, 0, 0, 0, 1]),
         # both frozen corner cities are line-free, and one of the two
         # completions of each diamond holds its B-L edge
         (["--edge", "3:1", "--edge", "7:1", "--beta-s", "720"], [0.25]),

@@ -70,8 +70,8 @@ def dense_k(kast):
     arrays and the signs alone."""
     lat = kast.lattice
     k = np.zeros((lat.n_nodes, lat.n_nodes))
-    k[lat.i, lat.j] = kast.signs * lat.weight
-    k[lat.j, lat.i] = -kast.signs * lat.weight
+    k[lat.i, lat.j] = kast.signs * np.exp(lat.log_weight)
+    k[lat.j, lat.i] = -kast.signs * np.exp(lat.log_weight)
     return k
 
 
@@ -105,13 +105,13 @@ class TestDecoration:
     def test_arrays_match_loop_reference(self, rows, cols, beta_s):
         params = params_for(rows, cols, beta_s)
         lat = build_decorated(params)
-        i, j, weight = decorated_edges(params)
+        i, j, log_weight = decorated_edges(params)
         assert lat.i.dtype == lat.j.dtype == np.int64
         assert np.array_equal(lat.i, i)
         assert np.array_equal(lat.j, j)
-        assert np.array_equal(lat.weight, weight)
+        assert np.array_equal(lat.log_weight, log_weight)
         assert not (lat.i.flags.writeable or lat.j.flags.writeable
-                    or lat.weight.flags.writeable)
+                    or lat.log_weight.flags.writeable)
         # a lattice equals only itself, so one at another field never does
         assert lat == lat
         assert lat != build_decorated(params_for(rows, cols, beta_s + 1.0))

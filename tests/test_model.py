@@ -194,7 +194,7 @@ class TestEnumeration:
                                      beta_eps=beta_eps, boundary=boundary)
                 got = enumerate_partition(params)
                 want = enumerate_by_backtracking(params)
-                assert got.masks.dtype == want.masks.dtype == np.int64
+                assert got.masks.dtype == want.masks.dtype == np.int32
                 assert bits(got.masks) == bits(want.masks)
                 assert bits(got.weights) == bits(want.weights)
                 assert bits(got.z) == bits(want.z)
@@ -319,22 +319,27 @@ class TestTransferMatrix:
         self.assert_matches_dense(periodic(rows, rows, beta_s, u))
 
     @pytest.mark.parametrize("rows", range(2, 17))
-    def test_column_kernel_is_bitwise_the_einsum(self, rows):
-        # every output sums at most two nonzero products, as the einsum does;
-        # from 13 rows on, one field pair keeps the einsum's time down
+    def test_column_kernel_is_the_einsum_within_rounding(self, rows):
+        # a path's weight is a product of `rows` factors, and each output
+        # sums the products of its paths: the a-priori bound on the
+        # rounding of either kernel is (rows + 2) eps |C| |psi|, |C| |psi|
+        # being the einsum on |psi|; from 13 rows on, one field pair keeps
+        # the einsum's time down
         rng = np.random.default_rng(rows)
         pairs = [(beta_s, beta_eps) for beta_s in (-0.7, 0.0, 0.3, 0.9)
                  for beta_eps in (FREE_FERMION_BETA_EPS, 0.1, 0.9)]
         for beta_s, beta_eps in pairs if rows <= 12 else [(-0.7, 0.9)]:
             params = ModelParams(beta_s=beta_s, rows=rows, cols=2,
                                  beta_eps=beta_eps)
-            weights = model._column_weights(params)
+            columns = model._column_weights(params)
             tensors = column_tensors(params)
             psi = rng.standard_normal(1 << rows)
             for parity in (0, 1):
-                assert np.array_equal(
-                    model._apply_column(psi, parity, *weights, rows),
-                    apply_column(psi, parity, *tensors, rows))
+                want = apply_column(psi, parity, *tensors, rows)
+                scale = apply_column(np.abs(psi), parity, *tensors, rows)
+                got = model._apply_column(psi, columns[parity])
+                assert np.all(np.abs(got - want)
+                              <= (rows + 2) * np.finfo(float).eps * scale)
 
     @pytest.mark.parametrize("rows", range(2, 11))
     @pytest.mark.parametrize("beta_s", [-0.7, 0.0, 0.3, 5.0])
@@ -344,12 +349,19 @@ class TestTransferMatrix:
         for beta_eps in (FREE_FERMION_BETA_EPS, 0.1, 0.9):
             params = ModelParams(beta_s=beta_s, rows=rows, cols=2,
                                  beta_eps=beta_eps)
-            wa, wb = model._column_weights(params)
+            columns = model._column_weights(params)
             first, second = (
-                np.column_stack([model._apply_column(col, parity, wa, wb, rows)
+                np.column_stack([model._apply_column(col, groups)
                                  for col in eye])
-                for parity in (0, 1))
+                for groups in columns)
             assert np.array_equal(second, first.T)
+
+    @pytest.mark.parametrize("beta_s,steps", [
+        (0.3, [5, 7, 8, 8, 9, 9, 10]),
+        (0.8, [5, 6, 6, 6, 7, 7, 7])])
+    def test_lanczos_step_counts(self, beta_s, steps):
+        assert [transfer_matrix_free_energy(periodic(n, n, beta_s)).steps
+                for n in range(4, 17, 2)] == steps
 
     @pytest.mark.parametrize("beta_s", [0.3, 0.8])
     def test_width_14_is_closer_to_f0_than_width_12(self, beta_s):
