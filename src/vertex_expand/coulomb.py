@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from math import comb
 
-from .errors import BadInput, OutOfDomain, VerificationFailed
-from .series import PiRational, Q, RationalSeries, b2_series
+from .errors import BadInput, VerificationFailed
+from .series import PiRational, Q, RationalSeries, b2_series, check_order
 
 #: the solvable coupling ln(2)/2, where the model maps onto free fermions
 FREE_FERMION_BETA_EPS = 0.5 * math.log(2.0)
@@ -32,7 +32,7 @@ def j_of_betaeps(beta_eps: float) -> float:
     """j = arccos(1 - exp(2 beta_eps)/2) / 2, in [0, pi/2]; the arccos
     needs beta_eps <= ln 2, checked before exp can overflow."""
     if beta_eps > math.log(2.0):
-        raise OutOfDomain(
+        raise BadInput(
             f"beta_eps={beta_eps!r} is above ln 2, beyond the arccos domain")
     return 0.5 * math.acos(max(1.0 - 0.5 * math.exp(2.0 * beta_eps), -1.0))
 
@@ -84,9 +84,7 @@ def exponent_u_expansion(order: int = 2) -> list[dict]:
     the U^d coefficient is {k: (-8)^k [U^d] r^k}, with k <= d since r
     vanishes at U = 0.
     """
-    if not 0 <= order <= EXPANSION_ORDER_CAP:
-        raise BadInput(f"order {order} outside [0, {EXPANSION_ORDER_CAP}] "
-                       "for the exponent expansion")
+    check_order(order, EXPANSION_ORDER_CAP, "coulomb")
     r = _j_shift_series(order)
     powers = [RationalSeries.monomial(0, 1, order)]
     for _ in range(order):

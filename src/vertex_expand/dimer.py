@@ -39,9 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (BadInput, ConstraintConflict, EdgeOutOfRange,
-                     FieldOverflow, NotFreeFermion, OrientationFailure,
-                     TooLarge, TooManyConstraints)
+from .errors import BadInput, FieldOverflow, VertexExpandError
 from .model import (FREE_FERMION_BETA_EPS, STATE_BITS, VERTEX_STATES, Boundary,
                     ModelParams, sublattice, Sublattice)
 
@@ -80,15 +78,15 @@ class DecoratedLattice:
     def external_h(self, row: int, col: int) -> int:
         """Edge index of the horizontal external edge east of city (row, col)."""
         if not (0 <= row < self.rows and 0 <= col < self.cols - 1):
-            raise EdgeOutOfRange(f"no external edge east of city ({row}, "
-                                 f"{col}) on {self.rows}x{self.cols}")
+            raise BadInput(f"no external edge east of city ({row}, "
+                           f"{col}) on {self.rows}x{self.cols}")
         return 4 * self.rows * self.cols + row * (self.cols - 1) + col
 
     def external_v(self, row: int, col: int) -> int:
         """Edge index of the vertical external edge south of city (row, col)."""
         if not (0 <= row < self.rows - 1 and 0 <= col < self.cols):
-            raise EdgeOutOfRange(f"no external edge south of city ({row}, "
-                                 f"{col}) on {self.rows}x{self.cols}")
+            raise BadInput(f"no external edge south of city ({row}, "
+                           f"{col}) on {self.rows}x{self.cols}")
         return (4 * self.rows * self.cols + self.rows * (self.cols - 1)
                 + row * self.cols + col)
 
@@ -105,13 +103,13 @@ def build_decorated(params: ModelParams) -> DecoratedLattice:
     checked before any array is allocated.
     """
     if abs(params.beta_eps - FREE_FERMION_BETA_EPS) > 1e-12:
-        raise NotFreeFermion(
+        raise BadInput(
             f"beta_eps={params.beta_eps!r} is off the solvable point")
     if params.boundary is not Boundary.FIXED_GROUND_STATE:
         raise BadInput("decorated lattice uses the fixed ground-state boundary")
     n, m = params.rows, params.cols
     if n * m > CITY_BOUND:
-        raise TooLarge(f"{n}x{m} has {n * m} cities, above the Kasteleyn "
+        raise BadInput(f"{n}x{m} has {n * m} cities, above the Kasteleyn "
                        f"bound {CITY_BOUND}")
     city = 4 * np.arange(n * m, dtype=np.int64).reshape(n, m)
     i = np.concatenate([
@@ -244,7 +242,7 @@ def _duals(n_half: int, black: np.ndarray, white: np.ndarray,
         better = cand < dist[to]
         np.minimum.at(dist, to[better], cand[better])
         active = np.unique(to[better])
-    raise OrientationFailure("the matching duals do not settle")
+    raise VertexExpandError("the matching duals do not settle")
 
 
 def kasteleyn_orientation(lat: DecoratedLattice) -> KasteleynMatrix:
@@ -282,7 +280,7 @@ def audit_faces(kast: KasteleynMatrix) -> None:
                 - internal[:-1, :-1, 2] - internal[:-1, 1:, 3]
                 - internal[1:, 1:, 0] - internal[1:, :-1, 1])
     if np.any(diamonds % 2 == 0) or np.any(octagons % 2 == 0):
-        raise OrientationFailure("face parity audit failed")
+        raise VertexExpandError("face parity audit failed")
 
 
 def partition_dimer(kast: KasteleynMatrix) -> float:
@@ -312,7 +310,7 @@ def enumerate_matchings(lat: DecoratedLattice,
     """
     n = lat.n_nodes
     if n > MATCHING_NODE_BOUND:
-        raise TooLarge(f"{n} nodes exceeds {MATCHING_NODE_BOUND}")
+        raise BadInput(f"{n} nodes exceeds {MATCHING_NODE_BOUND}")
     absent = set(forced_absent)
     ends = list(zip(lat.i.tolist(), lat.j.tolist()))
     log_w = lat.log_weight.tolist()
@@ -370,14 +368,13 @@ def check_constraints(lat: DecoratedLattice, constraints) -> None:
     """BadInput for more than CONSTRAINT_BOUND constraints, an edge outside
     the lattice or an edge given twice."""
     if len(constraints) > CONSTRAINT_BOUND:
-        raise TooManyConstraints(
-            f"at most {CONSTRAINT_BOUND} simultaneous constraints")
+        raise BadInput(f"at most {CONSTRAINT_BOUND} simultaneous constraints")
     seen = set()
     for c in constraints:
         if not 0 <= c.edge < len(lat.i):
-            raise EdgeOutOfRange(f"edge {c.edge} outside [0, {len(lat.i)})")
+            raise BadInput(f"edge {c.edge} outside [0, {len(lat.i)})")
         if c.edge in seen:
-            raise ConstraintConflict(f"edge {c.edge} constrained twice")
+            raise BadInput(f"edge {c.edge} constrained twice")
         seen.add(c.edge)
 
 

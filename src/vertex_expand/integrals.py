@@ -42,10 +42,13 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate, chain, count, islice
 
-from .errors import BadInput, IdentityMismatch
+from .errors import BadInput, VertexExpandError
 from .series import stirling_correction
 
 _STIRLING_ORDER = 8
+
+#: most head terms ``baxter_series`` sums
+HEAD_TERMS_CAP = 1_000_000
 
 #: F0(0) = 2G/pi - ln(2)/2 correctly rounded; evaluating the expression in
 #: floating point gives 0.23654821778166496, one ulp high.
@@ -169,9 +172,10 @@ def baxter_series(beta_s: float, n_max: int) -> tuple[float, float]:
     F0 = ln(2 cosh 2 beta_s)/2
          - (1/2) sum_n [(2n)!/(4^n n!^2)]^2 / (2n cosh^{2n}(2 beta_s)).
 
-    The head is summed termwise to ``n_max`` with ``math.fsum``; the tail uses the
-    asymptotic bracket of the summand (term ~ n^{-2} z^n bracket(1/n) / 4 pi
-    with z = sech^2 2 beta_s = e^{-t}), each 1/n^q piece a Lerch
+    The head, ``n_max`` terms with 1 <= n_max <= HEAD_TERMS_CAP, is summed
+    termwise with ``math.fsum``; the tail uses the asymptotic bracket of
+    the summand (term ~ n^{-2} z^n bracket(1/n) / 4 pi with
+    z = sech^2 2 beta_s = e^{-t}), each 1/n^q piece a Lerch
     transcendent tail z^a Phi(z, q, a) from a = n_max + 1 (the Hurwitz zeta
     at z = 1).  The bound is twice the last bracket correction (at
     n_max = 1 the bracket misses a_2^2 by 1.5 times its last term) plus the
@@ -179,8 +183,9 @@ def baxter_series(beta_s: float, n_max: int) -> tuple[float, float]:
     move F0 by K/pi per unit of relative error, K = K(sech 2 beta_s)
     ~ ln(1/|beta_s|).
     """
-    if n_max < 1:
-        raise BadInput(f"head terms n_max must be >= 1, not {n_max}")
+    if not 1 <= n_max <= HEAD_TERMS_CAP:
+        raise BadInput(f"head terms n_max must be in [1, {HEAD_TERMS_CAP}], "
+                       f"not {n_max}")
     if abs(beta_s) >= _FROZEN_BETAS:
         # the sum is |beta_s| + e^{-4 |beta_s|}/4 + ..., the correction far
         # below the rounding allowance
@@ -213,14 +218,14 @@ def first_order_free_energy(beta_s: float, u: float) -> FirstOrderResult:
     """F = F0 + c1 * U to first order, with the O(U) coefficient computed
     both from the constrained ratios and from the field derivative.
 
-    The two forms must agree; IdentityMismatch flags disagreement beyond
-    1e-9.
+    The two forms must agree; a disagreement beyond 1e-9 raises
+    VertexExpandError.
     """
     f0 = baxter_free_energy(beta_s)
     c_cons = -(1.0 - za_ratio(beta_s) - zb_ratio(beta_s))
     d = dF0_dbetas(beta_s)
     c_der = 0.5 * (d * d - 1.0)
     if abs(c_cons - c_der) > _IDENTITY_TOL:
-        raise IdentityMismatch(
+        raise VertexExpandError(
             f"O(U) coefficient mismatch: {c_cons} vs {c_der}")
     return FirstOrderResult(f0, c_cons, c_der, f0 + c_der * u)

@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .coulomb import FREE_FERMION_BETA_EPS
-from .errors import BadInput, FieldOverflow, NonConvergence, TooLarge
+from .errors import BadInput, FieldOverflow, VertexExpandError
 
 ENUMERATION_EDGE_BOUND = 24
 
@@ -232,7 +232,7 @@ def enumerate_partition(params: ModelParams) -> EnumerationResult:
     east, south = _free_shape(params)
     free = n * east + south * m
     if free > ENUMERATION_EDGE_BOUND:
-        raise TooLarge(f"{n}x{m} has {free} free edges, above the "
+        raise BadInput(f"{n}x{m} has {free} free edges, above the "
                        f"enumeration bound {ENUMERATION_EDGE_BOUND}")
     slots, fixed = _edge_layout(params)
     masks, hams = _ice_configurations(slots, fixed, _energy_table(params))
@@ -371,32 +371,29 @@ def transfer_matrix_free_energy(params: ModelParams) -> TransferResult:
         if m + 1 < len(basis):
             basis[m + 1] = w / beta[-1]
     else:
-        raise NonConvergence("transfer-matrix eigensolve stalled")
+        raise VertexExpandError("transfer-matrix eigensolve stalled")
     lam1 = float(theta[-1])
     lam2 = float(abs(theta[-2])) if len(theta) > 1 else 0.0
     if not np.isfinite(lam1) or lam1 <= 0:
-        raise NonConvergence("non-positive leading eigenvalue")
+        raise VertexExpandError("non-positive leading eigenvalue")
     return TransferResult(math.log(lam1) / (2 * n) + log_scale,
                           lam2 / lam1, len(alpha))
 
 
-def transfer_partition(params: ModelParams, n_cols: int | None = None) -> float:
-    """Finite-torus Z, the trace of the product of ``n_cols`` columns
-    (default ``params.cols``), summed one basis vector at a time through
-    the group matrices that transfer_matrix_free_energy uses, with the
-    weights unscaled."""
+def transfer_partition(params: ModelParams) -> float:
+    """Finite-torus Z, the trace of the product of the ``params.cols``
+    columns (an even count, as ModelParams requires of a torus), summed
+    one basis vector at a time through the group matrices that
+    transfer_matrix_free_energy uses, with the weights unscaled."""
     if params.boundary is not Boundary.PERIODIC:
         raise BadInput("transfer partition requires periodic boundary")
-    m = params.cols if n_cols is None else n_cols
-    if m % 2:
-        raise BadInput("column count must be even")
     columns = _column_weights(params)
     dim = 1 << params.rows
     total = 0.0
     for j in range(dim):
         psi = np.zeros(dim)
         psi[j] = 1.0
-        for c in range(m):
+        for c in range(params.cols):
             psi = _apply_column(psi, columns[c % 2])
         total += psi[j]
-    return total
+    return float(total)

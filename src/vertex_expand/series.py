@@ -22,12 +22,28 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial
 
-from .errors import BadInput, CompositionAtNonzero, DivisionByZeroSeries
+from .errors import BadInput, VertexExpandError
 
 Q = Fraction
 
 #: highest order of ``stirling_correction``
 STIRLING_ORDER_CAP = 16
+
+#: highest order of ``singular_t_series``
+T_SERIES_ORDER_CAP = 32
+
+#: highest order of ``singular_betas_series`` and ``b2_series``, which take
+#: even orders only
+BETAS_SERIES_ORDER_CAP = 64
+
+
+def check_order(order: int, cap: int, name: str, even: bool = False) -> None:
+    """BadInput unless 0 <= order <= cap and, where ``even``, order is even;
+    ``name`` is the series the message names."""
+    if not 0 <= order <= cap:
+        raise BadInput(f"order {order} outside [0, {cap}] for {name}")
+    if even and order % 2:
+        raise BadInput(f"order {order} for {name} must be even")
 
 
 @dataclass(frozen=True)
@@ -126,7 +142,7 @@ class RationalSeries:
     def compose(self, inner: "RationalSeries") -> "RationalSeries":
         """self(inner(x)), requiring inner(0) = 0."""
         if inner.coeffs[0] != 0:
-            raise CompositionAtNonzero("inner series must vanish at 0")
+            raise VertexExpandError("inner series must vanish at 0")
         val = next((d for d, c in enumerate(inner.coeffs) if c != 0),
                    inner.order + 1)
         # Unknown outer coefficients (degree > self.order) first matter at
@@ -141,7 +157,7 @@ class RationalSeries:
     def reciprocal(self) -> "RationalSeries":
         a0 = self.coeffs[0]
         if a0 == 0:
-            raise DivisionByZeroSeries("constant term is zero")
+            raise VertexExpandError("constant term is zero")
         k = self.order
         out = [Q(0)] * (k + 1)
         out[0] = 1 / a0
@@ -152,7 +168,7 @@ class RationalSeries:
     def exp(self) -> "RationalSeries":
         """exp(self), requiring self(0) = 0.  Uses (e^g)' = g' e^g."""
         if self.coeffs[0] != 0:
-            raise CompositionAtNonzero("exp of a series needs zero constant term")
+            raise VertexExpandError("exp of a series needs zero constant term")
         k = self.order
         out = [Q(0)] * (k + 1)
         out[0] = Q(1)
@@ -206,9 +222,7 @@ def stirling_correction(K: int) -> RationalSeries:
     pure 1/n-series.  The result is asymptotic (coefficients eventually
     grow), which is fine for the fixed truncations used here.
     """
-    if not 0 <= K <= STIRLING_ORDER_CAP:
-        raise BadInput(f"order {K} outside [0, {STIRLING_ORDER_CAP}] for "
-                       "the Stirling bracket")
+    check_order(K, STIRLING_ORDER_CAP, "stirling")
     B2k = bernoulli_numbers((K + 1) // 2 + 1)
     g = [Q(0)] * (K + 1)
     for k in range(1, len(B2k) + 1):
@@ -248,6 +262,7 @@ def singular_t_series(K: int) -> LogSeries:
     G(1 - e^{-t}) (see :func:`singular_betas_series`).  Result:
     -(1/4 pi) (t + t^2/8 + t^3/192 - t^4/3072 + ...) ln t.
     """
+    check_order(K, T_SERIES_ORDER_CAP, "fst")
     one_minus_exp = RationalSeries(
         [Q(0)] + [Q((-1) ** (d + 1), factorial(d)) for d in range(1, K + 1)], K)
     bracket = _central_square_integral(K).compose(one_minus_exp)
@@ -264,6 +279,7 @@ def singular_betas_series(K: int) -> LogSeries:
     g = G(tau^2)/4.  Result:
     -(2/pi) (x^2 - x^4/6 + 23 x^6/180 - 593 x^8/5040 + ...) ln|x|.
     """
+    check_order(K, BETAS_SERIES_ORDER_CAP, "sng", even=True)
     bracket = _central_square_integral(K // 2).compose(_tanh2_squared(K))
     return LogSeries(bracket.scaled(Q(1, 4)), PiRational(Q(-2), 1), "ln|beta_s|")
 
@@ -277,6 +293,7 @@ def b2_series(K: int) -> LogSeries:
     g'^2/4 = tau^2 A(tau^2)^2/4.  Result:
     (8/pi^2) (x^2 - 2 x^4/3 + 79 x^6/90 - 377 x^8/315 + ...).
     """
+    check_order(K, BETAS_SERIES_ORDER_CAP, "b2", even=True)
     tau2 = _tanh2_squared(K)
     a = _central_squares(K // 2).compose(tau2)
     return LogSeries((tau2 * a * a).scaled(Q(1, 4)), PiRational(Q(8), 2),

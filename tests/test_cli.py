@@ -14,7 +14,7 @@ from references import mp_free_energy
 
 import vertex_expand
 from vertex_expand import coulomb, dimer, integrals, model, series
-from vertex_expand.cli import EXIT_CLOSED_PIPE, MAX_SERIES_TERMS, emit, main
+from vertex_expand.cli import EXIT_CLOSED_PIPE, emit, main
 from vertex_expand.coulomb import KT_BETA_EPS
 from vertex_expand.errors import BadInput
 
@@ -101,7 +101,8 @@ class TestFreeEnergy:
 
     def test_terms_at_cap_is_accepted(self, capsys):
         code, out, _ = run(capsys, "free-energy", "--method", "series",
-                           "--terms", str(MAX_SERIES_TERMS), "--beta-s", "0.5")
+                           "--terms", str(integrals.HEAD_TERMS_CAP),
+                           "--beta-s", "0.5")
         assert code == 0
         assert json_lines(out)[0]["value"] == pytest.approx(F0_HALF, rel=1e-14)
 
@@ -850,10 +851,12 @@ INPUT_RULES = {
     "dimer-constraint-count": [*BIG, *(f"--edge={e}:1" for e in range(6))],
     "integrals-head-terms": ["free-energy", "--method", "series",
                              "--terms", "0"],
-    "cli-terms-cap": ["free-energy", "--method", "series",
-                      "--terms", str(MAX_SERIES_TERMS + 1)],
-    "cli-series-order": ["series", "--target", "stirling", "--order", "17"],
-    "cli-coulomb-order": ["coulomb", "--expand", "5"],
+    "integrals-head-terms-cap": ["free-energy", "--method", "series",
+                                 "--terms",
+                                 str(integrals.HEAD_TERMS_CAP + 1)],
+    "series-stirling-order": ["series", "--target", "stirling",
+                              "--order", "17"],
+    "coulomb-expansion-order": ["coulomb", "--expand", "5"],
     "cli-selection": ["constrained", "--rows", "3", "--cols", "3"],
 }
 
@@ -875,8 +878,6 @@ LIBRARY_RULES = {
         model.ModelParams(0.0, 2, 2)),
     "transfer-partition-boundary": lambda: model.transfer_partition(
         model.ModelParams(0.0, 2, 2)),
-    "transfer-partition-cols": lambda: model.transfer_partition(
-        model.ModelParams(0.0, 2, 2, boundary=model.Boundary.PERIODIC), 3),
     "vertex-state": lambda: model.vertex_energy(
         7, model.Sublattice.A, model.ModelParams(0.0, 2, 2)),
     "free-fermion-point": lambda: dimer.build_decorated(
@@ -895,10 +896,21 @@ LIBRARY_RULES = {
     "constraint-count": lambda: dimer.check_constraints(
         _lattice_33(), [dimer.EdgeConstraint(e, True) for e in range(6)]),
     "head-terms": lambda: integrals.baxter_series(0.5, 0),
+    "head-terms-cap": lambda: integrals.baxter_series(
+        0.5, integrals.HEAD_TERMS_CAP + 1),
     "stirling-order": lambda: series.stirling_correction(
         series.STIRLING_ORDER_CAP + 1),
+    "t-order": lambda: series.singular_t_series(
+        series.T_SERIES_ORDER_CAP + 1),
+    "t-order-negative": lambda: series.singular_t_series(-1),
+    "betas-parity": lambda: series.singular_betas_series(7),
+    "betas-order": lambda: series.singular_betas_series(
+        series.BETAS_SERIES_ORDER_CAP + 2),
+    "b2-parity": lambda: series.b2_series(7),
+    "b2-order": lambda: series.b2_series(series.BETAS_SERIES_ORDER_CAP + 2),
     "expansion-order": lambda: coulomb.exponent_u_expansion(
         coulomb.EXPANSION_ORDER_CAP + 1),
+    "beta-eps-domain": lambda: coulomb.j_of_betaeps(0.7),
 }
 
 

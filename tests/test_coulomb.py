@@ -16,7 +16,7 @@ from vertex_expand.coulomb import (
     singular_exponent,
     verify_first_order,
 )
-from vertex_expand.errors import OutOfDomain
+from vertex_expand.errors import BadInput
 from vertex_expand.model import FREE_FERMION_BETA_EPS
 from vertex_expand.series import PiRational
 
@@ -35,9 +35,10 @@ class TestCoupling:
         assert j_of_betaeps(0.0) == pytest.approx(math.pi / 6, abs=1e-15)
 
     def test_domain(self):
-        with pytest.raises(OutOfDomain):
+        with pytest.raises(BadInput, match="above ln 2"):
             j_of_betaeps(1.0)
-        with pytest.raises(OutOfDomain):    # exp(2 beta_eps) would overflow
+        # exp(2 beta_eps) would overflow
+        with pytest.raises(BadInput, match="above ln 2"):
             j_of_betaeps(1e300)
         # boundary of the domain itself is fine
         assert j_of_betaeps(0.5 * math.log(4.0)) == pytest.approx(

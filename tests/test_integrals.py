@@ -7,7 +7,7 @@ import math
 import pytest
 from references import mp_derivative, mp_free_energy, mp_zb_ratio
 
-from vertex_expand.errors import IdentityMismatch
+from vertex_expand.errors import VertexExpandError
 from vertex_expand.integrals import (
     FirstOrderResult,
     baxter_free_energy,
@@ -235,7 +235,8 @@ class TestFirstOrder:
         monkeypatch.setattr(integrals, "za_ratio",
                             lambda beta_s: za_ratio(beta_s) + shift)
         if fails:
-            with pytest.raises(IdentityMismatch):
+            with pytest.raises(VertexExpandError,
+                               match=r"O\(U\) coefficient mismatch"):
                 first_order_free_energy(0.5, 0.0)
         else:
             first_order_free_energy(0.5, 0.0)

@@ -17,7 +17,7 @@ from references import (
     u_p_singular,
 )
 
-from vertex_expand.errors import CompositionAtNonzero, DivisionByZeroSeries
+from vertex_expand.errors import VertexExpandError
 from vertex_expand.series import (
     LogSeries,
     PiRational,
@@ -80,15 +80,15 @@ class TestRationalSeries:
 
     def test_compose_requires_zero_constant(self):
         a = RationalSeries([1, 1], 1)
-        with pytest.raises(CompositionAtNonzero):
+        with pytest.raises(VertexExpandError, match="must vanish at 0"):
             a.compose(RationalSeries([1, 1], 1))
 
     def test_exp_requires_zero_constant(self):
-        with pytest.raises(CompositionAtNonzero):
+        with pytest.raises(VertexExpandError, match="zero constant term"):
             RationalSeries([1], 0).exp()
 
     def test_reciprocal_of_zero_constant(self):
-        with pytest.raises(DivisionByZeroSeries):
+        with pytest.raises(VertexExpandError, match="constant term is zero"):
             RationalSeries([0, 1], 1).reciprocal()
 
     def test_exp_log_roundtrip(self):
@@ -129,7 +129,8 @@ class TestRationalSeries:
     @settings(max_examples=60, deadline=None)
     def test_reciprocal_inverts(self, a):
         if a.coeffs[0] == 0:
-            with pytest.raises(DivisionByZeroSeries):
+            with pytest.raises(VertexExpandError,
+                               match="constant term is zero"):
                 a.reciprocal()
         else:
             assert a * a.reciprocal() == RationalSeries([1], a.order)
