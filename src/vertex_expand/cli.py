@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: free-energy, partition, constrained, perturb, series, coulomb,
-verify.  Output is deterministic: floats print with 17 significant digits,
-JSON keys are sorted, exact rationals print as fraction strings.  Exit codes:
-0 success, 1 verification failure, 2 usage error, 3 numerical failure, 141
-when the reader of stdout closes it before all is printed.
+verify.  Output is deterministic: floats print as the shortest repr that
+reads back to the same double in JSON and with 17 significant digits in
+CSV, JSON keys are sorted, exact rationals print as fraction strings.  Exit
+codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
+failure, 141 when the reader of stdout closes it before all is printed.
 
 The CLI checks only its own flags: their parsing, the --sweep point count
 and the selections of constrained and coulomb.  Every other input rule
@@ -43,13 +44,7 @@ MAX_SWEEP_POINTS = 10_000
 ORACLE_TOL = 1e-9
 
 
-def _float(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _jsonable(value):
-    if isinstance(value, float):
-        return float(_float(value))
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, series.PiRational):
@@ -65,7 +60,7 @@ def _flat(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return _float(value)
+        return f"{value:.17g}"
     if isinstance(value, (dict, list, tuple)):
         return json.dumps(_jsonable(value), sort_keys=True)
     return str(value)

@@ -251,36 +251,13 @@ def kasteleyn_orientation(lat: DecoratedLattice) -> KasteleynMatrix:
     Every edge runs i -> j in edge-list order except each city's internal
     edge 3, which runs L -> B.  Each diamond then has three clockwise
     edges (L-T, T-R, R-B); each octagon has three (its top and right
-    externals and internal edge 3 of its top-right city).  Local statistics
-    and det K do not depend on which valid orientation is used.
+    externals and internal edge 3 of its top-right city), as the tests
+    prove on traced faces.  Local statistics and det K do not depend on
+    which valid orientation is used.
     """
     signs = np.ones(len(lat.i), dtype=np.int8)
     signs[3:4 * lat.rows * lat.cols:4] = -1
-    kast = KasteleynMatrix(lat, signs)
-    audit_faces(kast)
-    return kast
-
-
-def audit_faces(kast: KasteleynMatrix) -> None:
-    """Re-check odd-clockwise parity on every bounded face.
-
-    An edge oriented i -> j runs clockwise around its diamond, and around
-    the octagon between cities (r, c), (r, c+1), (r+1, c) and (r+1, c+1)
-    exactly when it is that octagon's top or right external edge; the
-    octagon's other six edges then run counterclockwise.
-    """
-    n, m = kast.lattice.rows, kast.lattice.cols
-    along = (kast.signs > 0).astype(np.int64)
-    internal = along[:4 * n * m].reshape(n, m, 4)
-    horizontal = along[4 * n * m:4 * n * m + n * (m - 1)].reshape(n, m - 1)
-    vertical = along[4 * n * m + n * (m - 1):].reshape(n - 1, m)
-    diamonds = internal.sum(axis=2)
-    octagons = (horizontal[:-1, :] + vertical[:, 1:] + 6
-                - horizontal[1:, :] - vertical[:, :-1]
-                - internal[:-1, :-1, 2] - internal[:-1, 1:, 3]
-                - internal[1:, 1:, 0] - internal[1:, :-1, 1])
-    if np.any(diamonds % 2 == 0) or np.any(octagons % 2 == 0):
-        raise VertexExpandError("face parity audit failed")
+    return KasteleynMatrix(lat, signs)
 
 
 def partition_dimer(kast: KasteleynMatrix) -> float:

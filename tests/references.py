@@ -4,7 +4,7 @@ The decorated lattice's edge list is built city by city in Python loops,
 where the package broadcasts index arrays.  The planar-face tracer finds
 the bounded faces of a decorated lattice from a drawing of it, with no
 knowledge of the lattice's face structure; the Kasteleyn tests check the
-package's closed-form orientation and its face audit against it.
+package's closed-form orientation against it, the only check of that rule.
 
 The arrow configurations are plain (h, v) arrays with their own edge
 layout, the west and north arrow of each vertex.  The helpers on them (the
@@ -26,8 +26,8 @@ of the package.
 
 The transfer-matrix reference contracts a column row by row with one
 ``np.einsum`` over the full 16-entry vertex tensor, reshuffling the whole
-interface into a rest/done layout, where the package rewrites two bits in
-place with the six ice-rule weights.  It builds the two-column
+interface into a rest/done layout, where the package applies each column
+as dense group matrices of 4 rows.  It builds the two-column
 operator densely from that contraction on unit vectors and diagonalises it
 with LAPACK's general (non-symmetric) eigensolver, where the package runs a
 symmetric Lanczos iteration on the matrix-free operator.

@@ -1,5 +1,6 @@
 """Command-line interface: output contracts and exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -9,7 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from references import mp_free_energy
 
 import vertex_expand
@@ -811,6 +815,28 @@ class TestContracts:
                         "--format", "csv")
         (rec,) = csv.DictReader(io.StringIO(out))
         assert rec["value"] == f"{F0_HALF:.17g}"
+        # JSON carries the shortest repr that reads back to the double
+        _, out, _ = run(capsys, "free-energy", "--beta-s", "0.5")
+        assert f'"value": {F0_HALF!r}' in out
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(sys.float_info.max)
+    @example(-sys.float_info.max)
+    def test_floats_print_as_json_dumps_and_17_digit_csv(self, value):
+        for x in (value, np.float64(value)):
+            rec = {"quantity": "x", "value": x}
+            for fmt, want in (
+                    ("json", json.dumps(rec, sort_keys=True) + "\n"),
+                    ("csv", f"quantity,value\nx,{value:.17g}\n")):
+                with contextlib.redirect_stdout(io.StringIO()) as buf:
+                    emit([rec], fmt, False)
+                assert buf.getvalue() == want
+            back = json.loads(json.dumps(rec))["value"]
+            assert math.copysign(1.0, back) == math.copysign(1.0, value)
+            assert back == value
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_json_records_never_hold_non_json_floats(self, capsys, value):

@@ -295,6 +295,20 @@ class TestTransferMatrix:
         res = transfer_matrix_free_energy(periodic(6, 6, 0.5))
         assert res.gap > 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta_s", [50.0, -50.0])
+    def test_scaled_trace_matches_enumeration_near_overflow(self, beta_s):
+        # Z ~ e^600, near the largest double, e^709.8
+        params = periodic(2, 6, beta_s)
+        assert transfer_partition(params) == pytest.approx(
+            math.exp(enumerate_partition(params).log_z), rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta_s", [60.0, -60.0, 400.0, 1500.0])
+    def test_overflowing_z_raises_without_warning(self, beta_s):
+        with pytest.raises(FieldOverflow):
+            transfer_partition(periodic(2, 6, beta_s))
+
     def test_field_reversal_symmetry(self):
         # Z(beta_s) = Z(-beta_s) on a torus (reverse all arrows)
         za = transfer_partition(periodic(2, 4, 0.5))
@@ -333,7 +347,7 @@ class TestTransferMatrix:
         for beta_s, beta_eps in pairs if rows <= 12 else [(-0.7, 0.9)]:
             params = ModelParams(beta_s=beta_s, rows=rows, cols=2,
                                  beta_eps=beta_eps)
-            columns = model._column_weights(params)
+            columns = model._column_weights(params, 0.0)
             tensors = column_tensors(params)
             psi = rng.standard_normal(1 << rows)
             for parity in (0, 1):
@@ -351,7 +365,7 @@ class TestTransferMatrix:
         for beta_eps in (FREE_FERMION_BETA_EPS, 0.1, 0.9):
             params = ModelParams(beta_s=beta_s, rows=rows, cols=2,
                                  beta_eps=beta_eps)
-            columns = model._column_weights(params)
+            columns = model._column_weights(params, 0.0)
             first, second = (
                 np.column_stack([model._apply_column(col, groups)
                                  for col in eye])
