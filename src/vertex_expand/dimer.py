@@ -26,7 +26,10 @@ So one configuration's weight is ``enumerate_matchings`` with every
 external edge pinned, which is how the mapping is checked.
 
 A constrained ratio Z^cons / Z_0 is one small determinant of entries of
-B^-1 per occupation pattern (``KasteleynMatrix.ratios``).
+B^-1 per occupation pattern (``KasteleynMatrix.ratios``).  A vertex state
+of an interior site is the pattern of lines on its four external edges, read
+off ``model.STATE_BITS`` against ``model.GROUND_STATE`` at the site's parity
+(``_STATE_LINES``).
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import BadInput, FieldOverflow, VertexExpandError
-from .model import (FREE_FERMION_BETA_EPS, STATE_BITS, VERTEX_STATES, Boundary,
-                    ModelParams, sublattice, Sublattice)
+from .model import (FREE_FERMION_BETA_EPS, GROUND_STATE, STATE_BITS, Boundary,
+                    ModelParams)
 
 LN2 = math.log(2.0)
 MATCHING_NODE_BOUND = 36
@@ -416,12 +419,12 @@ def constrained_ratio(kast: KasteleynMatrix, constraints) -> float:
 # --- vertex-state constraints ------------------------------------------------
 
 #: the occupation of a site's W, E, N and S external edges in states 1-6,
-#: by sublattice: a line sits where the state's arrow opposes the reference
-#: ground state (state 6 on sublattice A, 5 on B)
-_STATE_LINES = {
-    sub: tuple(tuple(b != r for b, r in zip(STATE_BITS[s], STATE_BITS[ref]))
-               for s in VERTEX_STATES)
-    for sub, ref in ((Sublattice.A, 6), (Sublattice.B, 5))}
+#: indexed by the site's parity (row + col) % 2: a line sits where the
+#: state's arrow opposes model.GROUND_STATE's state there
+_STATE_LINES = tuple(
+    tuple(tuple(b != r for b, r in zip(bits, STATE_BITS[ref]))
+          for bits in STATE_BITS.values())
+    for ref in GROUND_STATE)
 
 
 def incident_external_edges(lat: DecoratedLattice, site: tuple[int, int]):
@@ -439,9 +442,12 @@ def incident_external_edges(lat: DecoratedLattice, site: tuple[int, int]):
 
 def vertex_constrained_ratio(kast: KasteleynMatrix, site: tuple[int, int],
                              state: int) -> float:
-    """Z_site(state) / Z_0 for an interior site.  Every state constrains the
-    same four edges, so the six states of a site come from one solve and
-    one stack of six 4x4 determinants."""
+    """Z_site(state) / Z_0 for an interior site; BadInput for a state
+    outside 1-6.  Every state constrains the same four edges, so the six
+    states of a site come from one solve and one stack of six 4x4
+    determinants."""
+    if state not in STATE_BITS:
+        raise BadInput(f"invalid vertex state {state}")
     ratios = kast.ratios(incident_external_edges(kast.lattice, site),
-                         _STATE_LINES[sublattice(*site)])
-    return ratios[VERTEX_STATES.index(state)]
+                         _STATE_LINES[sum(site) % 2])
+    return ratios[state - 1]

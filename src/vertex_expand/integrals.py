@@ -217,7 +217,7 @@ def first_order_free_energy(beta_s: float, u: float) -> FirstOrderResult:
     are one formula, since Za/Z0 and Zb/Z0 are (1/4)(1 +- dF0/d beta_s)^2,
     and differ by rounding alone."""
     f0 = baxter_free_energy(beta_s)
-    c_cons = -(1.0 - za_ratio(beta_s) - zb_ratio(beta_s))
+    c_cons = -(1.0 - za_ratio(beta_s) - zb_ratio(beta_s)) + 0.0  # never -0.0
     d = dF0_dbetas(beta_s)
     c_der = 0.5 * (d * d - 1.0)
     return FirstOrderResult(f0, c_cons, c_der, f0 + c_der * u)

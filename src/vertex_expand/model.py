@@ -9,12 +9,14 @@ free arrows, and ``mask ^ ground_state_mask(params)`` is its line set.
 
 Conventions (used consistently across the package):
 
-* rows increase downward, columns to the right; vertex (0, 0) is on
-  sublattice A, and ``(r + c) % 2`` selects the sublattice.
+* rows increase downward, columns to the right; the parity ``(r + c) % 2``
+  of vertex (r, c) is its sublattice, 0 for A and 1 for B.
 * horizontal arrow bit 1 = arrow points east; vertical bit 1 = points north.
-* the reference ground state has every A vertex in state 6 and every
-  B vertex in state 5: arrow bit 1 exactly on the edges east and south of
-  the A vertices.
+* ``GROUND_STATE[parity]`` is the reference ground state's vertex state:
+  6 on A and 5 on B, so arrow bit 1 exactly on the edges east and south of
+  the A vertices.  It is the one place this pairing is written.
+* ``vertex_energies(params)[parity, state]`` is a vertex's reduced energy,
+  the one place the staggered energies are written.
 * enumeration masks number the free edges row-major, every edge east of a
   vertex before every edge south of one; on the fixed boundary that is the
   order of the decorated lattice's external edges.
@@ -49,7 +51,9 @@ STATE_BITS = {
     6: (0, 1, 0, 1),
 }
 
-VERTEX_STATES = (1, 2, 3, 4, 5, 6)
+#: the reference ground state's vertex state on sublattice A ((r + c) even)
+#: and on B
+GROUND_STATE = (6, 5)
 
 #: vertex state for each incident-bit pattern w*8 + e*4 + n*2 + s; exactly
 #: the six two-in/two-out patterns map to a state, 0 marks an ice-rule
@@ -62,15 +66,6 @@ PATTERN_TO_STATE = tuple(_STATE_OF_PATTERN.get(p, 0) for p in range(16))
 class Boundary(Enum):
     PERIODIC = "periodic"
     FIXED_GROUND_STATE = "fixed-ground-state"
-
-
-class Sublattice(Enum):
-    A = "A"
-    B = "B"
-
-
-def sublattice(row: int, col: int) -> Sublattice:
-    return Sublattice.A if (row + col) % 2 == 0 else Sublattice.B
 
 
 @dataclass(frozen=True)
@@ -98,16 +93,14 @@ class ModelParams:
                            f"and cols, not {self.rows}x{self.cols}")
 
 
-def vertex_energy(state: int, sub: Sublattice, params: ModelParams) -> float:
-    """Reduced energy of one vertex (the Hamiltonian sums -1 times these)."""
-    if state not in STATE_BITS:
-        raise BadInput(f"invalid vertex state {state}")
-    if state <= 4:
-        return params.beta_eps
-    sign = 1.0 if state == 5 else -1.0
-    if sub is Sublattice.B:
-        sign = -sign
-    return sign * params.beta_s
+def vertex_energies(params: ModelParams) -> np.ndarray:
+    """Reduced vertex energies (the Hamiltonian sums -1 times these) as a
+    (2, 7) table: row (r + c) % 2, column the state, column 0 unused.
+    States 1-4 cost beta_eps; state 5 costs beta_s on A and -beta_s on B,
+    state 6 the opposite."""
+    e, s = params.beta_eps, params.beta_s
+    return np.array([[0.0, e, e, e, e, s, -s],
+                     [0.0, e, e, e, e, -s, s]])
 
 
 # --- exhaustive enumeration oracle -------------------------------------------
@@ -122,13 +115,16 @@ def _free_shape(params: ModelParams) -> tuple[int, int]:
 
 
 def ground_state_mask(params: ModelParams) -> int:
-    """The reference ground state as an enumeration mask: bit 1 on each free
-    edge east or south of a vertex with row + col even."""
+    """The reference ground state as an enumeration mask: each free edge
+    east or south of a vertex takes that vertex's E or S arrow bit in
+    GROUND_STATE."""
     n, m = params.rows, params.cols
     east, south = _free_shape(params)
-    even = ([(r + c) % 2 == 0 for r in range(n) for c in range(east)]
-            + [(r + c) % 2 == 0 for r in range(south) for c in range(m)])
-    return sum(1 << b for b, bit in enumerate(even) if bit)
+    bits = ([STATE_BITS[GROUND_STATE[(r + c) % 2]][1]
+             for r in range(n) for c in range(east)]
+            + [STATE_BITS[GROUND_STATE[(r + c) % 2]][3]
+               for r in range(south) for c in range(m)])
+    return sum(bit << b for b, bit in enumerate(bits))
 
 
 def _edge_layout(params: ModelParams):
@@ -158,19 +154,8 @@ def _edge_layout(params: ModelParams):
                     slots[vtx, k] = er * east + ec
                 elif k >= 2 and 0 <= er < south:
                     slots[vtx, k] = n * east + er * m + ec
-            fixed[vtx] = STATE_BITS[6 if (r + c) % 2 == 0 else 5]
+            fixed[vtx] = STATE_BITS[GROUND_STATE[(r + c) % 2]]
     return slots, fixed
-
-
-def _energy_table(params: ModelParams) -> np.ndarray:
-    n, m = params.rows, params.cols
-    table = np.zeros((n * m, 7))
-    for r in range(n):
-        for c in range(m):
-            for state in VERTEX_STATES:
-                table[r * m + c, state] = vertex_energy(
-                    state, sublattice(r, c), params)
-    return table
 
 
 @dataclass(frozen=True)
@@ -235,7 +220,9 @@ def enumerate_partition(params: ModelParams) -> EnumerationResult:
         raise BadInput(f"{n}x{m} has {free} free edges, above the "
                        f"enumeration bound {ENUMERATION_EDGE_BOUND}")
     slots, fixed = _edge_layout(params)
-    masks, hams = _ice_configurations(slots, fixed, _energy_table(params))
+    parity = (np.arange(n)[:, None] + np.arange(m)).ravel() % 2
+    masks, hams = _ice_configurations(slots, fixed,
+                                      vertex_energies(params)[parity])
     if not np.all(np.isfinite(hams)):
         raise FieldOverflow("a configuration energy overflows a double")
     log_z = hams.max() + math.log(math.fsum(np.exp(hams - hams.max())))
@@ -270,25 +257,24 @@ def _group_matrix(row_weights: list[np.ndarray]) -> np.ndarray:
 
 
 def _log_scale(params: ModelParams) -> float:
-    """max(-E), by which the transfer oracles scale every weight down:
-    states 5 and 6 have E = +-beta_s, the other four E = beta_eps."""
-    return max(abs(params.beta_s), -params.beta_eps)
+    """max(-E) over states 1-6, by which the transfer oracles scale every
+    weight down; 0.0 - min(E) is never -0.0."""
+    return 0.0 - float(vertex_energies(params)[:, 1:].min())
 
 
 def _column_weights(params: ModelParams, log_scale: float):
     """The group matrices of the two columns of ``params.rows`` rows, in
     row order, with vertex weights e^(-E - log_scale).
 
-    Row r of the parity-p column sits on sublattice A when r + p is even.
+    Row r of the parity-p column takes row (r + p) % 2 of vertex_energies.
     Groups of GROUP_ROWS start at even rows, so every full group of a
     column shares one matrix, built once with the last, shorter one.
     """
     rows = []
-    for sub in (Sublattice.A, Sublattice.B):
+    for energy in vertex_energies(params).tolist():
         w = np.zeros((2, 2, 2, 2))
         for state, (w_bit, e_bit, n_bit, s_bit) in STATE_BITS.items():
-            w[s_bit, e_bit, n_bit, w_bit] = math.exp(
-                -vertex_energy(state, sub, params) - log_scale)
+            w[s_bit, e_bit, n_bit, w_bit] = math.exp(-energy[state] - log_scale)
         rows.append(w)
     n = params.rows
     sizes = [min(GROUP_ROWS, n - r) for r in range(0, n, GROUP_ROWS)]

@@ -186,12 +186,13 @@ def vertex_state(config, r, c):
 
 def reduced_hamiltonian(config, params):
     """H(c) = -sum of reduced vertex energies."""
+    energies = model.vertex_energies(params).tolist()
     total = 0.0
     for r in range(params.rows):
         for c in range(params.cols):
             state = vertex_state(config, r, c)
             assert state, f"vertex ({r}, {c}) breaks the ice rule"
-            total -= model.vertex_energy(state, model.sublattice(r, c), params)
+            total -= energies[(r + c) % 2][state]
     return total
 
 
@@ -227,7 +228,9 @@ def enumerate_by_backtracking(params):
     package forms them, so every field of the result compares bitwise.
     """
     slots, fixed = model._edge_layout(params)
-    energies = model._energy_table(params).tolist()
+    table = model.vertex_energies(params).tolist()
+    energies = [table[(r + c) % 2]
+                for r in range(params.rows) for c in range(params.cols)]
     partial = [(0, 0.0)]
     assigned = 0
     for vslots, vfixed, venergy in zip(slots.tolist(), fixed.tolist(),
@@ -277,10 +280,10 @@ def column_tensors(params):
     """Per-sublattice tensors W[north, south, west, east] of the vertex
     weights, zero on every arrow pattern the ice rule forbids."""
     tensors = []
-    for sub in (model.Sublattice.A, model.Sublattice.B):
+    for energy in model.vertex_energies(params).tolist():
         w = np.zeros((2, 2, 2, 2))
         for state, (wb, eb, nb, sb) in model.STATE_BITS.items():
-            w[nb, sb, wb, eb] = math.exp(-model.vertex_energy(state, sub, params))
+            w[nb, sb, wb, eb] = math.exp(-energy[state])
         tensors.append(w)
     return tensors
 

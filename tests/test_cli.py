@@ -479,6 +479,14 @@ class TestPerturb:
         (rec,) = json_lines(out)
         assert rec["f0"] == rec["free_energy"] == 400.0
 
+    @pytest.mark.parametrize("beta_s", ["-400", "-20", "20", "400"])
+    def test_frozen_coefficient_is_positive_zero(self, capsys, beta_s):
+        # 1 - Za/Z0 - Zb/Z0 is 1 - 1 - 0 at a frozen field
+        code, out, _ = run(capsys, "perturb", "--beta-s", beta_s, "--u", "0.1")
+        assert code == 0
+        assert '"coefficient_constrained": 0.0,' in out
+        assert "-0.0" not in out
+
 
 EXTREME_FIELDS = [sign + value for value in ("1e-300", "50", "400", "800",
                                              "1419.3", "1500", "1e300",
@@ -904,8 +912,10 @@ LIBRARY_RULES = {
         model.ModelParams(0.0, 2, 2)),
     "transfer-partition-boundary": lambda: model.transfer_partition(
         model.ModelParams(0.0, 2, 2)),
-    "vertex-state": lambda: model.vertex_energy(
-        7, model.Sublattice.A, model.ModelParams(0.0, 2, 2)),
+    "vertex-state": lambda: dimer.vertex_constrained_ratio(
+        dimer.kasteleyn_orientation(_lattice_33()), (1, 1), 7),
+    "vertex-state-zero": lambda: dimer.vertex_constrained_ratio(
+        dimer.kasteleyn_orientation(_lattice_33()), (1, 1), 0),
     "free-fermion-point": lambda: dimer.build_decorated(
         model.ModelParams(0.0, 2, 2, beta_eps=0.3)),
     "fixed-boundary": lambda: dimer.build_decorated(

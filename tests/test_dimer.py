@@ -488,6 +488,21 @@ class TestVertexStates:
         with pytest.raises(ValueError):
             vertex_constrained_ratio(kast33, (0, 0), 6)
 
+    @pytest.mark.parametrize("state", [0, 7])
+    def test_invalid_state_rejected(self, kast33, state):
+        with pytest.raises(BadInput, match="invalid vertex state"):
+            vertex_constrained_ratio(kast33, (1, 1), state)
+
+    def test_state_lines_pinned(self):
+        # row 0 is sublattice A, where the reference holds state 6: state 6
+        # has no lines and its reversal, state 5, a line on all four edges;
+        # row 1 is B, where 5 and 6 swap
+        lines = dimer._STATE_LINES
+        assert len(lines) == 2 and all(len(row) == 6 for row in lines)
+        assert lines[0][5] == lines[1][4] == (False,) * 4
+        assert lines[0][4] == lines[1][5] == (True,) * 4
+        assert [sum(p) for p in lines[0][:4]] == [2] * 4
+
     def test_six_states_share_one_solve(self, monkeypatch):
         kast = kasteleyn_orientation(build_decorated(params_for(4, 4)))
         lu, solves, dets = kast._lu, [], []

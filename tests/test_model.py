@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from references import (
     apply_column,
@@ -24,17 +24,16 @@ from vertex_expand.integrals import baxter_free_energy
 from vertex_expand.model import (
     ENUMERATION_EDGE_BOUND,
     FREE_FERMION_BETA_EPS,
+    GROUND_STATE,
     PATTERN_TO_STATE,
     STATE_BITS,
     Boundary,
     ModelParams,
-    Sublattice,
     enumerate_partition,
     ground_state_mask,
-    sublattice,
     transfer_matrix_free_energy,
     transfer_partition,
-    vertex_energy,
+    vertex_energies,
 )
 
 
@@ -64,10 +63,9 @@ class TestParams:
         # only
         p = ModelParams(beta_s=0.3, rows=2, cols=2,
                         beta_eps=FREE_FERMION_BETA_EPS + 0.1)
-        for sub in Sublattice:
-            assert vertex_energy(1, sub, p) - FREE_FERMION_BETA_EPS == (
-                pytest.approx(0.1))
-            assert vertex_energy(5, sub, p) == vertex_energy(5, sub, fixed(2, 2))
+        shifted, solvable = vertex_energies(p), vertex_energies(fixed(2, 2))
+        assert shifted[:, 1:5] - FREE_FERMION_BETA_EPS == pytest.approx(0.1)
+        assert np.array_equal(shifted[:, 5:], solvable[:, 5:])
 
     def test_positive_dims(self):
         with pytest.raises(ValueError):
@@ -77,22 +75,36 @@ class TestParams:
 class TestEnergies:
     def test_symmetric_states_cost_eps(self):
         p = fixed(2, 2)
-        for state in (1, 2, 3, 4):
-            for sub in Sublattice:
-                assert vertex_energy(state, sub, p) == p.beta_eps
+        assert np.all(vertex_energies(p)[:, 1:5] == p.beta_eps)
 
     def test_staggered_states(self):
-        p = fixed(2, 2, beta_s=0.7)
-        assert vertex_energy(5, Sublattice.A, p) == pytest.approx(0.7)
-        assert vertex_energy(5, Sublattice.B, p) == pytest.approx(-0.7)
-        assert vertex_energy(6, Sublattice.A, p) == pytest.approx(-0.7)
-        assert vertex_energy(6, Sublattice.B, p) == pytest.approx(0.7)
+        # row 0 is sublattice A, (r + c) even; row 1 is B
+        table = vertex_energies(fixed(2, 2, beta_s=0.7))
+        assert table.shape == (2, 7)
+        assert table[0, 5] == table[1, 6] == 0.7
+        assert table[0, 6] == table[1, 5] == -0.7
 
-    def test_sublattice_checkerboard(self):
-        assert sublattice(0, 0) is Sublattice.A
-        assert sublattice(0, 1) is Sublattice.B
-        assert sublattice(1, 0) is Sublattice.B
-        assert sublattice(2, 2) is Sublattice.A
+    @settings(max_examples=200, deadline=None)
+    @given(beta_s=st.floats(allow_nan=False),
+           beta_eps=st.floats(allow_nan=False))
+    @example(beta_s=0.0, beta_eps=FREE_FERMION_BETA_EPS)
+    @example(beta_s=-0.0, beta_eps=FREE_FERMION_BETA_EPS)
+    @example(beta_s=0.0, beta_eps=0.0)
+    @example(beta_s=-0.0, beta_eps=-0.0)
+    @example(beta_s=0.0, beta_eps=-0.0)
+    @example(beta_s=-0.0, beta_eps=0.0)
+    def test_closed_form(self, beta_s, beta_eps):
+        # the table is beta_eps for states 1-4 and +-beta_s with A/B signs,
+        # and the log scale is max(|beta_s|, -beta_eps), both bitwise
+        p = ModelParams(beta_s=beta_s, rows=2, cols=2, beta_eps=beta_eps)
+        table = vertex_energies(p)
+        for parity, sign in ((0, 1.0), (1, -1.0)):
+            closed = [beta_eps] * 4 + [sign * beta_s, -sign * beta_s]
+            assert table[parity, 1:].tobytes() == np.array(closed).tobytes()
+        scale = model._log_scale(p)
+        assert type(scale) is float
+        assert np.float64(scale).tobytes() == np.float64(
+            max(abs(beta_s), -beta_eps)).tobytes()
 
 
 class TestGroundState:
@@ -110,9 +122,7 @@ class TestGroundState:
         gs = ground_state_config(params)
         for r in range(4):
             for c in range(4):
-                state = vertex_state(gs, r, c)
-                expected = 6 if sublattice(r, c) is Sublattice.A else 5
-                assert state == expected
+                assert vertex_state(gs, r, c) == GROUND_STATE[(r + c) % 2]
 
     def test_full_reversal_energy(self):
         # reversing every arrow swaps states 5 and 6, so the reversed ground
