@@ -219,6 +219,11 @@ def cmd_constrained(args) -> int:
         total = 0.0
         for state in range(1, 7):
             ratio = dimer.vertex_constrained_ratio(kast, (r, c), state)
+            # a negative ratio is a tiny one's rounding, and no probability
+            if ratio < 0.0:
+                return _usage_error(
+                    f"state {state} of site ({r}, {c}) has a ratio below "
+                    "the rounding of the determinant")
             total += ratio
             records.append({
                 "quantity": "vertex_state_probability", "rows": args.rows,

@@ -449,6 +449,31 @@ class TestConstrained:
         assert out == ""
         assert "no matching satisfies the --edge constraints" in err
 
+    def test_negative_state_ratio_is_usage_error(self, capsys):
+        # a dense mpmath determinant at 400 digits gives state 4 +1.08e-34;
+        # the fast determinant rounds it below 0
+        code, out, err = run(capsys, "constrained", "--rows", "4", "--cols",
+                             "6", "--beta-s", "-10", "--site", "2", "4")
+        assert code == 2
+        assert out == ""
+        assert "state 4 of site (2, 4) has a ratio below the rounding" in err
+
+    @pytest.mark.parametrize("ratios,code", [
+        ((0.25, 0.25, 0.0, -5e-324, 0.5, 0.0), 2),
+        ((0.25, 0.25, 0.0, 0.0, 0.5, 0.0), 0)])
+    def test_site_ratio_sign_rule(self, capsys, monkeypatch, ratios, code):
+        # any ratio below 0 is refused; an exact 0 is a probability
+        monkeypatch.setattr(dimer, "vertex_constrained_ratio",
+                            lambda kast, site, state: ratios[state - 1])
+        got, out, err = run(capsys, "constrained", "--rows", "3", "--cols",
+                            "3", "--site", "1", "1")
+        assert got == code
+        if code:
+            assert out == "" and "state 4 of site (1, 1)" in err
+        else:
+            assert [r["ratio"] for r in json_lines(out) if "ratio" in r] == (
+                list(ratios))
+
     def test_too_many_edges_is_usage_error(self, capsys):
         edges = [f"--edge={i}:1" for i in range(6)]
         code, out, err = run(capsys, "constrained", "--rows", "3", "--cols",

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
@@ -16,6 +17,7 @@ from references import (config_from_mask, decorated_edges, free_edges,
 from vertex_expand import dimer
 from vertex_expand.dimer import (
     MATCHING_NODE_BOUND,
+    RATIO_FLOOR,
     EdgeConstraint,
     KasteleynMatrix,
     build_decorated,
@@ -390,6 +392,39 @@ class TestConstrained:
                                       abs=1e-12)
 
 
+    @pytest.mark.parametrize("beta_s", [-400.0, -50.0, -10.0, -1.0, 0.0, 0.3,
+                                        3.0, 400.0])
+    def test_forced_moves_run_only_below_the_floor(self, monkeypatch, beta_s):
+        # every pattern of random 1-5 edge sets on 1x1 ... 3x3: a set no
+        # matching satisfies reads below RATIO_FLOOR, so running forced
+        # moves only there changes no bit of the ratios
+        rng = np.random.default_rng(26)
+        for rows, cols in itertools.product((1, 2, 3), repeat=2):
+            lat = build_decorated(params_for(rows, cols, beta_s))
+            gated, fast = kasteleyn_orientation(lat), kasteleyn_orientation(lat)
+            for _ in range(60):
+                k = int(rng.integers(1, min(5, len(lat.i)) + 1))
+                edges = tuple(sorted(rng.choice(len(lat.i), k, replace=False)
+                                     .tolist()))
+                patterns = tuple(itertools.product((True, False), repeat=k))
+                with monkeypatch.context() as m:
+                    m.setattr(dimer, "_unmatchable", lambda *args: False)
+                    raw = fast.ratios(edges, patterns)
+                ungated = tuple(0.0 if dimer._unmatchable(lat, edges, p) else r
+                                for r, p in zip(raw, patterns))
+                assert list(map(float.hex, gated.ratios(edges, patterns))) == (
+                    list(map(float.hex, ungated))), (rows, cols, edges)
+                for pattern, r in zip(patterns, raw):
+                    present = tuple(e for e, o in zip(edges, pattern) if o)
+                    absent = tuple(e for e, o in zip(edges, pattern) if not o)
+                    try:
+                        empty = enumerate_matchings(lat, present, absent) == 0.0
+                    except FieldOverflow:  # a nonzero sum past a double
+                        empty = False
+                    if empty:
+                        assert r < RATIO_FLOOR, (rows, cols, edges, pattern)
+
+
 @pytest.fixture(scope="module")
 def kast33():
     return kasteleyn_orientation(build_decorated(params_for(3, 3)))
@@ -469,6 +504,32 @@ class TestScaledDeterminant:
         direct = enumerate_matchings(lat, (), (edge,)) / enumerate_matchings(lat)
         assert ratio == pytest.approx(0.5, rel=1e-12)
         assert ratio == pytest.approx(direct, rel=1e-12)
+
+
+class TestDissectionOrder:
+    """B's rows and columns are numbered city by city in nested-dissection
+    order and factored without a fill-reducing column order."""
+
+    def test_order_is_a_permutation(self):
+        for rows, cols in itertools.product(range(1, 65), repeat=2):
+            order = dimer._dissection_order(rows, cols)
+            assert np.array_equal(np.sort(order), np.arange(rows * cols)), (
+                rows, cols)
+
+    @pytest.mark.parametrize("rows", range(1, 14))
+    def test_log_z_against_a_colamd_factor(self, rows):
+        # the same scaled B, factored with SuperLU's default COLAMD column
+        # order and partial pivoting
+        for cols in range(1, 14):
+            for beta_s in (-1418.0, -400.0, -50.0, -3.0, 0.0, 0.3, 3.0,
+                           400.0):
+                kast = kasteleyn_orientation(
+                    build_decorated(params_for(rows, cols, beta_s)))
+                got = partition_dimer(kast)
+                kast._lu = spla.splu(kast.scaled)
+                want = partition_dimer(kast)
+                assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (
+                    cols, beta_s)
 
 
 class TestVertexStates:
