@@ -26,10 +26,11 @@ So one configuration's weight is ``enumerate_matchings`` with every
 external edge pinned, which is how the mapping is checked.
 
 A constrained ratio Z^cons / Z_0 is one small determinant of entries of
-B^-1 per occupation pattern (``KasteleynMatrix.ratios``).  A vertex state
-of an interior site is the pattern of lines on its four external edges, read
-off ``model.STATE_BITS`` against ``model.GROUND_STATE`` at the site's parity
-(``_STATE_LINES``).
+B^-1 per occupation pattern (``KasteleynMatrix.ratios``), or where that is
+below the rounding the pattern's minor of B, exactly 0 where no matching
+satisfies the pattern.  A vertex state of an interior site is the pattern
+of lines on its four external edges, read off ``model.STATE_BITS`` against
+``model.GROUND_STATE`` at the site's parity (``_STATE_LINES``).
 """
 
 from __future__ import annotations
@@ -55,9 +56,8 @@ CONSTRAINT_BOUND = 5
 #: on a 2-core Xeon
 CITY_BOUND = 512 * 512
 
-#: a fast ratio at or above this is a satisfiable set's: an unsatisfiable
-#: set reads the rounding of the determinant, about 1e-16 or less, so
-#: forced moves (``_unmatchable``) run only below it
+#: the fast determinant is accurate to about 1e-16 absolute: a ratio below
+#: this, as an unsatisfiable set's always is, is the minor's (``_minor``)
 RATIO_FLOOR = 2.0 ** -26
 
 
@@ -141,27 +141,19 @@ def build_decorated(params: ModelParams) -> DecoratedLattice:
 
 class KasteleynMatrix:
     """The black-white block B of the signed adjacency matrix K of a
-    Pfaffian orientation, scaled so that its sparse LU is exact at any field.
+    Pfaffian orientation, scaled so that its sparse LU is exact at any
+    field (``_factor``).
 
     ``signs[e]`` is +1 when edge e is oriented i -> j in edge-list order.
     L and R are black in the cities with row + col even, T and B in the
     others, so every edge joins black to white, Pf K = +-det B with
     B = K[black, white] of size 2nm (Percus, J. Math. Phys. 10, 1881, 1969)
     and Z = |det B|.  B's entry on edge e is ``signs[e]`` times its weight,
-    negated where i[e] is the white end.  A matching with x external edges
-    weighs u^(2nm) e^(x Delta), Delta = ln(C/u) = ln(2)/2 - beta_s; the
-    rows and columns of B_s are B's divided by sqrt(u) e^(k Delta) with the
-    integer duals k of ``_duals`` (Olschowka and Neumaier, Linear Algebra
-    Appl. 240, 1996), so every entry of B_s is at most 1 and those of a
-    dominant matching are 1.  B's rows and columns are numbered city by
-    city in the nested-dissection order of ``_dissection_order``, each
-    city's two rows and two columns together, so SuperLU factors B_s in
-    that order (``permc_spec="NATURAL"``); it keeps a diagonal pivot down
-    to 0.1 of its column's largest entry, and pivots off the diagonal below
-    that (with diagonal pivots only, 2x2 at beta_s = -400 is exactly
-    singular).  B_s is factored once, when the object is built; the last
-    ``ratios`` call is kept for the next with the same arguments, so the
-    six states of one site share one solve.
+    negated where i[e] is the white end.  B's rows and columns are numbered
+    city by city in the nested-dissection order of ``_dissection_order``,
+    each city's two rows and two columns together.  B_s is factored once,
+    when the object is built; the last ``ratios`` call is kept for the next
+    with the same arguments, so the six states of one site share one solve.
     """
 
     def __init__(self, lattice: DecoratedLattice, signs: np.ndarray):
@@ -176,25 +168,11 @@ class KasteleynMatrix:
         ends = [2 * rank[e // 4] + e % 4 // 2 for e in (lat.i, lat.j)]
         self._black = np.where(i_black, *ends)
         self._white = np.where(i_black, *ends[::-1])
-        ext = (np.arange(len(lat.i)) >= 2 * n_half).astype(np.int64)
-        delta = 0.5 * LN2 - lat.beta_s
-        # where Delta <= 0 the all-diamond matching is dominant and k = 0
-        self.duals = (_duals(n_half, self._black, self._white, ext,
-                             np.where(ext, 2, ~i_black))
-                      if delta > 0.0 else (np.zeros(n_half, np.int64),) * 2)
-        # the exponent is never positive; where it overflows to -inf, e^-inf
-        # = 0 is the entry rounded
-        with np.errstate(over="ignore"):
-            self._entries = np.where(i_black, signs, -signs) * np.exp(delta * (
-                ext - self.duals[0][self._black] - self.duals[1][self._white]))
-        self.scaled = sp.csc_matrix((self._entries, (self._black, self._white)),
-                                    shape=(n_half, n_half))
-        try:
-            self._lu = spla.splu(self.scaled, permc_spec="NATURAL",
-                                 diag_pivot_thresh=0.1)
-        except RuntimeError as exc:
-            raise FieldOverflow(
-                "the sparse LU of B loses its pivots at this field") from exc
+        self._sign = np.where(i_black, signs, -signs)
+        self._ext = (np.arange(len(lat.i)) >= 2 * n_half).astype(np.int64)
+        self._slot = np.where(self._ext, 2, ~i_black)
+        self.duals, self._entries, self.scaled, self._lu = self._factor(
+            n_half, self._black, self._white, slice(None))
         self._last: tuple[tuple, tuple[float, ...]] | None = None
 
     def ratios(self, edges: tuple[int, ...],
@@ -208,9 +186,8 @@ class KasteleynMatrix:
         lattice dimers"); the scalings cancel.  A pattern's ratio is the
         determinant with row A_i where edge i is occupied and e_i - A_i
         where it is empty, the inclusion-exclusion over the empty edges.
-        A ratio at or above RATIO_FLOOR is a satisfiable set's; below it, or
-        where it is not finite, forced moves (``_unmatchable``) make it
-        exactly 0 where they rule the pattern out.
+        A ratio below RATIO_FLOOR, or one that is not finite, is the
+        pattern's minor instead (``_minor``).
         """
         if self._last is not None and self._last[0] == (edges, patterns):
             return self._last[1]
@@ -220,14 +197,80 @@ class KasteleynMatrix:
         a = self._entries[index, None] * self._lu.solve(rhs)[self._white[index]]
         occupied = np.array(patterns, dtype=bool).reshape(len(patterns), k)
         ratio = np.linalg.det(np.where(occupied[:, :, None], a, np.eye(k) - a))
-        zero = [not RATIO_FLOOR <= r < math.inf
-                and _unmatchable(self.lattice, edges, p)
-                for r, p in zip(ratio.tolist(), patterns)]
-        ratio = np.where(zero, 0.0, ratio) + 0.0  # never -0.0
-        if not np.all(np.isfinite(ratio)):
-            raise FieldOverflow("B^-1 or a ratio overflows a double at this field")
-        self._last = (edges, patterns), tuple(ratio.tolist())
+        self._last = (edges, patterns), tuple(
+            r if RATIO_FLOOR <= r < math.inf else self._minor(edges, p)
+            for r, p in zip(ratio.tolist(), patterns))
         return self._last[1]
+
+    def _minor(self, edges: tuple[int, ...], pattern: tuple[bool, ...]) -> float:
+        """Z^cons / Z_0 = prod_S w_e |det B'| / Z_0, B' being B without the
+        rows and columns of the occupied edges' ends (Jacobi's complementary
+        minor of Kenyon's formula) and without the empty edges, scaled and
+        factored as B is, so nothing cancels; exactly 0 where two occupied
+        edges share a node or B' has no perfect matching."""
+        n = self.scaled.shape[0]
+        held = [e for e, o in zip(edges, pattern) if o]
+        rows, cols = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+        rows[self._black[held]] = cols[self._white[held]] = False
+        if not rows.sum() == cols.sum() == n - len(held):
+            return 0.0
+        keep = rows[self._black] & cols[self._white]
+        keep[list(edges)] = False
+        row, col = np.cumsum(rows) - 1, np.cumsum(cols) - 1  # B' numbering
+        minor = self._factor(n - len(held), row[self._black[keep]],
+                             col[self._white[keep]], keep)
+        if minor is None:
+            return 0.0
+        (k_black, k_white), _, _, lu = minor
+        # partition_dimer's log Z' - log Z, differenced before |log Z| rounds
+        more_ext = int(k_black.sum() + k_white.sum() + self._ext[held].sum()
+                       - self.duals[0].sum() - self.duals[1].sum())
+        return math.exp(_log_det(lu) - _log_det(self._lu)
+                        + more_ext * (0.5 * LN2 - self.lattice.beta_s))
+
+    def _factor(self, n: int, black: np.ndarray, white: np.ndarray, keep):
+        """(duals k, entries, B_s, LU of B_s) for the n x n block of B on
+        the edges ``keep`` selects, at rows ``black`` and columns ``white``;
+        None where it has no perfect matching.
+
+        B's entries are u e^(ext Delta), Delta = ln(C/u) = ln(2)/2 - beta_s,
+        and B_s's sign e^(Delta (ext - k_b - k_w)), with integer duals that
+        make each exponent at most 0 and those of a dominant matching 0
+        (Olschowka and Neumaier, Linear Algebra Appl. 240, 1996); sum(k)
+        counts its external edges.  They are the ``_duals`` of ext where
+        Delta > 0; where Delta <= 0, 1 - g_b and -g_w for the duals g of
+        1 - ext, or 0 where every edge is kept (the all-diamond matching).
+        SuperLU keeps a diagonal pivot down to 0.1 of its column's largest
+        entry (with diagonal pivots only, 2x2 at beta_s = -400 is singular).
+        """
+        delta = 0.5 * LN2 - self.lattice.beta_s
+        ext, slot = self._ext[keep], self._slot[keep]
+        if delta > 0.0:
+            duals = _duals(n, black, white, ext, slot)
+        elif len(ext) == len(self._ext):
+            duals = (np.zeros(n, np.int64),) * 2
+        else:
+            g = _duals(n, black, white, 1 - ext, slot)
+            duals = None if g is None else (1 - g[0], -g[1])
+        if duals is None:
+            return None
+        # the exponent is never positive; where it overflows to -inf, e^-inf
+        # = 0 is the entry rounded
+        with np.errstate(over="ignore"):
+            entries = self._sign[keep] * np.exp(
+                delta * (ext - duals[0][black] - duals[1][white]))
+        scaled = sp.csc_matrix((entries, (black, white)), shape=(n, n))
+        try:
+            lu = spla.splu(scaled, permc_spec="NATURAL", diag_pivot_thresh=0.1)
+        except RuntimeError as exc:
+            raise FieldOverflow(
+                "the sparse LU of B loses its pivots at this field") from exc
+        return duals, entries, scaled, lu
+
+
+def _log_det(lu) -> float:
+    """log |det B_s| of a factored block, 0 for one with no nodes."""
+    return float(np.sum(np.log(np.abs(lu.U.diagonal()))))
 
 
 def _dissection_order(rows: int, cols: int) -> np.ndarray:
@@ -257,10 +300,14 @@ def _dissection_order(rows: int, cols: int) -> np.ndarray:
 
 
 def _duals(n_half: int, black: np.ndarray, white: np.ndarray,
-           ext: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+           ext: np.ndarray, slot: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray] | None:
     """Integer duals (k_black, k_white) with ext_e <= k_b + k_w on every
-    edge (b, w), and equality on a perfect matching with the most external
-    edges, from scipy's sparse assignment solver.
+    edge (b, w), and equality on a perfect matching with the largest
+    sum(ext), from scipy's sparse assignment solver; ext is 0 or 1 per edge.
+    None where the edges hold no perfect matching, which is how a minor of
+    B is found to be exactly 0.  The nodes are numbered 0 ... n_half - 1 on
+    each side, so a block of B on a subset of the edges is taken as it is.
 
     With k_w = ext(w's matched edge) - k_b' for w's partner b', each edge
     (b, w) asks k_b' <= k_b + ext(b', w) - ext(b, w), so k_black is a
@@ -271,13 +318,20 @@ def _duals(n_half: int, black: np.ndarray, white: np.ndarray,
     internal edge, 1 the j end, 2 for an external edge.
     """
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
-    _, mate = min_weight_full_bipartite_matching(
-        sp.csr_matrix((1.0 + ext, (black, white)), shape=(n_half, n_half)),
-        maximize=True)
+    # scipy's canonical CSR arrays, built without the slower COO route
+    order = np.lexsort((white, black))
+    graph = sp.csr_matrix((1.0 + ext[order], white[order], np.concatenate(
+        ([0], np.cumsum(np.bincount(black, minlength=n_half))))),
+        shape=(n_half, n_half))
+    try:
+        _, mate = min_weight_full_bipartite_matching(graph, maximize=True)
+    except ValueError:  # "no full matching exists"
+        return None
     partner = np.argsort(mate)  # the black end of each white's matched edge
     tight, matched_ext = mate[black] == white, np.zeros(n_half, dtype=np.int64)
     matched_ext[white[tight]] = ext[tight]
-    # an empty slot, on the boundary, is a 0-length loop
+    # an empty slot, on the boundary or of an edge a minor leaves out, is a
+    # 0-length loop
     target = np.repeat(np.arange(n_half)[:, None], 3, axis=1)
     length = np.zeros((n_half, 3), dtype=np.int64)
     target[black, slot] = partner[white]
@@ -315,9 +369,8 @@ def partition_dimer(kast: KasteleynMatrix) -> float:
     dominant matching, (nm - x) beta_s - (nm - x/2) ln 2 after the first;
     FieldOverflow where that is not a finite double."""
     lat, x = kast.lattice, int(kast.duals[0].sum() + kast.duals[1].sum())
-    log_det = float(np.sum(np.log(np.abs(kast._lu.U.diagonal()))))
     nm = lat.rows * lat.cols
-    log_z = (log_det - (nm - 0.5 * x) * LN2) + (nm - x) * lat.beta_s
+    log_z = (_log_det(kast._lu) - (nm - 0.5 * x) * LN2) + (nm - x) * lat.beta_s
     if not math.isfinite(log_z):
         raise FieldOverflow(f"log Z = {log_z} is not a finite double")
     return log_z
@@ -402,54 +455,6 @@ def check_constraints(lat: DecoratedLattice, constraints) -> None:
         if c.edge in seen:
             raise BadInput(f"edge {c.edge} constrained twice")
         seen.add(c.edge)
-
-
-def _neighbours(lat: DecoratedLattice, node: int) -> list[int]:
-    """The nodes joined to ``node``: its two diamond neighbours, and the
-    facing node of the next city (L the west city's R, R the east city's L,
-    T the north city's B, B the south city's T) where there is one."""
-    k, (row, col) = node % 4, divmod(node // 4, lat.cols)
-    out = [node - k + (k + 1) % 4, node - k + (k + 3) % 4]
-    if k == 0 and col > 0:
-        out.append(node - 2)
-    elif k == 2 and col < lat.cols - 1:
-        out.append(node + 2)
-    elif k == 1 and row > 0:
-        out.append(node - 4 * lat.cols + 2)
-    elif k == 3 and row < lat.rows - 1:
-        out.append(node + 4 * lat.cols - 2)
-    return out
-
-
-def _unmatchable(lat: DecoratedLattice, edges, pattern) -> bool:
-    """True when forced moves leave a node no edge to match along: two
-    occupied edges share a node, or, once every open node left with one
-    usable edge has taken it, some node has none.  Each move is forced, so
-    a pattern that a perfect matching holds is never unmatchable."""
-    covered: set[int] = set()
-    cut: set[tuple[int, int]] = set()
-    todo: list[int] = []
-    for e, occupied in zip(edges, pattern):
-        ends = int(lat.i[e]), int(lat.j[e])
-        if not occupied:
-            cut.update((ends, ends[::-1]))
-            todo += ends
-        elif covered.intersection(ends):
-            return True
-        else:
-            covered.update(ends)
-            todo += _neighbours(lat, ends[0]) + _neighbours(lat, ends[1])
-    while todo:
-        node = todo.pop()
-        if node not in covered:
-            usable = [other for other in _neighbours(lat, node)
-                      if other not in covered and (node, other) not in cut]
-            if not usable:
-                return True
-            if len(usable) == 1:
-                covered.update((node, usable[0]))
-                todo += _neighbours(lat, node) + _neighbours(lat, usable[0])
-    return False
 
 
 def constrained_ratio(kast: KasteleynMatrix, constraints) -> float:

@@ -12,7 +12,9 @@ ground state built vertex by vertex from ``STATE_BITS``, full reversal, the
 vertex states and the reduced Hamiltonian, and the decoder of an
 enumeration mask) and the series helpers (term by term derivative,
 PiRational as a float) serve the tests only.  ``pinned_matchings`` weighs a
-line set by the matching sum with every external edge pinned.
+line set by the matching sum with every external edge pinned, and
+``mp_constrained_ratios`` forms a constrained ratio from dense mpmath
+determinants, the oracle for ratios far below the rounding of a double.
 
 The enumeration reference backtracks one configuration at a time in
 Python, where the package grows the whole frontier of partial
@@ -274,6 +276,55 @@ def pinned_matchings(lat, lines):
     return dimer.enumerate_matchings(
         lat, tuple(e for b, e in enumerate(external) if lines >> b & 1),
         tuple(e for b, e in enumerate(external) if not lines >> b & 1))
+
+
+def mp_constrained_ratios(lat, signs, edges, patterns) -> list[float]:
+    """Z^cons / Z_0 for each occupation pattern of the edges (True where
+    occupied), from dense mpmath determinants at 400 digits with no sparse
+    factor, scaling or inverse.  The black-white block of K with the
+    orientation ``signs`` (L and R black where row + col is even, T and B
+    elsewhere) loses the rows and columns of the occupied edges' ends and
+    the empty edges' entries; its determinant times the occupied edges'
+    weights, over the whole block's, is the ratio, and 0 where two
+    occupied edges share a node."""
+    n_nodes, ends = lat.n_nodes, list(zip(lat.i.tolist(), lat.j.tolist()))
+    black = [v % 2 == (v // 4 // lat.cols + v // 4 % lat.cols) % 2
+             for v in range(n_nodes)]
+    with mpmath.workdps(400):
+        weight = [mpmath.exp(w) for w in lat.log_weight.tolist()]
+
+        def det_b(gone, skip):
+            """Gaussian elimination with partial pivoting, exactly 0 where
+            a column has no nonzero pivot"""
+            rows = [v for v in range(n_nodes) if black[v] and v not in gone]
+            cols = [v for v in range(n_nodes) if not black[v] and v not in gone]
+            b = [[mpmath.mpf(0)] * len(cols) for _ in rows]
+            for e, (i, j) in enumerate(ends):
+                if e not in skip and i not in gone and j not in gone:
+                    s = int(signs[e]) if black[i] else -int(signs[e])
+                    r, c = (i, j) if black[i] else (j, i)
+                    b[rows.index(r)][cols.index(c)] = s * weight[e]
+            det = mpmath.mpf(1)
+            for c in range(len(b)):
+                p = max(range(c, len(b)), key=lambda r: abs(b[r][c]))
+                if not b[p][c]:
+                    return mpmath.mpf(0)
+                if p != c:
+                    b[c], b[p], det = b[p], b[c], -det
+                det *= b[c][c]
+                for r in range(c + 1, len(b)):
+                    f = b[r][c] / b[c][c]
+                    b[r][c:] = [x - f * y for x, y in zip(b[r][c:], b[c][c:])]
+            return det
+
+        z0, out = det_b(set(), set()), []
+        for pattern in patterns:
+            held = [e for e, o in zip(edges, pattern) if o]
+            gone = {v for e in held for v in ends[e]}
+            out.append(0.0 if len(gone) < 2 * len(held) else float(abs(
+                mpmath.fprod(weight[e] for e in held)
+                * det_b(gone, set(edges)) / z0)))
+        return out
 
 
 def column_tensors(params):

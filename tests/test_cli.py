@@ -428,12 +428,16 @@ class TestConstrained:
         assert code == 0
         assert json_lines(out)[-1]["value"] == 1.0
 
-    @pytest.mark.parametrize("edges", [
-        ["--edge", "0:1", "--edge", "1:1"],       # share node T of city 0
-        ["--edge", "0:1", "--edge", "3:1", "--edge", "40:0"]])
-    def test_unsatisfiable_edges_are_usage_error(self, capsys, edges):
-        code, out, err = run(capsys, "constrained", "--rows", "3", "--cols",
-                             "3", *edges)
+    @pytest.mark.parametrize("shape,edges", [
+        (["3", "3"], ["--edge", "0:1", "--edge", "1:1"]),  # share node T
+        (["3", "3"], ["--edge", "0:1", "--edge", "3:1", "--edge", "40:0"]),
+        # only a global count rules this set out, not forced moves
+        *[(["4", "6", "--beta-s", beta_s],
+           ["--edge", "2:0", "--edge", "56:0", "--edge", "29:1",
+            "--edge", "113:1", "--edge", "47:1"]) for beta_s in ("0", "-1")]])
+    def test_unsatisfiable_edges_are_usage_error(self, capsys, shape, edges):
+        code, out, err = run(capsys, "constrained", "--rows", shape[0],
+                             "--cols", *shape[1:], *edges)
         assert code == 2
         assert out == ""
         assert "no matching satisfies the --edge constraints" in err
@@ -449,30 +453,25 @@ class TestConstrained:
         assert out == ""
         assert "no matching satisfies the --edge constraints" in err
 
-    def test_negative_state_ratio_is_usage_error(self, capsys):
-        # a dense mpmath determinant at 400 digits gives state 4 +1.08e-34;
-        # the fast determinant rounds it below 0
-        code, out, err = run(capsys, "constrained", "--rows", "4", "--cols",
-                             "6", "--beta-s", "-10", "--site", "2", "4")
+    def test_tiny_state_ratio_is_printed(self, capsys):
+        # a dense mpmath determinant at 400 digits gives state 4
+        # 1.0829108327072486e-34, which the fast determinant rounded below 0
+        code, out, _ = run(capsys, "constrained", "--rows", "4", "--cols",
+                           "6", "--beta-s", "-10", "--site", "2", "4")
+        assert code == 0
+        ratios = [rec["ratio"] for rec in json_lines(out) if "ratio" in rec]
+        assert len(ratios) == 6 and min(ratios) > 0.0
+        assert ratios[3] == pytest.approx(1.0829108327072486e-34, rel=1e-12,
+                                          abs=0.0)
+
+    def test_underflowing_ratio_is_usage_error(self, capsys):
+        # 2x2 at beta_s = -400: matchings hold internal edge 8, but their
+        # share of Z is below e^-745
+        code, out, err = run(capsys, "constrained", "--rows", "2", "--cols",
+                             "2", "--beta-s", "-400", "--edge", "8:1")
         assert code == 2
         assert out == ""
-        assert "state 4 of site (2, 4) has a ratio below the rounding" in err
-
-    @pytest.mark.parametrize("ratios,code", [
-        ((0.25, 0.25, 0.0, -5e-324, 0.5, 0.0), 2),
-        ((0.25, 0.25, 0.0, 0.0, 0.5, 0.0), 0)])
-    def test_site_ratio_sign_rule(self, capsys, monkeypatch, ratios, code):
-        # any ratio below 0 is refused; an exact 0 is a probability
-        monkeypatch.setattr(dimer, "vertex_constrained_ratio",
-                            lambda kast, site, state: ratios[state - 1])
-        got, out, err = run(capsys, "constrained", "--rows", "3", "--cols",
-                            "3", "--site", "1", "1")
-        assert got == code
-        if code:
-            assert out == "" and "state 4 of site (1, 1)" in err
-        else:
-            assert [r["ratio"] for r in json_lines(out) if "ratio" in r] == (
-                list(ratios))
+        assert "or their ratio is below the smallest double" in err
 
     def test_too_many_edges_is_usage_error(self, capsys):
         edges = [f"--edge={i}:1" for i in range(6)]

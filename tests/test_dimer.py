@@ -12,8 +12,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from references import (config_from_mask, decorated_edges, free_edges,
-                        ground_state_config, odd_clockwise, pinned_matchings,
-                        planar_faces)
+                        ground_state_config, mp_constrained_ratios,
+                        odd_clockwise, pinned_matchings, planar_faces)
 from vertex_expand import dimer
 from vertex_expand.dimer import (
     MATCHING_NODE_BOUND,
@@ -304,15 +304,6 @@ class TestConstrained:
         with pytest.raises(BadInput, match="at most 5 simultaneous"):
             constrained_ratio(kast22, cons)
 
-    def test_neighbours_in_closed_form(self):
-        for rows, cols in [(1, 1), (1, 3), (3, 1), (3, 4)]:
-            lat = build_decorated(params_for(rows, cols))
-            ends = list(zip(lat.i.tolist(), lat.j.tolist()))
-            for node in range(lat.n_nodes):
-                assert sorted(dimer._neighbours(lat, node)) == sorted(
-                    [j for i, j in ends if i == node]
-                    + [i for i, j in ends if j == node])
-
     @pytest.mark.parametrize("rows,cols", [(1, 2), (2, 1), (2, 2)])
     @pytest.mark.parametrize("beta_s", [-3.0, 0.0, 3.0])
     def test_every_one_or_two_edge_set(self, rows, cols, beta_s):
@@ -350,16 +341,17 @@ class TestConstrained:
         assert constrained_ratio(kast, [EdgeConstraint(0, True),
                                         EdgeConstraint(2, False)]) == 0.0
 
-    @pytest.mark.parametrize("beta_s", [2.0, 3.0])
-    def test_small_ratio_from_cancelling_terms_is_kept(self, beta_s):
+    @pytest.mark.parametrize("beta_s,rel", [(2.0, 1e-4), (3.0, 1e-12)])
+    def test_small_ratio_from_cancelling_terms_is_kept(self, beta_s, rel):
         # the centre city of 3x3 with all four internal edges empty: 16
-        # terms of order 1 sum to about 3e-8 (beta_s = 2) or 1e-11 (3)
+        # terms of order 1 sum to about 3e-8 (beta_s = 2), above
+        # RATIO_FLOOR, or 1e-11 (3), below it, where the minor answers
         lat = build_decorated(params_for(3, 3, beta_s))
         cons = [EdgeConstraint(e, False) for e in range(16, 20)]
         direct = (enumerate_matchings(lat, (), tuple(range(16, 20)))
                   / enumerate_matchings(lat))
         assert constrained_ratio(kasteleyn_orientation(lat), cons) == (
-            pytest.approx(direct, rel=1e-4))
+            pytest.approx(direct, rel=rel, abs=0.0))
 
     def test_node_sharing_edges_exactly_zero(self, kast22):
         # internal edges 0 (L-T) and 1 (T-R) of city 0 share node T
@@ -393,36 +385,93 @@ class TestConstrained:
 
 
     @pytest.mark.parametrize("beta_s", [-400.0, -50.0, -10.0, -1.0, 0.0, 0.3,
-                                        3.0, 400.0])
-    def test_forced_moves_run_only_below_the_floor(self, monkeypatch, beta_s):
+                                        0.35, 1.0, 3.0, 50.0, 400.0])
+    def test_minor_decides_below_the_floor(self, beta_s):
         # every pattern of random 1-5 edge sets on 1x1 ... 3x3: a set no
-        # matching satisfies reads below RATIO_FLOOR, so running forced
-        # moves only there changes no bit of the ratios
+        # matching satisfies reads exactly 0, a ratio below RATIO_FLOOR is
+        # the mpmath determinants' to 1e-12, and one at or above it is the
+        # fast determinant's, bit for bit
         rng = np.random.default_rng(26)
         for rows, cols in itertools.product((1, 2, 3), repeat=2):
             lat = build_decorated(params_for(rows, cols, beta_s))
-            gated, fast = kasteleyn_orientation(lat), kasteleyn_orientation(lat)
+            kast, fast = kasteleyn_orientation(lat), kasteleyn_orientation(lat)
+            fast._minor = lambda edges, pattern: math.nan
             for _ in range(60):
                 k = int(rng.integers(1, min(5, len(lat.i)) + 1))
                 edges = tuple(sorted(rng.choice(len(lat.i), k, replace=False)
                                      .tolist()))
                 patterns = tuple(itertools.product((True, False), repeat=k))
-                with monkeypatch.context() as m:
-                    m.setattr(dimer, "_unmatchable", lambda *args: False)
-                    raw = fast.ratios(edges, patterns)
-                ungated = tuple(0.0 if dimer._unmatchable(lat, edges, p) else r
-                                for r, p in zip(raw, patterns))
-                assert list(map(float.hex, gated.ratios(edges, patterns))) == (
-                    list(map(float.hex, ungated))), (rows, cols, edges)
-                for pattern, r in zip(patterns, raw):
+                got = kast.ratios(edges, patterns)
+                low = []
+                for pattern, r, f in zip(patterns, got,
+                                         fast.ratios(edges, patterns)):
                     present = tuple(e for e, o in zip(edges, pattern) if o)
                     absent = tuple(e for e, o in zip(edges, pattern) if not o)
                     try:
                         empty = enumerate_matchings(lat, present, absent) == 0.0
                     except FieldOverflow:  # a nonzero sum past a double
                         empty = False
+                    where = (rows, cols, edges, pattern)
                     if empty:
-                        assert r < RATIO_FLOOR, (rows, cols, edges, pattern)
+                        assert r == 0.0, where
+                    elif r < RATIO_FLOOR:
+                        low.append((pattern, r))
+                    if not math.isnan(f):
+                        assert r.hex() == f.hex(), where
+                want = mp_constrained_ratios(lat, kast.signs, edges,
+                                             [p for p, _ in low])
+                for (pattern, r), w in zip(low, want):
+                    # both round to 0.0 where the ratio is below e^-745
+                    assert abs(r - w) <= 1e-12 * w, (rows, cols, edges,
+                                                     pattern)
+
+
+class TestTinyRatios:
+    """Ratios far below the rounding of B^-1's entries, from the minor of
+    B, against dense mpmath determinants at 400 digits."""
+
+    @pytest.mark.parametrize("rows,cols,beta_s,site", [
+        (4, 6, -50.0, (2, 1)),    # the fast path was 8 % off in states 1, 2
+        (4, 6, -10.0, (2, 4)),    # and read state 4 below 0
+        (5, 5, 0.3, (2, 2))])
+    def test_site_states(self, rows, cols, beta_s, site):
+        lat = build_decorated(params_for(rows, cols, beta_s))
+        kast = kasteleyn_orientation(lat)
+        edges = dimer.incident_external_edges(lat, site)
+        patterns = dimer._STATE_LINES[sum(site) % 2]
+        want = mp_constrained_ratios(lat, kast.signs, edges, patterns)
+        assert kast.ratios(edges, patterns) == pytest.approx(
+            want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("rows,cols,beta_s,cons,ratio", [
+        (2, 2, -50.0, ((1, False), (11, False)), 1.3838965267367324e-87),
+        (3, 3, -50.0, ((0, True), (2, True), (40, False)),
+         1.3838965267367324e-87),
+        # no matching: only a global count rules it out, not forced moves
+        *[(4, 6, beta_s, ((2, False), (29, True), (47, True), (56, False),
+                          (113, True)), 0.0) for beta_s in (0.0, -1.0)]])
+    def test_edge_sets(self, rows, cols, beta_s, cons, ratio):
+        lat = build_decorated(params_for(rows, cols, beta_s))
+        kast = kasteleyn_orientation(lat)
+        edges, pattern = zip(*cons)
+        (want,) = mp_constrained_ratios(lat, kast.signs, edges, [pattern])
+        assert want == pytest.approx(ratio, rel=1e-15, abs=0.0)
+        got = constrained_ratio(kast, [EdgeConstraint(*c) for c in cons])
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_no_site_probability_is_negative(self):
+        # every state of every interior site at 16 fields: the minor
+        # answers every ratio the fast determinant rounds below the floor
+        for rows, cols in [(n, n) for n in range(3, 10)] + [(4, 6)]:
+            for beta_s in (-400.0, -50.0, -20.0, -10.0, -3.0, -1.0, -0.3, 0.0,
+                           0.3, 0.35, 1.0, 3.0, 10.0, 20.0, 50.0, 400.0):
+                kast = kasteleyn_orientation(
+                    build_decorated(params_for(rows, cols, beta_s)))
+                for site in itertools.product(range(1, rows - 1),
+                                              range(1, cols - 1)):
+                    probs = [vertex_constrained_ratio(kast, site, s)
+                             for s in range(1, 7)]
+                    assert min(probs) >= 0.0, (rows, cols, beta_s, site)
 
 
 @pytest.fixture(scope="module")
@@ -453,17 +502,32 @@ class TestScaledDeterminant:
     @example(rows=1, cols=16)
     def test_scaled_entries_hold_a_unit_matching(self, rows, cols):
         # Delta = ln(C/u) > 0 at both fields, so the duals are the
-        # matching's, and they do not depend on the field
+        # matching's, and they do not depend on the field; B' with edge 0
+        # occupied (its city's L-T) and edge 1 empty is scaled by its own
+        # duals, at Delta < 0 (beta_s = 400) too
         kasts = [kasteleyn_orientation(build_decorated(
             params_for(rows, cols, beta_s))) for beta_s in (-0.1, -400.0)]
-        for kast in kasts:
-            b = kast.scaled.tocoo()
+        scaled = [kast.scaled for kast in kasts]
+        factor = KasteleynMatrix._factor
+
+        def keep_scaled(*args):
+            out = factor(*args)
+            scaled.append(out[2])
+            return out
+
+        for kast in kasts + [kasteleyn_orientation(build_decorated(
+                params_for(rows, cols, 400.0)))]:
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(KasteleynMatrix, "_factor", keep_scaled)
+                assert kast._minor((0, 1), (True, False)) > 0.0
+        for b in (m.tocoo() for m in scaled):
             assert np.abs(b.data).max() <= 1.0
             unit = np.abs(b.data) == 1.0
             pattern = csr_matrix((np.ones(unit.sum()),
                                   (b.row[unit], b.col[unit])), shape=b.shape)
             mate = maximum_bipartite_matching(pattern, perm_type="column")
             assert (mate >= 0).all()
+        assert len(scaled) == 5
         for k_low, k_high in zip(kasts[0].duals, kasts[1].duals):
             assert np.array_equal(k_low, k_high)
 
