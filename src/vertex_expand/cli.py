@@ -202,17 +202,17 @@ def cmd_constrained(args) -> int:
     if args.edge:
         log_z = dimer.partition_dimer(kast)
         ratio = dimer.constrained_ratio(kast, cons)
-        # a satisfiable set's ratio rounds to 0.0 only past e^-745
-        if ratio == 0.0:
+        # a satisfiable set's ratio rounds to 0.0 past e^-745, its log does not
+        log_ratio = dimer.constrained_log_ratio(kast, cons)
+        if log_ratio == -math.inf:
             return _usage_error(
-                "no matching satisfies the --edge constraints, or their "
-                "ratio is below the smallest double")
+                "no matching satisfies the --edge constraints")
         records.append({
             "quantity": "constrained_ratio", "rows": args.rows,
             "cols": args.cols, "beta_s": args.beta_s,
             "constraints": [f"{e}:{int(o)}" for e, o in args.edge],
             "provenance": "pfaffian", "ratio": ratio,
-            "log_z": log_z + math.log(ratio)})
+            "log_z": log_z + log_ratio})
     if args.site is not None:
         r, c = args.site
         total = 0.0

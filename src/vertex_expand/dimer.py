@@ -151,9 +151,11 @@ class KasteleynMatrix:
     and Z = |det B|.  B's entry on edge e is ``signs[e]`` times its weight,
     negated where i[e] is the white end.  B's rows and columns are numbered
     city by city in the nested-dissection order of ``_dissection_order``,
-    each city's two rows and two columns together.  B_s is factored once,
-    when the object is built; the last ``ratios`` call is kept for the next
-    with the same arguments, so the six states of one site share one solve.
+    each city's two rows and two columns together; the edges are sorted
+    once, by column and then row, a layout every block of B keeps.  B_s is
+    factored once, when the object is built; the last ``ratios`` call is
+    kept for the next with the same arguments, so the six states of one
+    site share one solve.
     """
 
     def __init__(self, lattice: DecoratedLattice, signs: np.ndarray):
@@ -170,9 +172,11 @@ class KasteleynMatrix:
         self._white = np.where(i_black, *ends[::-1])
         self._sign = np.where(i_black, signs, -signs)
         self._ext = (np.arange(len(lat.i)) >= 2 * n_half).astype(np.int64)
-        self._slot = np.where(self._ext, 2, ~i_black)
-        self.duals, self._entries, self.scaled, self._lu = self._factor(
-            n_half, self._black, self._white, slice(None))
+        self._order = np.lexsort((self._black, self._white))
+        self.duals, entries, self.scaled, self._lu = self._factor(
+            n_half, self._order, *[np.arange(n_half)] * 2)
+        self._entries = np.empty_like(entries)
+        self._entries[self._order] = entries
         self._last: tuple[tuple, tuple[float, ...]] | None = None
 
     def ratios(self, edges: tuple[int, ...],
@@ -203,35 +207,42 @@ class KasteleynMatrix:
         return self._last[1]
 
     def _minor(self, edges: tuple[int, ...], pattern: tuple[bool, ...]) -> float:
-        """Z^cons / Z_0 = prod_S w_e |det B'| / Z_0, B' being B without the
-        rows and columns of the occupied edges' ends (Jacobi's complementary
-        minor of Kenyon's formula) and without the empty edges, scaled and
-        factored as B is, so nothing cancels; exactly 0 where two occupied
-        edges share a node or B' has no perfect matching."""
+        """Z^cons / Z_0 = e^``_log_minor``, exactly 0 for no matching."""
+        return math.exp(self._log_minor(edges, pattern))
+
+    def _log_minor(self, edges: tuple[int, ...],
+                   pattern: tuple[bool, ...]) -> float:
+        """ln(Z^cons / Z_0) = ln(prod_S w_e |det B'| / Z_0), B' being B
+        without the rows and columns of the occupied edges' ends (Jacobi's
+        complementary minor of Kenyon's formula) and without the empty
+        edges, scaled and factored as B is, so nothing cancels; -inf where
+        two occupied edges share a node or B' has no perfect matching."""
         n = self.scaled.shape[0]
         held = [e for e, o in zip(edges, pattern) if o]
         rows, cols = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
         rows[self._black[held]] = cols[self._white[held]] = False
         if not rows.sum() == cols.sum() == n - len(held):
-            return 0.0
+            return -math.inf
         keep = rows[self._black] & cols[self._white]
         keep[list(edges)] = False
-        row, col = np.cumsum(rows) - 1, np.cumsum(cols) - 1  # B' numbering
-        minor = self._factor(n - len(held), row[self._black[keep]],
-                             col[self._white[keep]], keep)
+        # B' keeps B's order of rows and columns, so B's layout masked is B''s
+        minor = self._factor(n - len(held), self._order[keep[self._order]],
+                             np.cumsum(rows) - 1, np.cumsum(cols) - 1)
         if minor is None:
-            return 0.0
+            return -math.inf
         (k_black, k_white), _, _, lu = minor
         # partition_dimer's log Z' - log Z, differenced before |log Z| rounds
         more_ext = int(k_black.sum() + k_white.sum() + self._ext[held].sum()
                        - self.duals[0].sum() - self.duals[1].sum())
-        return math.exp(_log_det(lu) - _log_det(self._lu)
-                        + more_ext * (0.5 * LN2 - self.lattice.beta_s))
+        return (_log_det(lu) - _log_det(self._lu)
+                + more_ext * (0.5 * LN2 - self.lattice.beta_s))
 
-    def _factor(self, n: int, black: np.ndarray, white: np.ndarray, keep):
+    def _factor(self, n: int, edges: np.ndarray, row: np.ndarray,
+                col: np.ndarray):
         """(duals k, entries, B_s, LU of B_s) for the n x n block of B on
-        the edges ``keep`` selects, at rows ``black`` and columns ``white``;
-        None where it has no perfect matching.
+        ``edges``, in B's layout, at rows ``row[b]`` and columns ``col[w]``
+        for B's row b and column w, the layout's rows and column offsets
+        being B_s's CSC arrays; None where it has no perfect matching.
 
         B's entries are u e^(ext Delta), Delta = ln(C/u) = ln(2)/2 - beta_s,
         and B_s's sign e^(Delta (ext - k_b - k_w)), with integer duals that
@@ -244,22 +255,23 @@ class KasteleynMatrix:
         entry (with diagonal pivots only, 2x2 at beta_s = -400 is singular).
         """
         delta = 0.5 * LN2 - self.lattice.beta_s
-        ext, slot = self._ext[keep], self._slot[keep]
+        black, white = row[self._black[edges]], col[self._white[edges]]
+        ext, start = self._ext[edges], np.searchsorted(white, np.arange(n + 1))
         if delta > 0.0:
-            duals = _duals(n, black, white, ext, slot)
+            duals = _duals(black, start, ext)
         elif len(ext) == len(self._ext):
             duals = (np.zeros(n, np.int64),) * 2
         else:
-            g = _duals(n, black, white, 1 - ext, slot)
+            g = _duals(black, start, 1 - ext)
             duals = None if g is None else (1 - g[0], -g[1])
         if duals is None:
             return None
         # the exponent is never positive; where it overflows to -inf, e^-inf
         # = 0 is the entry rounded
         with np.errstate(over="ignore"):
-            entries = self._sign[keep] * np.exp(
+            entries = self._sign[edges] * np.exp(
                 delta * (ext - duals[0][black] - duals[1][white]))
-        scaled = sp.csc_matrix((entries, (black, white)), shape=(n, n))
+        scaled = sp.csc_matrix((entries, black, start), shape=(n, n))
         try:
             lu = spla.splu(scaled, permc_spec="NATURAL", diag_pivot_thresh=0.1)
         except RuntimeError as exc:
@@ -299,53 +311,58 @@ def _dissection_order(rows: int, cols: int) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _duals(n_half: int, black: np.ndarray, white: np.ndarray,
-           ext: np.ndarray, slot: np.ndarray
+def _duals(black: np.ndarray, start: np.ndarray, ext: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray] | None:
     """Integer duals (k_black, k_white) with ext_e <= k_b + k_w on every
     edge (b, w), and equality on a perfect matching with the largest
     sum(ext), from scipy's sparse assignment solver; ext is 0 or 1 per edge.
-    None where the edges hold no perfect matching, which is how a minor of
-    B is found to be exactly 0.  The nodes are numbered 0 ... n_half - 1 on
-    each side, so a block of B on a subset of the edges is taken as it is.
+    The edges come by column: those of white node w are at rows
+    black[start[w]:start[w + 1]].  None where they hold no perfect
+    matching, which is how a minor of B is found to be exactly 0.
 
     With k_w = ext(w's matched edge) - k_b' for w's partner b', each edge
     (b, w) asks k_b' <= k_b + ext(b', w) - ext(b, w), so k_black is a
     shortest-path distance over the arcs b -> b', from 0 at every node
-    (the matched edge is a 0-length loop).  Each Bellman-Ford sweep relaxes
-    only the arcs leaving the nodes whose distance fell in the last one.
-    ``slot`` numbers each black node's edges: 0 where it is the i end of an
-    internal edge, 1 the j end, 2 for an external edge.
+    (the matched edge is a 0-length loop).  Each Bellman-Ford sweep pulls
+    onto the partner b' of each column w it visits the least
+    k_b - ext(b, w) + ext(b', w) over w's edges: every column at first,
+    then only the columns next to a node that moved.
     """
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
-    # scipy's canonical CSR arrays, built without the slower COO route
-    order = np.lexsort((white, black))
-    graph = sp.csr_matrix((1.0 + ext[order], white[order], np.concatenate(
-        ([0], np.cumsum(np.bincount(black, minlength=n_half))))),
-        shape=(n_half, n_half))
-    try:
-        _, mate = min_weight_full_bipartite_matching(graph, maximize=True)
+    n = len(start) - 1
+    try:  # the white nodes are the graph's rows
+        _, partner = min_weight_full_bipartite_matching(
+            sp.csr_matrix((1.0 + ext, black, start), shape=(n, n)),
+            maximize=True)
     except ValueError:  # "no full matching exists"
         return None
-    partner = np.argsort(mate)  # the black end of each white's matched edge
-    tight, matched_ext = mate[black] == white, np.zeros(n_half, dtype=np.int64)
-    matched_ext[white[tight]] = ext[tight]
-    # an empty slot, on the boundary or of an edge a minor leaves out, is a
-    # 0-length loop
-    target = np.repeat(np.arange(n_half)[:, None], 3, axis=1)
-    length = np.zeros((n_half, 3), dtype=np.int64)
-    target[black, slot] = partner[white]
-    length[black, slot] = matched_ext[white] - ext
-    dist, active = np.zeros(n_half, dtype=np.int64), np.arange(n_half)
-    for _ in range(n_half + 1):
-        if not active.size:
-            return dist, matched_ext - dist[partner]
-        to = target[active].ravel()
-        cand = (dist[active, None] + length[active]).ravel()
-        better = cand < dist[to]
-        np.minimum.at(dist, to[better], cand[better])
-        active = np.unique(to[better])
+    white = np.repeat(np.arange(n), np.diff(start))
+    # a perfect matching holds one edge of each column: matched[w] is its ext
+    matched = ext[black == partner[white]]
+    # each column's rows and arc lengths, and each black node's columns
+    # (its row's edges, by a stable argsort of the rows), as padded tables
+    cell, by_row = _padded(start), np.argsort(black, kind="stable")
+    rows, length = black[cell], (matched[white] - ext)[cell]
+    near = white[by_row[_padded(np.searchsorted(black[by_row],
+                                                np.arange(n + 1)))]]
+    dist, cols = np.zeros(n, dtype=np.int64), np.arange(n)
+    for _ in range(n + 1):
+        at = partner[cols]
+        bound = (dist[rows[cols]] + length[cols]).min(axis=1)
+        moved = bound < dist[at]  # never above: the matched edge is 0 long
+        if not moved.any():
+            return dist, matched - dist[partner]
+        at = at[moved]
+        dist[at] = bound[moved]
+        cols = np.unique(near[at])
     raise VertexExpandError("the matching duals do not settle")
+
+
+def _padded(start: np.ndarray) -> np.ndarray:
+    """Row i holds the positions start[i] ... start[i + 1] - 1 of segment
+    i, none empty, its last repeated up to the longest's length (>= 1)."""
+    return np.minimum(start[:-1, None] + np.arange(np.diff(start).max(
+        initial=1)), start[1:, None] - 1)
 
 
 def kasteleyn_orientation(lat: DecoratedLattice) -> KasteleynMatrix:
@@ -465,6 +482,18 @@ def constrained_ratio(kast: KasteleynMatrix, constraints) -> float:
     pairs = sorted((c.edge, c.occupied) for c in constraints)
     return kast.ratios(tuple(e for e, _ in pairs),
                        (tuple(o for _, o in pairs),))[0]
+
+
+def constrained_log_ratio(kast: KasteleynMatrix, constraints) -> float:
+    """ln(Z^cons / Z_0): the log of ``constrained_ratio`` where that is
+    positive; where it is 0.0, the exponent of the pattern's minor
+    (``KasteleynMatrix._log_minor``), finite for a set whose ratio is below
+    the smallest double and -inf for one that no matching satisfies."""
+    ratio = constrained_ratio(kast, constraints)
+    if ratio > 0.0:
+        return math.log(ratio)
+    return kast._log_minor(*zip(*sorted((c.edge, c.occupied)
+                                        for c in constraints)))
 
 
 # --- vertex-state constraints ------------------------------------------------

@@ -278,7 +278,8 @@ def pinned_matchings(lat, lines):
         tuple(e for b, e in enumerate(external) if not lines >> b & 1))
 
 
-def mp_constrained_ratios(lat, signs, edges, patterns) -> list[float]:
+def mp_constrained_ratios(lat, signs, edges, patterns,
+                          log=False) -> list[float]:
     """Z^cons / Z_0 for each occupation pattern of the edges (True where
     occupied), from dense mpmath determinants at 400 digits with no sparse
     factor, scaling or inverse.  The black-white block of K with the
@@ -286,7 +287,8 @@ def mp_constrained_ratios(lat, signs, edges, patterns) -> list[float]:
     elsewhere) loses the rows and columns of the occupied edges' ends and
     the empty edges' entries; its determinant times the occupied edges'
     weights, over the whole block's, is the ratio, and 0 where two
-    occupied edges share a node."""
+    occupied edges share a node.  With ``log``, ln of each ratio, -inf for
+    0, so that a ratio below the smallest double keeps its value."""
     n_nodes, ends = lat.n_nodes, list(zip(lat.i.tolist(), lat.j.tolist()))
     black = [v % 2 == (v // 4 // lat.cols + v // 4 % lat.cols) % 2
              for v in range(n_nodes)]
@@ -318,10 +320,11 @@ def mp_constrained_ratios(lat, signs, edges, patterns) -> list[float]:
             return det
 
         z0, out = det_b(set(), set()), []
+        to = (lambda x: float(mpmath.log(x))) if log else float
         for pattern in patterns:
             held = [e for e, o in zip(edges, pattern) if o]
             gone = {v for e in held for v in ends[e]}
-            out.append(0.0 if len(gone) < 2 * len(held) else float(abs(
+            out.append(to(0) if len(gone) < 2 * len(held) else to(abs(
                 mpmath.fprod(weight[e] for e in held)
                 * det_b(gone, set(edges)) / z0)))
         return out

@@ -464,14 +464,17 @@ class TestConstrained:
         assert ratios[3] == pytest.approx(1.0829108327072486e-34, rel=1e-12,
                                           abs=0.0)
 
-    def test_underflowing_ratio_is_usage_error(self, capsys):
+    def test_underflowing_ratio_prints_its_log(self, capsys):
         # 2x2 at beta_s = -400: matchings hold internal edge 8, but their
-        # share of Z is below e^-745
-        code, out, err = run(capsys, "constrained", "--rows", "2", "--cols",
-                             "2", "--beta-s", "-400", "--edge", "8:1")
-        assert code == 2
-        assert out == ""
-        assert "or their ratio is below the smallest double" in err
+        # share of Z is below e^-745; an mpmath sum over them gives
+        # ln r = -1599.30685281944006, so log Z^cons = -1600 - ln 2
+        code, out, _ = run(capsys, "constrained", "--rows", "2", "--cols",
+                           "2", "--beta-s", "-400", "--edge", "8:1")
+        assert code == 0
+        (rec,) = json_lines(out)
+        assert rec["ratio"] == 0.0
+        assert rec["log_z"] == pytest.approx(-1600.69314718055995, rel=1e-12,
+                                             abs=0.0)
 
     def test_too_many_edges_is_usage_error(self, capsys):
         edges = [f"--edge={i}:1" for i in range(6)]

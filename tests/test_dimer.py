@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
@@ -304,10 +305,11 @@ class TestConstrained:
         with pytest.raises(BadInput, match="at most 5 simultaneous"):
             constrained_ratio(kast22, cons)
 
-    @pytest.mark.parametrize("rows,cols", [(1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 2), (2, 1), (2, 2)])
     @pytest.mark.parametrize("beta_s", [-3.0, 0.0, 3.0])
     def test_every_one_or_two_edge_set(self, rows, cols, beta_s):
-        # a set no matching satisfies is exactly 0, never a rounding residue
+        # a set no matching satisfies is exactly 0, never a rounding residue;
+        # on 1x1, edges 0 and 2 occupied leave a B' with no nodes
         lat = build_decorated(params_for(rows, cols, beta_s))
         kast = kasteleyn_orientation(lat)
         z0 = enumerate_matchings(lat)
@@ -459,6 +461,39 @@ class TestTinyRatios:
         got = constrained_ratio(kast, [EdgeConstraint(*c) for c in cons])
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("beta_s", [-400.0, 400.0])
+    def test_log_ratio_below_the_smallest_double(self, beta_s):
+        # random 1-3 edge sets on 2x2 and 3x3 whose ratio rounds to 0.0: the
+        # log is -inf exactly where no matching satisfies the set, and the
+        # mpmath determinants' log to 1e-12 elsewhere
+        rng = np.random.default_rng(29)
+        finite = 0
+        for size in (2, 3):
+            lat = build_decorated(params_for(size, size, beta_s))
+            kast = kasteleyn_orientation(lat)
+            for _ in range(40):
+                edges = sorted(rng.choice(len(lat.i), rng.integers(1, 4),
+                                          replace=False).tolist())
+                pattern = tuple(bool(o) for o in rng.random(len(edges)) < 0.5)
+                cons = [EdgeConstraint(*c) for c in zip(edges, pattern)]
+                if constrained_ratio(kast, cons) > 0.0:
+                    continue
+                (want,) = mp_constrained_ratios(lat, kast.signs, edges,
+                                                [pattern], log=True)
+                got = dimer.constrained_log_ratio(kast, cons)
+                if want == -math.inf:
+                    assert got == -math.inf, (size, edges, pattern)
+                else:
+                    finite += 1
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert finite > 0
+        if beta_s < 0.0:  # a brute-force mpmath sum over the matchings
+            kast = kasteleyn_orientation(build_decorated(params_for(2, 2,
+                                                                    beta_s)))
+            assert dimer.constrained_log_ratio(
+                kast, [EdgeConstraint(8, True)]) == pytest.approx(
+                    -1599.30685281944006, rel=1e-12, abs=0.0)
+
     def test_no_site_probability_is_negative(self):
         # every state of every interior site at 16 fields: the minor
         # answers every ratio the fast determinant rounds below the floor
@@ -568,6 +603,70 @@ class TestScaledDeterminant:
         direct = enumerate_matchings(lat, (), (edge,)) / enumerate_matchings(lat)
         assert ratio == pytest.approx(0.5, rel=1e-12)
         assert ratio == pytest.approx(direct, rel=1e-12)
+
+
+class TestDuals:
+    """Every ``_duals`` call that B and its minors make, against the
+    definition of the duals and scipy's dense assignment solver."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        calls, duals = [], dimer._duals
+
+        def record(black, start, ext):
+            calls.append((black, start, ext, duals(black, start, ext)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(dimer, "_duals", record)
+        return calls
+
+    @staticmethod
+    def check(black, start, ext, duals):
+        n = len(start) - 1
+        white = np.repeat(np.arange(n), np.diff(start))
+        weight = np.full((n, n), -np.inf)
+        weight[black, white] = ext
+        try:
+            mate = linear_sum_assignment(weight, maximize=True)
+        except ValueError:  # "cost matrix is infeasible": no perfect matching
+            assert duals is None
+            return False
+        k_black, k_white = duals
+        assert k_black.dtype == k_white.dtype == np.int64
+        assert (k_black[black] + k_white[white] >= ext).all()
+        assert np.array_equal(k_black[mate[0]] + k_white[mate[1]],
+                              weight[mate])
+        assert k_black.sum() + k_white.sum() == weight[mate].sum()
+        return True
+
+    @pytest.mark.parametrize("rows", range(1, 14))
+    def test_duals_of_b(self, monkeypatch, rows):
+        calls = self.recorded(monkeypatch)
+        for cols in range(1, 14):
+            kast = kasteleyn_orientation(build_decorated(params_for(rows,
+                                                                    cols)))
+            assert len(calls) == 1
+            assert self.check(*calls[0])
+            assert kast.duals is calls.pop()[-1]
+
+    @pytest.mark.parametrize("beta_s", [-3.0, 0.3, 3.0, 400.0])
+    def test_duals_of_minors(self, monkeypatch, beta_s):
+        # Delta > 0 at -3 and 0.3, where the weights are ext; Delta < 0 at
+        # 3 and 400, where they are 1 - ext
+        rng = np.random.default_rng(29)
+        calls, matched = self.recorded(monkeypatch), []
+        for rows, cols in itertools.product(range(1, 5), repeat=2):
+            kast = kasteleyn_orientation(build_decorated(
+                params_for(rows, cols, beta_s)))
+            for _ in range(25):
+                k = int(rng.integers(1, min(5, len(kast.signs)) + 1))
+                edges = tuple(sorted(rng.choice(len(kast.signs), k,
+                                                replace=False).tolist()))
+                kast._minor(edges, tuple(rng.random(k) < 0.5))
+            matched += [self.check(*call) for call in calls]
+            calls.clear()
+        # B' with and without a perfect matching
+        assert 100 < sum(matched) < len(matched)
 
 
 class TestDissectionOrder:
