@@ -51,9 +51,9 @@ LN2 = math.log(2.0)
 MATCHING_NODE_BOUND = 36
 CONSTRAINT_BOUND = 5
 
-#: most cities (rows * cols) of a decorated lattice: 512x512, the largest
-#: measured to finish, took 3.2 s and 0.83 GB for log Z in a fresh process
-#: on a 2-core Xeon
+#: most cities (rows * cols): the square 512x512 took 3.2 s and 0.83 GB for
+#: log Z in a fresh process on a 2-core Xeon; a 1 x N strip is quadratic in
+#: N in ``_duals`` below beta_s = ln(2)/2 (1 x 262144: 76 s at 0.3)
 CITY_BOUND = 512 * 512
 
 #: the fast determinant is accurate to about 1e-16 absolute: a ratio below

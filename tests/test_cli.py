@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from references import mp_free_energy
 
 import vertex_expand
 from vertex_expand import coulomb, dimer, integrals, model, series
-from vertex_expand.cli import EXIT_CLOSED_PIPE, emit, main
+from vertex_expand.cli import EXIT_CLOSED_PIPE, ORACLE_TOL, emit, main
 from vertex_expand.coulomb import KT_BETA_EPS
 from vertex_expand.errors import BadInput
 
@@ -183,6 +184,21 @@ class TestPartition:
         (rec,) = json_lines(out)
         assert rec["log_z_enumerate"] == pytest.approx(
             rec["log_z_pfaffian"], abs=1e-12)
+
+    @pytest.mark.parametrize("shift,exit_code", [(1e-6, 3), (1e-10, 0)])
+    def test_oracle_disagreement(self, capsys, monkeypatch, shift,
+                                 exit_code):
+        # the record prints either way; past ORACLE_TOL it is an error
+        assert 1e-10 < ORACLE_TOL < 1e-6
+        original = dimer.partition_dimer
+        monkeypatch.setattr(dimer, "partition_dimer",
+                            lambda kast: original(kast) + shift)
+        code, out, err = run(capsys, "partition", "--rows", "2", "--cols",
+                             "2", "--beta-s", "0.3")
+        assert code == exit_code
+        (rec,) = json_lines(out)
+        assert rec["abs_diff"] == pytest.approx(shift, rel=1e-3)
+        assert err == ("error: oracle disagreement\n" if exit_code else "")
 
     def test_pfaffian_needs_fixed_boundary(self, capsys):
         code, _, err = run(capsys, "partition", "--rows", "2", "--cols", "2",
@@ -725,6 +741,27 @@ class TestVerify:
         assert code == 1
         assert any(line.startswith("FAIL [kasteleyn] mapping-equivalence 3x3")
                    for line in out.splitlines())
+
+    def test_mutated_slope_fails_coulomb_suite(self, capsys, monkeypatch):
+        # a wrong slope is reported by both checks that read it, with
+        # every other check's line, and nothing goes to stderr
+        monkeypatch.setattr(coulomb, "exponent_u_slope",
+                            lambda: series.PiRational(Fraction(-7), 1))
+        code, out, err = run(capsys, "verify", "--suite", "coulomb")
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 6
+        assert any(line.startswith(
+            "FAIL [coulomb] ln2-amplitude-prediction-vs-computed")
+            for line in lines)
+        assert lines[-1] == "FAILED"
+        assert err == ""
+
+    def test_format_is_usage_error(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "series", "--format",
+                           "csv")
+        assert code == 2
+        assert out == ""
 
 
 #: the packages the exact-arithmetic commands must not load

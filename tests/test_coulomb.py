@@ -1,6 +1,5 @@
 """Renormalization exponent and the first-order amplitude cross-check."""
 
-import json
 import math
 from fractions import Fraction as Q
 
@@ -101,11 +100,3 @@ class TestAmplitudeCrossCheck:
         assert report.equal
         assert report.predicted == PiRational(Q(8), 2)
         assert report.computed == PiRational(Q(8), 2)
-
-    def test_report_json_deterministic(self):
-        a = verify_first_order().as_json()
-        b = verify_first_order().as_json()
-        assert a == b
-        payload = json.loads(a)
-        assert payload["equal"] is True
-        assert payload["predicted"] == {"rational": "8", "pi_power": 2}

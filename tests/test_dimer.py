@@ -253,6 +253,29 @@ class TestMappingEquivalence:
             z_vertex, rel=1e-13)
 
 
+class TestStrips:
+    """A lattice with one row or one column holds one ice configuration,
+    the ground state, so log Z = N beta_s and no matching uses an
+    external edge."""
+
+    @pytest.mark.parametrize("rows,cols", [(1, 25), (25, 1)])
+    def test_one_configuration(self, rows, cols):
+        params = params_for(rows, cols)
+        result = enumerate_partition(params)
+        assert [int(mask) for mask in result.masks] == [
+            ground_state_mask(params)]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 4096])
+    @pytest.mark.parametrize("beta_s", [-400.0, -3.0, 0.0, 0.3, 0.35, 3.0,
+                                        400.0])
+    def test_log_z_is_n_beta_s(self, n, beta_s):
+        for rows, cols in [(1, n), (n, 1)]:
+            kast = kasteleyn_orientation(
+                build_decorated(params_for(rows, cols, beta_s)))
+            assert partition_dimer(kast) == pytest.approx(n * beta_s,
+                                                          rel=1e-12)
+
+
 class TestConstrained:
     def test_single_edge_frozen(self, kast22):
         assert constrained_ratio(
