@@ -3,9 +3,11 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from fractions import Fraction
@@ -707,6 +709,32 @@ class TestVerify:
         assert "FAIL [kasteleyn]" in out
         assert out.strip().splitlines()[-1] == "FAILED"
 
+    def test_shifted_zb_ratio_fails_vertex_ratios(self, capsys, monkeypatch):
+        # za_ratio reads zb_ratio through the module, so the centre site's
+        # states 5 and 6 both disagree by 1e-12 relative
+        original = integrals.zb_ratio
+        monkeypatch.setattr(integrals, "zb_ratio",
+                            lambda beta_s: original(beta_s) * (1 + 1e-12))
+        code, out, _ = run(capsys, "verify", "--suite", "identity")
+        assert code == 1
+        assert [line.split(":")[0] for line in out.splitlines()
+                if line.startswith("FAIL ")] == [
+            "FAIL [identity] vertex-ratios 32x32-vs-integrals beta_s=0.5",
+            "FAIL [identity] vertex-ratios 32x32-vs-integrals beta_s=1.0"]
+
+    def test_shifted_pfaffian_limit_fails_quad_vs_pfaffian(self, capsys,
+                                                           monkeypatch):
+        from vertex_expand import verify
+        original = verify._extrapolated_pfaffian
+        monkeypatch.setattr(verify, "_extrapolated_pfaffian",
+                            lambda beta_s: original(beta_s) + 1e-9)
+        code, out, _ = run(capsys, "verify", "--suite", "identity")
+        assert code == 1
+        assert [line.split(":")[0] for line in out.splitlines()
+                if line.startswith("FAIL ")] == [
+            f"FAIL [identity] free-energy quad-vs-pfaffian beta_s={beta_s}"
+            for beta_s in (0.3, 0.5, 1.0)]
+
     def test_mutated_ground_mask_fails_mapping_check(self, capsys,
                                                      monkeypatch):
         # a line set one bit off breaks the ice rule, so every configuration
@@ -762,6 +790,66 @@ class TestVerify:
                            "csv")
         assert code == 2
         assert out == ""
+
+
+#: commands whose stdout is the same under every OpenBLAS kernel and
+#: thread count
+KERNEL_COMMANDS = [
+    ["verify", "--suite", "all"],
+    ["constrained", "--rows", "4", "--cols", "6", "--beta-s", "-10",
+     "--site", "2", "4"],
+    ["constrained", "--rows", "5", "--cols", "5", "--beta-s", "0.3",
+     "--edge", "40:1", "--edge", "41:0", "--edge", "55:1"],
+    ["partition", "--rows", "128", "--cols", "128", "--beta-s", "-0.5",
+     "--oracle", "pfaffian"],
+    ["perturb", "--beta-s", "0.5", "--u", "0.01"],
+    ["free-energy", "--sweep", "0:1:0.1"]]
+
+
+def dynamic_openblas():
+    """Whether numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH, whose
+    kernel ``OPENBLAS_CORETYPE`` chooses per process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dicts mode
+        return False
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+class TestKernels:
+    """The same bytes under every OpenBLAS kernel and thread count.
+
+    Each setting runs ``KERNEL_COMMANDS`` through ``main`` in a child
+    interpreter of its own.  Left out because their last digits move with
+    the kernel today: ``constrained --rows 13 --cols 13 --beta-s 0.3
+    --site 6 6``, whose state 6 differs under Sandybridge, and the centre
+    site of a 64x64 lattice at beta_s = 0.3, whose state 5 lies
+    1.388e-17 from Zb/Z0 by default and 2.429e-17 under Prescott."""
+
+    @pytest.mark.skipif(platform.machine() != "x86_64",
+                        reason="OPENBLAS_CORETYPE names x86_64 kernels")
+    @pytest.mark.skipif(not dynamic_openblas(),
+                        reason="numpy's BLAS is not an OpenBLAS built with "
+                               "DYNAMIC_ARCH, so it has one kernel only")
+    def test_commands_print_the_same_bytes(self):
+        script = ("import json, sys\n"
+                  "from vertex_expand.cli import main\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    assert main(argv) == 0, argv\n")
+        outputs = {}
+        for coretype, threads in itertools.product(
+                (None, "Prescott", "Sandybridge"), ("1", "2")):
+            env = child_env()
+            env.pop("OPENBLAS_CORETYPE", None)
+            if coretype is not None:
+                env["OPENBLAS_CORETYPE"] = coretype
+            env["OPENBLAS_NUM_THREADS"] = threads
+            done = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(KERNEL_COMMANDS)],
+                capture_output=True, text=True, env=env, check=True)
+            outputs.setdefault(done.stdout, []).append((coretype, threads))
+        assert len(outputs) == 1, list(outputs.values())
 
 
 #: the packages the exact-arithmetic commands must not load
