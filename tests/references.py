@@ -30,9 +30,11 @@ The transfer-matrix reference contracts a column row by row with one
 ``np.einsum`` over the full 16-entry vertex tensor, reshuffling the whole
 interface into a rest/done layout, where the package applies each column
 as dense group matrices of 4 rows.  It builds the two-column
-operator densely from that contraction on unit vectors and diagonalises it
-with LAPACK's general (non-symmetric) eigensolver, where the package runs a
-symmetric Lanczos iteration on the matrix-free operator.
+operator densely from both columns' contractions on unit vectors and
+diagonalises it with LAPACK's general (non-symmetric) eigensolver, where
+the package builds one column and runs a symmetric Lanczos iteration on
+A = R C0, the column followed by arrow reversal, whose square is that
+operator.
 
 The singular series are the paper's own assembly: Stirling's series for the
 central binomial ratio (``stirling_correction``), then the singular part of
@@ -410,8 +412,10 @@ def mp_derivative(beta_s):
 
 def mp_zb_ratio(beta_s):
     """Z_b/Z_0 = (1/4)[1 - (a - e^{-2 beta_s}) <(a^2 - cos^2 u)^{-1/2}>]^2,
-    a = cosh 2 beta_s (the mean of 1/(a + cos t1 cos t2) over one angle)."""
-    with mpmath.workdps(DPS):
+    a = cosh 2 beta_s (the mean of 1/(a + cos t1 cos t2) over one angle).
+    The bracket cancels about 1.74 |beta_s| digits, which the working
+    precision adds to DPS."""
+    with mpmath.workdps(DPS + math.ceil(4 * abs(beta_s) / math.log(10))):
         bs = mpmath.mpf(beta_s)
         if bs == 0:
             return mpmath.mpf(1) / 4

@@ -61,6 +61,13 @@ class TestAgainstMpmath:
         assert abs(zb_ratio(beta_s) - mp_zb_ratio(beta_s)) <= 1e-15
         assert abs(za_ratio(beta_s) - mp_zb_ratio(-beta_s)) <= 1e-15
 
+    @pytest.mark.parametrize("beta_s,value", [(8.0, 4.009527226371569e-29),
+                                              (20.0, 8.143721330518803e-71)])
+    def test_reference_zb_ratio_at_large_field(self, beta_s, value):
+        # the reference's bracket cancels about 1.74 beta_s digits; the
+        # values are mpmath's at 150 digits
+        assert abs(float(mp_zb_ratio(beta_s)) / value - 1) <= 1e-14
+
     @pytest.mark.parametrize("beta_s", TINY_FIELDS)
     def test_free_energy_at_tiny_field(self, beta_s):
         assert abs(baxter_free_energy(beta_s)

@@ -357,34 +357,36 @@ class TestTransferMatrix:
         for beta_s, beta_eps in pairs if rows <= 12 else [(-0.7, 0.9)]:
             params = ModelParams(beta_s=beta_s, rows=rows, cols=2,
                                  beta_eps=beta_eps)
-            columns = model._column_weights(params, 0.0)
+            column = model._column_weights(params, 0.0)
             tensors = column_tensors(params)
             psi = rng.standard_normal(1 << rows)
-            for parity in (0, 1):
+            # the parity-1 column is R C0 R, R the reversal of psi
+            for parity, got in (
+                    (0, model._apply_column(psi, column)),
+                    (1, model._apply_column(psi[::-1], column)[::-1])):
                 want = apply_column(psi, parity, *tensors, rows)
                 scale = apply_column(np.abs(psi), parity, *tensors, rows)
-                got = model._apply_column(psi, columns[parity])
                 assert np.all(np.abs(got - want)
                               <= (rows + 2) * np.finfo(float).eps * scale)
 
     @pytest.mark.parametrize("rows", range(2, 11))
     @pytest.mark.parametrize("beta_s", [-0.7, 0.0, 0.3, 5.0])
-    def test_second_column_is_the_transpose_of_the_first(self, rows, beta_s):
-        # the identity that makes the two-column operator symmetric
+    def test_reversed_column_is_symmetric(self, rows, beta_s):
+        # R C0 R = C0^T bitwise, R the reversal of the interface: the
+        # identity that makes A = R C0 symmetric and the two-column
+        # operator A^2
         eye = np.eye(1 << rows)
         for beta_eps in (FREE_FERMION_BETA_EPS, 0.1, 0.9):
             params = ModelParams(beta_s=beta_s, rows=rows, cols=2,
                                  beta_eps=beta_eps)
-            columns = model._column_weights(params, 0.0)
-            first, second = (
-                np.column_stack([model._apply_column(col, groups)
-                                 for col in eye])
-                for groups in columns)
-            assert np.array_equal(second, first.T)
+            column = model._column_weights(params, 0.0)
+            a = np.column_stack([model._apply_column(col, column)[::-1]
+                                  for col in eye])
+            assert np.array_equal(a, a.T)
 
     @pytest.mark.parametrize("beta_s,steps", [
-        (0.3, [5, 7, 8, 8, 9, 9, 10]),
-        (0.8, [5, 6, 6, 6, 7, 7, 7])])
+        (0.3, [5, 7, 10, 11, 12, 13, 14]),
+        (0.8, [5, 7, 8, 9, 10, 10, 10])])
     def test_lanczos_step_counts(self, beta_s, steps):
         assert [transfer_matrix_free_energy(periodic(n, n, beta_s)).steps
                 for n in range(4, 17, 2)] == steps
