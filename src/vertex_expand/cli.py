@@ -11,21 +11,21 @@ The CLI checks only its own flags: their parsing, the --sweep point count
 and the selections of constrained and coulomb.  Every other input rule
 (sizes, bounds, orders, head terms, beta_eps) is the library's, which
 raises BadInput; ``main`` maps each class of ``errors`` to its exit code.
+Importing this module loads the standard library and ``errors`` only.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
+import numbers
 import os
 import re
 import sys
-from fractions import Fraction
 
-from . import __version__, coulomb, series, verify
+from . import __version__
 from .errors import BadInput, FieldOverflow, VertexExpandError
 
 EXIT_OK = 0
@@ -44,9 +44,11 @@ ORACLE_TOL = 1e-9
 
 
 def _jsonable(value):
-    if isinstance(value, Fraction):
+    # a Fraction or a series.PiRational, told apart without importing either
+    if (isinstance(value, numbers.Rational)
+            and not isinstance(value, numbers.Integral)):
         return str(value)
-    if isinstance(value, series.PiRational):
+    if hasattr(value, "as_json"):
         return value.as_json()
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
@@ -77,6 +79,7 @@ def emit(records: list[dict], fmt: str, quiet: bool) -> None:
         for line in lines:
             print(line)
         return
+    import csv
     keys = sorted({k for rec in records for k in rec})
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -107,7 +110,11 @@ def _parse_sweep(text: str) -> list[float]:
     if not steps <= MAX_SWEEP_POINTS - 1:
         raise argparse.ArgumentTypeError(
             f"sweep has more than {MAX_SWEEP_POINTS} points")
-    return [start + i * step for i in range(int(round(steps)) + 1)]
+    # round() may add a point past stop; it stays only within a rounding
+    count = round(steps)
+    if start + count * step - stop > 1e-15 * max(abs(start), abs(stop)):
+        count -= 1
+    return [start + i * step for i in range(count + 1)]
 
 
 def _parse_edge(text: str) -> tuple[int, bool]:
@@ -245,6 +252,7 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from . import series
     k = args.order
     if args.target == "stirling":
         s = series.stirling_correction(k)
@@ -267,6 +275,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_coulomb(args) -> int:
+    from . import coulomb
     records = []
     if args.beta_eps is not None:
         exponent = coulomb.singular_exponent(args.beta_eps)
@@ -292,6 +301,7 @@ def cmd_coulomb(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     names = (list(verify.SUITES) if args.suite == "all" else [args.suite])
     ok, lines = verify.run_suites(names)
     if not args.quiet:
@@ -372,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[quiet],
                        help="run self-verification suites")
-    p.add_argument("--suite",
-                   choices=("all",) + tuple(verify.SUITES), default="all")
+    p.add_argument("--suite", default="all", choices=(  # verify.SUITES' keys
+        "all", "kasteleyn", "identity", "series", "coulomb"))
     p.set_defaults(func=cmd_verify)
     # read -1e-3 and -0.5:0.5:0.5 as values, not options, as Python 3.13 does
     for p in sub.choices.values():

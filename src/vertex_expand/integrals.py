@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, count, islice
 
 from .errors import BadInput
-from .series import stirling_correction
 
 _STIRLING_ORDER = 8
 
@@ -192,6 +191,7 @@ def baxter_series(beta_s: float, n_max: int) -> tuple[float, float]:
     head = math.fsum(chain([0.5 * math.log(2.0 * ch)], _sech_terms(z, n_max)))
 
     import mpmath
+    from .series import stirling_correction
     a0 = n_max + 1
     tail = [-float(c) * (float(mpmath.lerchphi(z, s, a0)) * z ** a0)
             / (4.0 * math.pi) for s, c in enumerate(

@@ -1,5 +1,6 @@
 """Command-line interface: output contracts and exit codes."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -20,8 +21,9 @@ from hypothesis import strategies as st
 from references import mp_free_energy
 
 import vertex_expand
-from vertex_expand import coulomb, dimer, integrals, model, series
-from vertex_expand.cli import EXIT_CLOSED_PIPE, ORACLE_TOL, emit, main
+from vertex_expand import coulomb, dimer, integrals, model, series, verify
+from vertex_expand.cli import (EXIT_CLOSED_PIPE, ORACLE_TOL, build_parser, emit,
+                               main)
 from vertex_expand.coulomb import KT_BETA_EPS
 from vertex_expand.errors import BadInput
 
@@ -111,7 +113,24 @@ class TestFreeEnergy:
                            "--terms", str(integrals.HEAD_TERMS_CAP),
                            "--beta-s", "0.5")
         assert code == 0
-        assert json_lines(out)[0]["value"] == pytest.approx(F0_HALF, rel=1e-14)
+        assert json_lines(out)[0]["value"] == pytest.approx(F0_HALF, rel=1e-14,
+                                                            abs=0.0)
+
+    @pytest.mark.parametrize("sweep, count", [
+        ("0:1:0.35", 3), ("0:0.7:0.1", 8), ("0.1:1.0:0.1", 10),
+        ("0:1:0.1", 11), ("-0.4:0.4:0.2", 5), ("0:50:25", 3),
+        ("-0.5:0.5:0.5", 3), ("0.001:1:0.001", 1000)])
+    def test_sweep_stops_at_stop(self, capsys, sweep, count):
+        # a stop point that the division misses by a rounding is kept;
+        # no point passes stop by more than a rounding
+        code, out, _ = run(capsys, "free-energy", "--sweep", sweep, "--format",
+                           "csv")
+        assert code == 0
+        start, stop, _ = (float(x) for x in sweep.split(":"))
+        points = [float(line.split(",")[0])
+                  for line in out.strip().splitlines()[1:]]
+        assert len(points) == count
+        assert points[-1] <= stop + 1e-15 * max(abs(start), abs(stop))
 
     def test_bad_sweep_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "free-energy", "--sweep", "1:0:-1")
@@ -430,7 +449,7 @@ class TestConstrained:
                            "--beta-s", "-250", "--edge", "3:1", "--edge", "5:0")
         assert code == 0
         (rec,) = json_lines(out)
-        assert rec["ratio"] == pytest.approx(0.25, rel=1e-14)
+        assert rec["ratio"] == pytest.approx(0.25, rel=1e-14, abs=0.0)
         assert math.isfinite(rec["log_z"])
         code, out, _ = run(capsys, "partition", "--rows", "5", "--cols", "5",
                            "--beta-s", "-250", "--oracle", "pfaffian")
@@ -724,7 +743,6 @@ class TestVerify:
 
     def test_shifted_pfaffian_limit_fails_quad_vs_pfaffian(self, capsys,
                                                            monkeypatch):
-        from vertex_expand import verify
         original = verify._extrapolated_pfaffian
         monkeypatch.setattr(verify, "_extrapolated_pfaffian",
                             lambda beta_s: original(beta_s) + 1e-9)
@@ -856,8 +874,8 @@ class TestKernels:
 HEAVY = ("numpy", "scipy", "mpmath")
 
 
-def modules_loaded(argv):
-    """Names of numpy, scipy and mpmath modules in ``sys.modules`` after
+def modules_loaded(argv, packages=HEAVY):
+    """Names of the modules of ``packages`` in ``sys.modules`` after
     ``import vertex_expand.cli`` and, unless ``argv`` is None,
     ``main(argv)`` in a fresh interpreter."""
     script = ("import contextlib, io, json, sys\n"
@@ -871,7 +889,7 @@ def modules_loaded(argv):
                           capture_output=True, text=True, env=child_env(),
                           check=True)
     return {name for name in json.loads(done.stdout)
-            if name.split(".")[0] in HEAVY}
+            if name.split(".")[0] in packages}
 
 
 class TestImports:
@@ -917,6 +935,33 @@ class TestImports:
     def test_verify_loads_no_special_functions(self):
         assert not {m for m in modules_loaded(["verify", "--suite", "all"])
                     if m.startswith("scipy.special")}
+
+    def test_cli_import_loads_no_command_module(self):
+        assert modules_loaded(None, ("vertex_expand",)) == {
+            "vertex_expand", "vertex_expand.cli", "vertex_expand.errors"}
+
+    @pytest.mark.parametrize("argv", [
+        ["free-energy", "--beta-s", "0.5"],
+        ["free-energy", "--sweep", "0:1:0.1"],
+        ["perturb", "--beta-s", "0.5", "--u", "0.01"]])
+    def test_thermodynamics_loads_no_exact_series(self, argv):
+        assert not modules_loaded(argv, ("vertex_expand",)) & {
+            "vertex_expand.series", "vertex_expand.coulomb",
+            "vertex_expand.verify"}
+
+    @pytest.mark.parametrize("argv", [
+        ["series", "--target", "sng"],
+        ["coulomb", "--expand", "2"]])
+    def test_exact_arithmetic_loads_no_verify_or_integrals(self, argv):
+        assert not modules_loaded(argv, ("vertex_expand",)) & {
+            "vertex_expand.verify", "vertex_expand.integrals"}
+
+    def test_suite_choices_are_the_verify_suites(self):
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        (suite,) = [action for action in sub.choices["verify"]._actions
+                    if action.dest == "suite"]
+        assert suite.choices == ("all",) + tuple(verify.SUITES)
 
 
 class TestContracts:

@@ -291,7 +291,8 @@ class TestConstrained:
             assert occ + emp == pytest.approx(1.0, rel=1e-12)
             # one edge's occupation is K(i,j) K^-1(j,i), here from a dense inverse
             i, j = kast22.lattice.i[edge], kast22.lattice.j[edge]
-            assert occ == pytest.approx(k[i, j] * k_inv[j, i], rel=1e-12)
+            assert occ == pytest.approx(k[i, j] * k_inv[j, i], rel=1e-12,
+                                        abs=0.0)
 
     def test_against_direct_enumeration(self, kast22):
         lat = build_decorated(params_for(2, 2))
