@@ -14,11 +14,9 @@ import math
 from dataclasses import dataclass
 from math import comb
 
+from . import FREE_FERMION_BETA_EPS
 from .errors import BadInput
 from .series import PiRational, Q, RationalSeries, b2_series, check_order
-
-#: the solvable coupling ln(2)/2, where the model maps onto free fermions
-FREE_FERMION_BETA_EPS = 0.5 * math.log(2.0)
 
 #: coupling below which the exponent formula diverges (KT regime)
 KT_BETA_EPS = 0.5 * math.log(2.0 - math.sqrt(2.0))

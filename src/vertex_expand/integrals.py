@@ -173,15 +173,19 @@ def baxter_series(beta_s: float, n_max: int) -> tuple[float, float]:
     the summand (term ~ n^{-2} z^n bracket(1/n) / 4 pi with
     z = sech^2 2 beta_s = e^{-t}), each 1/n^q piece a Lerch
     transcendent tail z^a Phi(z, q, a) from a = n_max + 1 (the Hurwitz zeta
-    at z = 1).  The bound is twice the last bracket correction (at
+    at z = 1).  Where z^a underflows to 0.0 every tail piece is exactly
+    0.0, so the tail is skipped and mpmath is loaded only where z^a is
+    nonzero.  The bound is twice the last bracket correction (at
     n_max = 1 the bracket misses a_2^2 by 1.5 times its last term) plus the
     rounding: an ulp of the head, and the ulps of cosh 2 beta_s and z, which
     move F0 by K/pi per unit of relative error, K = K(sech 2 beta_s)
-    ~ ln(1/|beta_s|).
+    ~ ln(1/|beta_s|).  A nan field gives (nan, nan).
     """
     if not 1 <= n_max <= HEAD_TERMS_CAP:
         raise BadInput(f"head terms n_max must be in [1, {HEAD_TERMS_CAP}], "
                        f"not {n_max}")
+    if math.isnan(beta_s):
+        return math.nan, math.nan
     if abs(beta_s) >= _FROZEN_BETAS:
         # the sum is |beta_s| + e^{-4 |beta_s|}/4 + ..., the correction far
         # below the rounding allowance
@@ -189,17 +193,20 @@ def baxter_series(beta_s: float, n_max: int) -> tuple[float, float]:
     ch = math.cosh(2.0 * beta_s)
     z = 1.0 / (ch * ch)           # e^{-t}
     head = math.fsum(chain([0.5 * math.log(2.0 * ch)], _sech_terms(z, n_max)))
-
-    import mpmath
-    from .series import stirling_correction
-    a0 = n_max + 1
-    tail = [-float(c) * (float(mpmath.lerchphi(z, s, a0)) * z ** a0)
-            / (4.0 * math.pi) for s, c in enumerate(
-                stirling_correction(_STIRLING_ORDER).coeffs, 2)]
     # below |beta_s| ~ 7e-9 cosh rounds to 1 and z is off by under tau^2
     ulp = math.ulp(1.0)
     t2 = math.tanh(2.0 * beta_s) ** 2
     shift = min(ulp, t2) * _elliptic_k(beta_s) / math.pi if t2 else 0.0
+    a0 = n_max + 1
+    if z ** a0 == 0.0:
+        # each tail piece is a multiple of z^a0, so each is +-0.0
+        return head, ulp * abs(head) + shift
+
+    import mpmath
+    from .series import stirling_correction
+    tail = [-float(c) * (float(mpmath.lerchphi(z, s, a0)) * z ** a0)
+            / (4.0 * math.pi) for s, c in enumerate(
+                stirling_correction(_STIRLING_ORDER).coeffs, 2)]
     return head + sum(tail), 2.0 * abs(tail[-1]) + ulp * abs(head) + shift
 
 

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .coulomb import FREE_FERMION_BETA_EPS
+from . import FREE_FERMION_BETA_EPS
 from .errors import BadInput, FieldOverflow, VertexExpandError
 
 ENUMERATION_EDGE_BOUND = 24

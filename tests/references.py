@@ -15,6 +15,8 @@ PiRational as a float) serve the tests only.  ``pinned_matchings`` weighs a
 line set by the matching sum with every external edge pinned, and
 ``mp_constrained_ratios`` forms a constrained ratio from dense mpmath
 determinants, the oracle for ratios far below the rounding of a double.
+``lerch_tail_series`` is ``integrals.baxter_series`` with its nine Lerch
+tails evaluated at every field, the check of the skip where they underflow.
 
 The enumeration reference backtracks one configuration at a time in
 Python, where the package grows the whole frontier of partial
@@ -44,12 +46,13 @@ builds the same coefficients from the generating series of a_n^2 instead.
 
 import math
 from fractions import Fraction as Q
+from itertools import chain
 from math import factorial
 
 import mpmath
 import numpy as np
 
-from vertex_expand import dimer, model
+from vertex_expand import dimer, integrals, model
 from vertex_expand.errors import FieldOverflow
 from vertex_expand.series import (
     LogSeries,
@@ -427,6 +430,34 @@ def mp_zb_ratio(beta_s):
         mean = mpmath.quad(lambda u: 1 / mpmath.sqrt(a * a - mpmath.cos(u) ** 2),
                            pts) * 2 / mpmath.pi
         return (1 - (a - mpmath.exp(-2 * bs)) * mean) ** 2 / 4
+
+
+def series_head(beta_s, n_max):
+    """The head of ``integrals.baxter_series``: ln(2 cosh 2 beta_s)/2 and
+    its first n_max sech terms, summed with ``math.fsum`` as it sums them."""
+    ch = math.cosh(2.0 * beta_s)
+    z = 1.0 / (ch * ch)
+    return math.fsum(chain([0.5 * math.log(2.0 * ch)],
+                           integrals._sech_terms(z, n_max)))
+
+
+def lerch_tail_series(beta_s, n_max):
+    """``integrals.baxter_series`` below the frozen cutoff |beta_s| = 10
+    with all nine Lerch tails evaluated, also where z^(n_max + 1) underflows
+    to 0.0.  The head, the tail terms and the rounding part of the bound
+    are the package's own expressions, so the two agree bit for bit."""
+    ch = math.cosh(2.0 * beta_s)
+    z = 1.0 / (ch * ch)
+    head = series_head(beta_s, n_max)
+    a0 = n_max + 1
+    tail = [-float(c) * (float(mpmath.lerchphi(z, s, a0)) * z ** a0)
+            / (4.0 * math.pi) for s, c in enumerate(
+                stirling_correction(integrals._STIRLING_ORDER).coeffs, 2)]
+    ulp = math.ulp(1.0)
+    t2 = math.tanh(2.0 * beta_s) ** 2
+    shift = (min(ulp, t2) * integrals._elliptic_k(beta_s) / math.pi
+             if t2 else 0.0)
+    return head + sum(tail), 2.0 * abs(tail[-1]) + ulp * abs(head) + shift
 
 
 def differentiate(series: RationalSeries) -> RationalSeries:

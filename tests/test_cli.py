@@ -926,6 +926,29 @@ class TestImports:
         assert not {m for m in modules_loaded(argv)
                     if m.startswith(("scipy.special", "mpmath"))}
 
+    @pytest.mark.parametrize("argv", [
+        ["partition", "--rows", "3", "--cols", "3"],
+        ["constrained", "--rows", "5", "--cols", "5", "--site", "2", "2"],
+        ["free-energy", "--method", "finite", "--size", "8"]])
+    def test_lattice_commands_load_no_exact_series(self, argv):
+        assert not modules_loaded(argv, ("vertex_expand",)) & {
+            "vertex_expand.series", "vertex_expand.coulomb"}
+
+    @pytest.mark.parametrize("beta_s", ["0.5", "-0.5", "1", "-1"])
+    def test_series_where_the_tail_underflows_loads_no_mpmath(self, beta_s):
+        # z^2001 underflows to 0.0 from |beta_s| = 0.3147 on, so the Lerch
+        # tails are skipped
+        loaded = modules_loaded(["free-energy", "--method", "series",
+                                 "--beta-s", beta_s],
+                                HEAVY + ("vertex_expand",))
+        assert not {m for m in loaded if m.split(".")[0] == "mpmath"}
+        assert "vertex_expand.series" not in loaded
+
+    def test_series_below_the_tail_underflow_loads_mpmath(self):
+        loaded = modules_loaded(["free-energy", "--method", "series",
+                                 "--beta-s", "0.1"])
+        assert {m.split(".")[0] for m in loaded} == {"mpmath"}
+
     def test_series_at_critical_point_loads_only_mpmath(self):
         # the Lerch transcendent serves z = 1 too, with no Hurwitz zeta
         loaded = modules_loaded(["free-energy", "--method", "series",

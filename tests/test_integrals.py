@@ -5,7 +5,13 @@ import functools
 import math
 
 import pytest
-from references import mp_derivative, mp_free_energy, mp_zb_ratio
+from references import (
+    lerch_tail_series,
+    mp_derivative,
+    mp_free_energy,
+    mp_zb_ratio,
+    series_head,
+)
 
 from vertex_expand.integrals import (
     FirstOrderResult,
@@ -140,10 +146,53 @@ class TestFreeEnergy:
         with pytest.raises(ValueError):
             baxter_series(0.5, 0)
 
+    @pytest.mark.parametrize("n_max", [1, 2000])
+    def test_series_at_nan_is_nan(self, n_max):
+        assert all(math.isnan(x) for x in baxter_series(math.nan, n_max))
+
     def test_large_field_asymptote(self):
         # F0 -> beta_s as the staggered field freezes the lattice
         assert baxter_free_energy(4.0) == pytest.approx(
             4.0, abs=1e-3)
+
+
+def _underflow_field(n_max):
+    """The least beta_s >= 0 at which z^(n_max + 1) == 0.0 with
+    z = sech^2 2 beta_s as ``baxter_series`` forms it, by bisection to
+    adjacent floats."""
+    def underflows(beta_s):
+        ch = math.cosh(2.0 * beta_s)
+        return (1.0 / (ch * ch)) ** (n_max + 1) == 0.0
+    lo, hi = 0.0, 300.0
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if underflows(mid) else (mid, hi)
+    return hi
+
+
+class TestSeriesTail:
+    """Where z^(n_max + 1) underflows to 0.0, every Lerch tail term of
+    ``baxter_series`` is +-0.0 and the tails are skipped."""
+
+    def test_underflow_field(self):
+        assert _underflow_field(2000) == 0.3146653689372126
+        # with n_max <= 10 the tail underflows only past the frozen cutoff
+        # |beta_s| = 10, where the series returns |beta_s|
+        assert _underflow_field(1) > _underflow_field(10) > 10.0
+
+    @pytest.mark.parametrize("n_max", [1, 10, 2000])
+    def test_equals_the_full_tail(self, n_max):
+        edge = min(_underflow_field(n_max), 10.0)
+        fields = [0.0, 0.05, 0.1, 0.5, 1.0, math.nextafter(edge, 0.0)]
+        if edge < 10.0:
+            fields.append(edge)
+        for beta_s in (s * b for b in fields for s in (1.0, -1.0)):
+            assert repr(baxter_series(beta_s, n_max)) == repr(
+                lerch_tail_series(beta_s, n_max)), beta_s
+
+    @pytest.mark.parametrize("beta_s", [0.5, -0.5, 1.0, -1.0])
+    def test_value_is_the_head_where_the_tail_underflows(self, beta_s):
+        assert baxter_series(beta_s, 2000)[0] == series_head(beta_s, 2000)
 
 
 class TestFrozenField:
