@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -705,6 +706,43 @@ class TestSeriesAndCoulomb:
         assert code == 2
 
 
+#: the text before the ``:`` of each line of ``verify --suite all``, in order
+VERIFY_NAMES = [
+    *(f"PASS [kasteleyn] pfaffian-vs-matchings {rows}x{cols} beta_s={beta_s}"
+      for rows, cols in [(1, 1), (2, 2), (2, 3), (3, 3)]
+      for beta_s in (-0.5, 0.0, 0.3)),
+    "PASS [kasteleyn] pfaffian-vs-enumeration 3x4 beta_s=-400",
+    "PASS [kasteleyn] mapping-equivalence 2x2",
+    "PASS [kasteleyn] mapping-equivalence 2x3",
+    "PASS [kasteleyn] mapping-equivalence 3x3",
+    "PASS [kasteleyn] constrained-orders-1-2 2x2",
+    "PASS [kasteleyn] constrained-5-edge-inclusion-exclusion 2x2",
+    "PASS [identity] free-energy quad-vs-series beta_s=0.0",
+    "PASS [identity] free-energy quad-vs-series beta_s=0.1",
+    "PASS [identity] free-energy quad-vs-transfer beta_s=0.5",
+    "PASS [identity] free-energy quad-vs-pfaffian beta_s=0.3",
+    "PASS [identity] free-energy quad-vs-pfaffian beta_s=0.5",
+    "PASS [identity] free-energy quad-vs-pfaffian beta_s=1.0",
+    "PASS [identity] vertex-ratios 32x32-vs-integrals beta_s=0.5",
+    "PASS [identity] vertex-ratios 32x32-vs-integrals beta_s=1.0",
+    "PASS [identity] dF/dU transfer-vs-analytic beta_s=0.5",
+    "PASS [series] stirling-bracket",
+    "PASS [series] singular-t-series",
+    "PASS [series] singular-betas-series",
+    "PASS [series] b2-series",
+    "PASS [coulomb] exponent-at-free-fermion",
+    "PASS [coulomb] exponent-divergence-at-kt",
+    "PASS [coulomb] kt-threshold-closed-form",
+    "PASS [coulomb] exponent-u-slope",
+    "PASS [coulomb] ln2-amplitude-prediction-vs-computed"]
+
+
+def failed_checks(out):
+    """The text before the ``:`` of each FAIL line of ``verify``."""
+    return [line.split(":")[0] for line in out.splitlines()
+            if line.startswith("FAIL ")]
+
+
 class TestVerify:
     def test_series_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "series")
@@ -736,8 +774,7 @@ class TestVerify:
                             lambda beta_s: original(beta_s) * (1 + 1e-12))
         code, out, _ = run(capsys, "verify", "--suite", "identity")
         assert code == 1
-        assert [line.split(":")[0] for line in out.splitlines()
-                if line.startswith("FAIL ")] == [
+        assert failed_checks(out) == [
             "FAIL [identity] vertex-ratios 32x32-vs-integrals beta_s=0.5",
             "FAIL [identity] vertex-ratios 32x32-vs-integrals beta_s=1.0"]
 
@@ -748,10 +785,80 @@ class TestVerify:
                             lambda beta_s: original(beta_s) + 1e-9)
         code, out, _ = run(capsys, "verify", "--suite", "identity")
         assert code == 1
-        assert [line.split(":")[0] for line in out.splitlines()
-                if line.startswith("FAIL ")] == [
+        assert failed_checks(out) == [
             f"FAIL [identity] free-energy quad-vs-pfaffian beta_s={beta_s}"
             for beta_s in (0.3, 0.5, 1.0)]
+
+    @pytest.mark.parametrize("shift, tilt, name", [
+        # a constant cancels in the dF/dU difference
+        (1e-5, 0.0, "free-energy quad-vs-transfer beta_s=0.5"),
+        # f(U = 0) stays, and the slope moves by 1e-3
+        (0.0, 1e-3, "dF/dU transfer-vs-analytic beta_s=0.5")])
+    def test_moved_transfer_fails_its_line(self, capsys, monkeypatch, shift,
+                                           tilt, name):
+        # each move is 10x its line's bound
+        original = model.transfer_matrix_free_energy
+
+        def moved(params):
+            result = original(params)
+            u = params.beta_eps - model.FREE_FERMION_BETA_EPS
+            return dataclasses.replace(
+                result, free_energy=result.free_energy + shift + tilt * u)
+
+        monkeypatch.setattr(model, "transfer_matrix_free_energy", moved)
+        code, out, _ = run(capsys, "verify", "--suite", "identity")
+        assert code == 1
+        assert failed_checks(out) == [f"FAIL [identity] {name}"]
+
+    def test_shifted_series_fails_quad_vs_series(self, capsys, monkeypatch):
+        original = integrals.baxter_series
+
+        def shifted(beta_s, n_max):
+            value, bound = original(beta_s, n_max)
+            return value + 1e-14, bound
+
+        monkeypatch.setattr(integrals, "baxter_series", shifted)
+        code, out, _ = run(capsys, "verify", "--suite", "identity")
+        assert code == 1
+        assert failed_checks(out) == [
+            f"FAIL [identity] free-energy quad-vs-series beta_s={beta_s}"
+            for beta_s in (0.0, 0.1)]
+
+    def test_shifted_pfaffian_fails_pfaffian_vs_matchings(self, capsys,
+                                                          monkeypatch):
+        # log Z + 1e-13 is Z times 1 + 1e-13, 10x the relative bound; the
+        # enumeration and mapping lines allow it
+        original = dimer.partition_dimer
+        monkeypatch.setattr(dimer, "partition_dimer",
+                            lambda kast: original(kast) + 1e-13)
+        code, out, _ = run(capsys, "verify", "--suite", "kasteleyn")
+        assert code == 1
+        assert failed_checks(out) == [
+            name.replace("PASS", "FAIL", 1) for name in VERIFY_NAMES
+            if "pfaffian-vs-matchings" in name]
+
+    @pytest.mark.parametrize("orders, name", [
+        ((1, 2), "constrained-orders-1-2 2x2"),
+        ((5,), "constrained-5-edge-inclusion-exclusion 2x2")])
+    def test_shifted_constrained_ratio_fails_its_line(self, capsys,
+                                                      monkeypatch, orders,
+                                                      name):
+        # the ratios of constraint sets of these sizes move by 10x the bound
+        original = dimer.constrained_ratio
+        monkeypatch.setattr(
+            dimer, "constrained_ratio",
+            lambda kast, cons: original(kast, cons)
+            + (1e-14 if len(cons) in orders else 0.0))
+        code, out, _ = run(capsys, "verify", "--suite", "kasteleyn")
+        assert code == 1
+        assert failed_checks(out) == [f"FAIL [kasteleyn] {name}"]
+
+    def test_all_prints_the_pinned_check_names(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all")
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == VERIFY_NAMES
+        assert lines[-1] == "OK"
 
     def test_mutated_ground_mask_fails_mapping_check(self, capsys,
                                                      monkeypatch):
